@@ -1,4 +1,4 @@
-// Ablations of the design choices DESIGN.md calls out:
+// Ablations of the model and filter design choices:
 //  1. Exponential binning vs exact per-query accumulation in the CPFPR
 //     model (accuracy and selection-time; Section 4.3's binning argument).
 //  2. Sample size vs out-of-sample FPR of the selected design (the

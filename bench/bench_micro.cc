@@ -17,6 +17,7 @@
 #include "hash/murmur3.h"
 #include "lsm/rle.h"
 #include "lsm/skiplist.h"
+#include "model/cpfpr.h"
 #include "rosetta/rosetta.h"
 #include "surf/surf.h"
 #include "trie/bit_trie.h"
@@ -317,6 +318,28 @@ void BM_ProteusBuild(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_ProteusBuild)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+// Self-design cost alone: CPFPR model construction plus Proteus selection,
+// at a per-SST size (keys, samples) and at a full-key-range size.
+void BM_CpfprDesign(benchmark::State& state) {
+  auto keys =
+      GenerateKeys(Dataset::kUniform, static_cast<size_t>(state.range(0)), 19);
+  QuerySpec spec;
+  spec.dist = QueryDist::kCorrelated;
+  spec.range_max = uint64_t{1} << 10;
+  auto samples =
+      GenerateQueries(keys, spec, static_cast<size_t>(state.range(1)), 20);
+  const uint64_t budget = 14 * keys.size();
+  for (auto _ : state) {
+    CpfprModel model(keys, samples);
+    benchmark::DoNotOptimize(model.SelectProteus(budget));
+  }
+}
+BENCHMARK(BM_CpfprDesign)
+    ->ArgNames({"keys", "samples"})
+    ->Args({30000, 1200})
+    ->Args({500000, 20000})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SkipListAdd(benchmark::State& state) {
   SkipList list;

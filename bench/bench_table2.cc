@@ -8,8 +8,10 @@
 //   query stats = Count Query Prefixes (gather + binning)
 //   config fprs = Calculate Configuration FPRs (Algorithm 1 selection)
 //   build       = filter construction proper
-// 1PBF / 2PBF / Proteus share one gathering pass (CpfprModel); its cost is
-// attributed to "query stats".
+// 1PBF / 2PBF / Proteus share one CpfprModel. Its construction gathers the
+// 1PBF and Proteus statistics; the 2PBF statistics are gathered on the
+// first 2PBF evaluation, which the 2PBF row times separately. Both gathers
+// are attributed to "query stats".
 
 #include <cstdio>
 #include <memory>
@@ -77,13 +79,17 @@ void Run(const bench::Args& args) {
   }
   {
     t.Reset();
+    model.TwoPbfFpr(1, 2, 0.5, budget);  // first 2PBF call: gathers stats
+    double two_pbf_stats_ms = t.ElapsedMillis();
+    t.Reset();
     TwoPbfDesign design = model.SelectTwoPbf(budget);
     double config_ms = t.ElapsedMillis();
     t.Reset();
     auto filter = TwoPbfFilter::BuildWithConfig(
         keys, TwoPbfFilter::Config{design.l1, design.l2, design.frac1}, bpk);
     double build_ms = t.ElapsedMillis();
-    row("2PBF", key_stats_ms, 0, query_stats_ms, config_ms, build_ms);
+    row("2PBF", key_stats_ms, 0, query_stats_ms + two_pbf_stats_ms,
+        config_ms, build_ms);
   }
   {
     t.Reset();

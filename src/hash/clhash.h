@@ -1,7 +1,7 @@
 // Portable stand-in for CLHASH (Lemire & Kaser 2016), the string-key hash
 // the paper switches to in Section 7.1.
 //
-// Substitution note (see DESIGN.md): real CLHASH relies on the CLMUL
+// Substitution note: real CLHASH relies on the CLMUL
 // instruction set. The filters only need a fast, uniform 64-bit hash over
 // variable-length byte strings, so we implement a keyed polynomial hash
 // over 64-bit lanes with multiply-xorshift finalization. The interface

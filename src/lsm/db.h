@@ -1,5 +1,4 @@
-// miniLSM — the storage engine standing in for RocksDB in Sections 6–7
-// (see DESIGN.md substitutions).
+// miniLSM — the storage engine standing in for RocksDB in Sections 6–7.
 //
 // Architecture (mirroring the paper's description of RocksDB):
 //  * a multi-version skiplist MemTable buffering writes (every version

@@ -1,8 +1,7 @@
-// Zero-run RLE block codec — the stand-in for LZ4/ZSTD in miniLSM
-// (DESIGN.md substitutions). The paper's value payloads are half zero
-// bytes (compression ratio 0.5, Section 6.2); this codec compresses zero
-// runs and leaves other bytes literal, reproducing the same on-disk volume
-// without external libraries.
+// Zero-run RLE block codec — the stand-in for LZ4/ZSTD in miniLSM. The
+// paper's value payloads are half zero bytes (compression ratio 0.5,
+// Section 6.2); this codec compresses zero runs and leaves other bytes
+// literal, reproducing the same on-disk volume without external libraries.
 
 #ifndef PROTEUS_LSM_RLE_H_
 #define PROTEUS_LSM_RLE_H_

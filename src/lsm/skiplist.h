@@ -169,8 +169,8 @@ class SkipList {
   //   [ Node: next_[0] (level 0), seqno, key_len, value_len ]
   //   [ key bytes ][ value bytes ]
   //
-  // next_ MUST be the first member: next_[-level] addresses level
-  // `level`'s link in the prefix region before the struct, so the header
+  // next_ MUST be the first member: Link(level) addresses level `level`'s
+  // link in the prefix region before the struct, so the header
   // offset — and with it key()/value() — is independent of the node's
   // height, and a node is reached at level L only through level-L links,
   // so nobody ever reads a link above the node's height.
@@ -180,14 +180,20 @@ class SkipList {
     uint32_t key_len;
     uint32_t value_len;
 
+    // Links are reached from a base pointer: indexing next_ itself below
+    // 0 is an out-of-bounds array access.
+    std::atomic<Node*>* Link(int level) { return &next_[0] - level; }
+    const std::atomic<Node*>* Link(int level) const {
+      return &next_[0] - level;
+    }
     Node* Next(int level) const {
-      return next_[-level].load(std::memory_order_acquire);
+      return Link(level)->load(std::memory_order_acquire);
     }
     void SetNext(int level, Node* n) {
-      next_[-level].store(n, std::memory_order_relaxed);
+      Link(level)->store(n, std::memory_order_relaxed);
     }
     bool CasNext(int level, Node* expected, Node* n) {
-      return next_[-level].compare_exchange_strong(
+      return Link(level)->compare_exchange_strong(
           expected, n, std::memory_order_release, std::memory_order_relaxed);
     }
     const char* data() const {

@@ -60,9 +60,13 @@ CpfprModel::CpfprModel(const std::vector<uint64_t>& sorted_keys,
 
   one_bins_.assign(65 * kBins, Bin{});
   proteus_bins_.assign(static_cast<size_t>(65) * 65 * kBins, Bin{});
-  two_bins_.assign(static_cast<size_t>(65) * 65 * kBins, TwoBin{});
   records_.reserve(empty_samples.size());
   std::vector<uint64_t> lcp_hist(65, 0);
+
+  // Per-query |Q_l| and its bin offset within a (l1, *) row of
+  // proteus_bins_, for l in (lcp, 64].
+  double q_regions[65] = {};
+  size_t q_offset[65] = {};
 
   for (const RangeQuery& query : empty_samples) {
     // The query is empty, so the first key >= lo is also the first key > hi.
@@ -82,13 +86,27 @@ CpfprModel::CpfprModel(const std::vector<uint64_t>& sorted_keys,
     // query issues |Q_l| probabilistic probes.
     for (uint32_t l = lcp + 1; l <= 64; ++l) {
       uint64_t regions = PrefixCountInRange64(query.lo, query.hi, l);
-      Bin& bin = one_bins_[l * kBins + BinIndex(regions)];
+      uint32_t b = BinIndex(regions);
+      Bin& bin = one_bins_[l * kBins + b];
       bin.count++;
       bin.sum += static_cast<double>(regions);
+      q_regions[l] = static_cast<double>(regions);
+      q_offset[l] = static_cast<size_t>(l) * kBins + b;
     }
 
-    // Proteus (Eq. 5): probabilistic only when l1 <= lcp < l2.
-    for (uint32_t l1 = 1; l1 <= lcp; ++l1) {
+    // Proteus (Eq. 5): probabilistic only when l1 <= lcp < l2. While the
+    // whole query lies under one l1 prefix (l1 <= LCP(lo, hi)), the trie
+    // leaves a single region and all of Q_l2 is probed, whatever l1 is.
+    const uint32_t single_l1 = std::min(lcp, LcpBits64(query.lo, query.hi));
+    for (uint32_t l1 = 1; l1 <= single_l1; ++l1) {
+      Bin* row = &proteus_bins_[static_cast<size_t>(l1) * 65 * kBins];
+      for (uint32_t l2 = lcp + 1; l2 <= 64; ++l2) {
+        Bin& bin = row[q_offset[l2]];
+        bin.count++;
+        bin.sum += q_regions[l2];
+      }
+    }
+    for (uint32_t l1 = single_l1 + 1; l1 <= lcp; ++l1) {
       for (uint32_t l2 = lcp + 1; l2 <= 64; ++l2) {
         uint64_t regions = ProteusRegions(rec, l1, l2);
         Bin& bin =
@@ -96,61 +114,6 @@ CpfprModel::CpfprModel(const std::vector<uint64_t>& sorted_keys,
                           BinIndex(regions)];
         bin.count++;
         bin.sum += static_cast<double>(regions);
-      }
-    }
-
-    // 2PBF (Eq. 4): every l1 contributes; l2 <= lcp is a guaranteed FP and
-    // is excluded (counted through lcp_ge_).
-    for (uint32_t l1 = 1; l1 <= 63; ++l1) {
-      uint64_t q_l1 = PrefixCountInRange64(query.lo, query.hi, l1);
-      bool i0, i1;
-      uint64_t n_mid;
-      bool single = q_l1 == 1;
-      if (single) {
-        i0 = true;
-        i1 = false;
-        n_mid = 0;
-      } else {
-        uint64_t mask = l1 == 64 ? 0 : (~uint64_t{0} >> l1);
-        i0 = (query.lo & mask) != 0;
-        i1 = (query.hi & mask) != mask;
-        n_mid = q_l1 - (i0 ? 1 : 0) - (i1 ? 1 : 0);
-      }
-      bool ink_l = rec.left_lcp >= l1 || (single && lcp >= l1);
-      bool ink_r = rec.right_lcp >= l1;
-      uint64_t region_hi =
-          single ? query.hi
-                 : std::min(query.hi,
-                            PrefixRangeHi64(PrefixBits64(query.lo, l1), l1));
-      uint64_t region_lo =
-          std::max(query.lo, PrefixRangeLo64(PrefixBits64(query.hi, l1), l1));
-      for (uint32_t l2 = std::max(l1 + 1, lcp + 1); l2 <= 64; ++l2) {
-        TwoBin& bin = two_bins_[(static_cast<size_t>(l1) * 65 + l2) * kBins +
-                                BinIndex(n_mid)];
-        bin.count++;
-        bin.sum_mid += static_cast<double>(n_mid);
-        if (i0) {
-          double l_regions = static_cast<double>(
-              PrefixCountInRange64(query.lo, region_hi, l2));
-          if (ink_l) {
-            bin.cnt_l_ink++;
-            bin.sum_l_ink += l_regions;
-          } else {
-            bin.cnt_l_noink++;
-            bin.sum_l_noink += l_regions;
-          }
-        }
-        if (i1) {
-          double r_regions = static_cast<double>(
-              PrefixCountInRange64(region_lo, query.hi, l2));
-          if (ink_r) {
-            bin.cnt_r_ink++;
-            bin.sum_r_ink += r_regions;
-          } else {
-            bin.cnt_r_noink++;
-            bin.sum_r_noink += r_regions;
-          }
-        }
       }
     }
 
@@ -164,6 +127,73 @@ CpfprModel::CpfprModel(const std::vector<uint64_t>& sorted_keys,
     lcp_ge_[l] = acc;
   }
   lcp_ge_[65] = 0;
+}
+
+const std::vector<CpfprModel::TwoBin>& CpfprModel::TwoBins() const {
+  std::call_once(two_bins_once_, [this] {
+    two_bins_.assign(static_cast<size_t>(65) * 65 * kBins, TwoBin{});
+    for (const QueryRecord& rec : records_) GatherTwoPbf(rec, &two_bins_);
+  });
+  return two_bins_;
+}
+
+void CpfprModel::GatherTwoPbf(const QueryRecord& rec,
+                              std::vector<TwoBin>* two_bins) {
+  // 2PBF (Eq. 4): every l1 contributes; l2 <= lcp is a guaranteed FP and
+  // is excluded (counted through lcp_ge_).
+  const uint32_t lcp = rec.lcp();
+  for (uint32_t l1 = 1; l1 <= 63; ++l1) {
+    uint64_t q_l1 = PrefixCountInRange64(rec.lo, rec.hi, l1);
+    bool i0, i1;
+    uint64_t n_mid;
+    bool single = q_l1 == 1;
+    if (single) {
+      i0 = true;
+      i1 = false;
+      n_mid = 0;
+    } else {
+      uint64_t mask = l1 == 64 ? 0 : (~uint64_t{0} >> l1);
+      i0 = (rec.lo & mask) != 0;
+      i1 = (rec.hi & mask) != mask;
+      n_mid = q_l1 - (i0 ? 1 : 0) - (i1 ? 1 : 0);
+    }
+    bool ink_l = rec.left_lcp >= l1 || (single && lcp >= l1);
+    bool ink_r = rec.right_lcp >= l1;
+    uint64_t region_hi =
+        single ? rec.hi
+               : std::min(rec.hi,
+                          PrefixRangeHi64(PrefixBits64(rec.lo, l1), l1));
+    uint64_t region_lo =
+        std::max(rec.lo, PrefixRangeLo64(PrefixBits64(rec.hi, l1), l1));
+    for (uint32_t l2 = std::max(l1 + 1, lcp + 1); l2 <= 64; ++l2) {
+      TwoBin& bin = (*two_bins)[(static_cast<size_t>(l1) * 65 + l2) * kBins +
+                                BinIndex(n_mid)];
+      bin.count++;
+      bin.sum_mid += static_cast<double>(n_mid);
+      if (i0) {
+        double l_regions =
+            static_cast<double>(PrefixCountInRange64(rec.lo, region_hi, l2));
+        if (ink_l) {
+          bin.cnt_l_ink++;
+          bin.sum_l_ink += l_regions;
+        } else {
+          bin.cnt_l_noink++;
+          bin.sum_l_noink += l_regions;
+        }
+      }
+      if (i1) {
+        double r_regions =
+            static_cast<double>(PrefixCountInRange64(region_lo, rec.hi, l2));
+        if (ink_r) {
+          bin.cnt_r_ink++;
+          bin.sum_r_ink += r_regions;
+        } else {
+          bin.cnt_r_noink++;
+          bin.sum_r_noink += r_regions;
+        }
+      }
+    }
+  }
 }
 
 double CpfprModel::OnePbfFpr(uint32_t prefix_len, uint64_t mem_bits,
@@ -252,7 +282,7 @@ double CpfprModel::TwoPbfFpr(uint32_t l1, uint32_t l2, double frac1,
 
   double fp = static_cast<double>(lcp_ge_[l2]);
   const TwoBin* bins =
-      &two_bins_[(static_cast<size_t>(l1) * 65 + l2) * kBins];
+      &TwoBins()[(static_cast<size_t>(l1) * 65 + l2) * kBins];
   for (uint32_t b = 0; b < kBins; ++b) {
     const TwoBin& bin = bins[b];
     if (bin.count == 0) continue;

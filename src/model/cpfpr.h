@@ -10,7 +10,7 @@
 // and selects the configuration minimizing expected FPR under a memory
 // budget.
 //
-// Implementation notes (deviations documented in DESIGN.md §1):
+// Implementation notes (deviations from the paper's pseudocode):
 //  * Probabilities use the exact complement form 1 - (1 - p)^n rather than
 //    the pseudocode's linear approximation.
 //  * Eq. 4's binomial sum telescopes to the closed form
@@ -24,6 +24,7 @@
 #define PROTEUS_MODEL_CPFPR_H_
 
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
@@ -61,10 +62,12 @@ class CpfprModel {
   /// budget (the grey region of Figure 4c).
   static constexpr double kInfeasible = 2.0;
 
-  /// Gathers all statistics from the key set and empty sample queries
-  /// (Section 4.3: Count Key Prefixes / Calculate Trie Memory / Count
-  /// Query Prefixes). Keys must be sorted and unique; sample queries must
-  /// be empty (no key inside [lo, hi]).
+  /// Gathers the 1PBF and Proteus statistics from the key set and empty
+  /// sample queries (Section 4.3: Count Key Prefixes / Calculate Trie
+  /// Memory / Count Query Prefixes). The 2PBF statistics are gathered on
+  /// the first 2PBF evaluation, from the retained sample records. Keys must
+  /// be sorted and unique; sample queries must be empty (no key inside
+  /// [lo, hi]).
   CpfprModel(const std::vector<uint64_t>& sorted_keys,
              const std::vector<RangeQuery>& empty_samples);
 
@@ -147,6 +150,13 @@ class CpfprModel {
 
   double EndFactor(double p1, double p2, const TwoBin& bin) const;
 
+  // two_bins_, gathered from records_ on first use. Safe for concurrent
+  // const callers.
+  const std::vector<TwoBin>& TwoBins() const;
+  // Adds one sample query's Eq. 4 statistics to `two_bins`.
+  static void GatherTwoPbf(const QueryRecord& rec,
+                           std::vector<TwoBin>* two_bins);
+
   KeyStats key_stats_;
   TrieMemoryModel trie_model_;
   uint64_t n_samples_ = 0;
@@ -162,10 +172,14 @@ class CpfprModel {
   std::vector<Bin> proteus_bins_;
 
   // two_bins_[(l1 * 65 + l2) * kBins + b]: Eq. 4 accumulators for queries
-  // with lcp < l2 (bin keyed by middle-region count).
-  std::vector<TwoBin> two_bins_;
+  // with lcp < l2 (bin keyed by middle-region count). Only the 2PBF family
+  // reads them, so they are filled lazily through TwoBins().
+  mutable std::once_flag two_bins_once_;
+  mutable std::vector<TwoBin> two_bins_;
 
-  std::vector<QueryRecord> records_;  // for the exact evaluation paths
+  // Per-sample records, for the exact evaluation paths and the deferred
+  // 2PBF gather.
+  std::vector<QueryRecord> records_;
 
   static constexpr uint32_t kBins = 66;
 };

@@ -1,7 +1,7 @@
 // Key-set generators reproducing Section 5's datasets.
 //
 // Uniform and Normal follow the paper exactly. Books and Facebook are
-// synthetic stand-ins for the SOSD datasets (DESIGN.md §1, substitutions):
+// synthetic stand-ins for the SOSD datasets:
 //   BooksLike    — heavy low-skew (log-normal body): "many more low
 //                  popularity scores than high".
 //   FacebookLike — dense IDs covering a narrow range with uniformly

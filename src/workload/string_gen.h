@@ -7,7 +7,7 @@
 //             key is 0x80 followed by NULs, as the paper specifies.
 //
 // Variable-length keys: a synthetic `.org` domain generator standing in
-// for the Domains Project crawl (DESIGN.md substitutions): log-normal
+// for the Domains Project crawl: log-normal
 // length distribution with median ~21 bytes, clamped to [5, 253].
 //
 // String range queries are [left, left + offset] where the offset is added

@@ -336,7 +336,9 @@ TEST(Mvcc, CrashReplayReproducesExactPreCrashOrder) {
   SeekResult pinned = db->Seek(EncodeKeyBE(0), EncodeKeyBE(0), at_snap);
   auto it = ref.find(EncodeKeyBE(0));
   EXPECT_EQ(pinned.found, it != ref.end());
-  if (pinned.found) EXPECT_EQ(pinned.value, it->second);
+  if (pinned.found) {
+    EXPECT_EQ(pinned.value, it->second);
+  }
 }
 
 }  // namespace

@@ -258,7 +258,9 @@ TEST(ShardedMemtable, CrashReplayReproducesOrderIntoShardedMemtable) {
     SeekResult r = db->Seek(key, key);
     auto it = ref.find(key);
     ASSERT_EQ(r.found, it != ref.end()) << "key " << k;
-    if (r.found) ASSERT_EQ(r.value, it->second) << "key " << k;
+    if (r.found) {
+      ASSERT_EQ(r.value, it->second) << "key " << k;
+    }
   }
 }
 
