@@ -12,6 +12,52 @@
 
 namespace proteus {
 
+namespace {
+
+// Blocked-layout probe positions. Probe i reads a 9-bit field of h2 as
+// its bit inside the 512-bit block: seven fields fit in a 64-bit word,
+// and after every seventh probe the word is re-mixed with one xorshift64
+// step (Marsaglia 2003) for the next seven. The positions are thus
+// independent draws, which is what TheoreticalFprBlocked's Poisson-block
+// model assumes; an arithmetic progression h2 + i*step makes two keys
+// in one block collide on many probes at once and overshoots the model
+// by 1.4x at 12 bits per key and by 2.8x at 16. The AVX2 kernel below
+// walks the identical sequence.
+constexpr uint32_t kFieldBits = 9;  // log2(kBlockBits)
+constexpr uint32_t kFieldsPerWord = 64 / kFieldBits;
+static_assert(BloomFilter::kBlockBits == uint64_t{1} << kFieldBits);
+
+inline uint64_t Remix(uint64_t x) {
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+  return x;
+}
+
+/// The in-block bit positions one (h1, h2) pair probes, in order.
+class BlockedPositions {
+ public:
+  explicit BlockedPositions(uint64_t h2) : word_(h2), pos_(h2) {}
+
+  uint64_t bit() const { return pos_ & (BloomFilter::kBlockBits - 1); }
+
+  void Next() {
+    if (++field_ == kFieldsPerWord) {
+      field_ = 0;
+      pos_ = word_ = Remix(word_);
+    } else {
+      pos_ >>= kFieldBits;
+    }
+  }
+
+ private:
+  uint64_t word_;  // the current 64-bit word of fields
+  uint64_t pos_;   // word_ shifted so the current field is lowest
+  uint32_t field_ = 0;
+};
+
+}  // namespace
+
 BloomFilter::BloomFilter(uint64_t n_bits, uint32_t n_hashes, bool blocked)
     : n_bits_(std::max<uint64_t>(n_bits, blocked ? kBlockBits : 64)),
       n_hashes_(std::clamp<uint32_t>(n_hashes, 1, kMaxHashes)),
@@ -91,12 +137,10 @@ void BloomFilter::InsertHash(uint64_t h1, uint64_t h2) {
   if (words_.empty()) return;  // default-constructed: nothing to set
   if (blocked_) {
     uint64_t* block = words_.data() + BlockIndex(h1) * 8;
-    const uint64_t step = h1 | 1;
-    uint64_t pos = h2;
-    for (uint32_t i = 0; i < n_hashes_; ++i) {
-      const uint64_t bit = pos & (kBlockBits - 1);
+    BlockedPositions pos(h2);
+    for (uint32_t i = 0; i < n_hashes_; ++i, pos.Next()) {
+      const uint64_t bit = pos.bit();
       block[bit >> 6] |= uint64_t{1} << (bit & 63);
-      pos += step;
     }
     return;
   }
@@ -113,12 +157,10 @@ bool BloomFilter::MayContainHash(uint64_t h1, uint64_t h2) const {
   if (words_.empty()) return true;
   if (blocked_) {
     const uint64_t* block = words_.data() + BlockIndex(h1) * 8;
-    const uint64_t step = h1 | 1;
-    uint64_t pos = h2;
-    for (uint32_t i = 0; i < n_hashes_; ++i) {
-      const uint64_t bit = pos & (kBlockBits - 1);
+    BlockedPositions pos(h2);
+    for (uint32_t i = 0; i < n_hashes_; ++i, pos.Next()) {
+      const uint64_t bit = pos.bit();
       if (((block[bit >> 6] >> (bit & 63)) & 1) == 0) return false;
-      pos += step;
     }
     return true;
   }
@@ -132,12 +174,21 @@ bool BloomFilter::MayContainHash(uint64_t h1, uint64_t h2) const {
 #if PROTEUS_HAVE_AVX2_KERNELS
 namespace {
 
+/// Remix() on four lanes: shifts and xors only, so AVX2 has it exactly.
+__attribute__((target("avx2"))) inline __m256i Remix256(__m256i x) {
+  x = _mm256_xor_si256(x, _mm256_slli_epi64(x, 13));
+  x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 7));
+  return _mm256_xor_si256(x, _mm256_slli_epi64(x, 17));
+}
+
 /// AVX2 batch probe of the blocked layout: 8 queries per iteration as two
 /// interleaved 4-lane streams, so eight independent gathers are in flight
 /// while each probe's shift/test resolves. Per probe round each lane
-/// computes bit = pos & 511 inside its own 512-bit block, gathers the
-/// containing word, and ANDs the tested bit into an accumulator; one
-/// testz pair early-exits the probe loop once all 8 lanes have failed.
+/// takes bit = pos & 511 inside its own 512-bit block, exactly as
+/// BlockedPositions does (pos shifts down one 9-bit field per probe, and
+/// every seventh probe re-mixes the word), gathers the containing word,
+/// and ANDs the tested bit into an accumulator; one testz pair
+/// early-exits the probe loop once all 8 lanes have failed.
 /// Block selection is the same multiply-shift as the scalar path, done
 /// with scalar 128-bit multiplies (AVX2 has no 64x64 high-half multiply;
 /// the gathers dominate regardless). Returns how many queries were
@@ -175,18 +226,15 @@ __attribute__((target("avx2"))) size_t MultiContainBlockedAvx2(
         _mm256_load_si256(reinterpret_cast<const __m256i*>(bases + g));
     const __m256i base_b =
         _mm256_load_si256(reinterpret_cast<const __m256i*>(bases + g + 4));
-    const __m256i h1_a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h1 + i));
-    const __m256i h1_b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h1 + i + 4));
-    const __m256i step_a = _mm256_or_si256(h1_a, one);
-    const __m256i step_b = _mm256_or_si256(h1_b, one);
     __m256i pos_a =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h2 + i));
     __m256i pos_b =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h2 + i + 4));
+    __m256i fields_a = pos_a;
+    __m256i fields_b = pos_b;
     __m256i acc_a = one;
     __m256i acc_b = one;
+    uint32_t field = 0;
     for (uint32_t p = 0; p < n_hashes; ++p) {
       const __m256i bit_a = _mm256_and_si256(pos_a, block_mask);
       const __m256i bit_b = _mm256_and_si256(pos_b, block_mask);
@@ -202,8 +250,14 @@ __attribute__((target("avx2"))) size_t MultiContainBlockedAvx2(
       acc_b = _mm256_and_si256(
           acc_b, _mm256_srlv_epi64(word_b, _mm256_and_si256(bit_b,
                                                             shift_mask)));
-      pos_a = _mm256_add_epi64(pos_a, step_a);
-      pos_b = _mm256_add_epi64(pos_b, step_b);
+      if (++field == kFieldsPerWord) {
+        field = 0;
+        pos_a = fields_a = Remix256(fields_a);
+        pos_b = fields_b = Remix256(fields_b);
+      } else {
+        pos_a = _mm256_srli_epi64(pos_a, kFieldBits);
+        pos_b = _mm256_srli_epi64(pos_b, kFieldBits);
+      }
       // Only bit 0 of each accumulator lane carries the verdict; stop
       // probing once it is clear in all 8 lanes.
       if (_mm256_testz_si256(acc_a, one) && _mm256_testz_si256(acc_b, one)) {
@@ -267,7 +321,11 @@ bool BloomFilter::ParseFrom(std::string_view* in, BloomFilter* out) {
   const uint64_t n_bits = header[0];
   const uint32_t format = static_cast<uint32_t>(header[1] >> 32);
   const uint32_t n_hashes = static_cast<uint32_t>(header[1]);
-  if (format > kBlockedFormat) return false;  // from a future version
+  // Only the current blocked layout parses. Tag 1 is the retired
+  // arithmetic-progression layout: read with today's positions it would
+  // answer false negatives, so it is rejected like a future tag, and the
+  // Db rebuilds such an SST's filter from the file's keys.
+  if (format != 0 && format != kBlockedFormat) return false;
   const bool blocked = format == kBlockedFormat;
   // The constructor only produces n_bits == 0 (default-constructed, never
   // probed), >= 64 unblocked, or a whole number of blocks; anything else

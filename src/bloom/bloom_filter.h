@@ -3,19 +3,24 @@
 //
 // Hashing follows the paper's setup (Section 4.3): MurmurHash3 for integer
 // keys, CLHASH-style hashing for strings, with k = ceil(m/n * ln 2) hash
-// functions capped at 32 (footnote 2). Probes use Kirsch–Mitzenmacher
-// double hashing, which preserves the asymptotic FPR of Eq. 6.
+// functions capped at 32 (footnote 2). Every item hashes to a pair
+// (h1, h2); the probe layout decides how the k probes derive from it.
 //
 // Two probe layouts share the class:
-//  * standard — each of the k probes addresses the whole bit array: the
-//    textbook FPR, but k random cache lines per query.
+//  * standard — probe i sets bit (h1 + i*h2) mod m of the whole array
+//    (Kirsch–Mitzenmacher double hashing, which preserves the asymptotic
+//    FPR of Eq. 6): the textbook FPR, but k random cache lines per query.
 //  * blocked (Putze et al., register-blocked at cache-line granularity) —
-//    h1 picks one 512-bit block and all k probes stay inside it: one
-//    memory access per query, paid for with a slightly higher FPR because
-//    block loads are uneven (TheoreticalFprBlocked quantifies it).
+//    h1 picks one 512-bit block by multiply-shift, and probe i sets the
+//    bit named by the i-th 9-bit field of h2 inside it (seven fields per
+//    word; the word is re-mixed with xorshift64 after every seventh
+//    probe). One memory access per query, paid for with a slightly
+//    higher FPR because block loads are uneven. The positions are
+//    independent, so TheoreticalFprBlocked's Poisson-block model prices
+//    that premium as the filter actually pays it.
 // The layout is chosen at construction and serialized: unblocked filters
 // keep the original wire format bit-for-bit, blocked filters stamp a
-// format version into the header's high bits so legacy blobs still parse.
+// layout version into the header's high bits.
 
 #ifndef PROTEUS_BLOOM_BLOOM_FILTER_H_
 #define PROTEUS_BLOOM_BLOOM_FILTER_H_
@@ -142,9 +147,11 @@ class BloomFilter {
   static bool ParseFrom(std::string_view* in, BloomFilter* out);
 
  private:
-  /// Wire-format tag in the high 32 bits of header word 1. Legacy blobs
-  /// (n_hashes <= 32 stored as a u64) always read 0 there.
-  static constexpr uint32_t kBlockedFormat = 1;
+  /// Wire-format tag in the high 32 bits of header word 1. Unblocked
+  /// blobs (n_hashes <= 32 stored as a u64) always read 0 there. Tag 1
+  /// was the retired arithmetic-progression blocked layout; ParseFrom
+  /// rejects it rather than misreading it.
+  static constexpr uint32_t kBlockedFormat = 2;
 
   uint64_t BitIndex(uint64_t h1, uint64_t h2, uint32_t i) const {
     return (h1 + i * h2) % n_bits_;

@@ -218,9 +218,14 @@ void RunDifferential(size_t shards, uint64_t seed) {
 
   run_phase(phase_b, 1500);
   ASSERT_FALSE(testing::Test::HasFatalFailure());
+  // Rewrite the whole tree now, so every file is designed from the B
+  // window. Without this, which files phase B's own flushes and
+  // compactions replaced depends on background timing, and files still
+  // designed from a phase-A-like window see no shift in the reads below.
+  ASSERT_TRUE(db->CompactAll().ok());
+  db->WaitForBackground();
 
-  // Phase B's own puts flushed and compacted the tree, so its youngest
-  // files were designed from the B window — those designs are current,
+  // Every file's design is now current for phase B's point-ish lookups,
   // and correctly undisturbed. Shift the reads once more (back to wide
   // uniform scans) and keep serving until drift-triggered redesigns ran
   // (bounded; the differential checks stay on the whole time). Pure
@@ -329,7 +334,7 @@ std::string DowngradeManifestToV3(const std::string& manifest) {
 
   EXPECT_EQ(payload[0], 1);  // snapshot record
   payload.remove_prefix(1);
-  uint64_t magic, version, next_id, last_seqno, n_levels;
+  uint64_t magic = 0, version = 0, next_id = 0, last_seqno = 0, n_levels = 0;
   EXPECT_TRUE(GetFixed64(&payload, &magic));
   EXPECT_TRUE(GetFixed64(&payload, &version));
   EXPECT_EQ(version, 4u);
@@ -345,11 +350,11 @@ std::string DowngradeManifestToV3(const std::string& manifest) {
   PutFixed64(&out, last_seqno);
   PutFixed64(&out, n_levels);
   for (uint64_t l = 0; l < n_levels; ++l) {
-    uint64_t n_files;
+    uint64_t n_files = 0;
     EXPECT_TRUE(GetFixed64(&payload, &n_files));
     PutFixed64(&out, n_files);
     for (uint64_t i = 0; i < n_files; ++i) {
-      uint64_t id, n_entries, file_size;
+      uint64_t id = 0, n_entries = 0, file_size = 0;
       std::string smallest, largest;
       EXPECT_TRUE(GetFixed64(&payload, &id));
       EXPECT_TRUE(GetLengthPrefixed(&payload, &smallest));
@@ -358,7 +363,7 @@ std::string DowngradeManifestToV3(const std::string& manifest) {
       EXPECT_TRUE(GetFixed64(&payload, &file_size));
       // Skip the 7 v4 provenance/counter words.
       for (int skip = 0; skip < 7; ++skip) {
-        uint64_t ignored;
+        uint64_t ignored = 0;
         EXPECT_TRUE(GetFixed64(&payload, &ignored));
       }
       PutFixed64(&out, id);

@@ -108,31 +108,44 @@ TEST(BlockedBloomFilter, NoFalseNegatives) {
 }
 
 TEST(BlockedBloomFilter, FprMatchesBlockedTheory) {
-  auto keys = RandomSortedKeys(20000, 12);
-  std::set<uint64_t> keyset(keys.begin(), keys.end());
-  for (uint64_t bpk : {8, 12, 16}) {
-    uint64_t m = keys.size() * bpk;
+  // The self-design prices a blocked filter with TheoreticalFprBlocked, so
+  // the filter must deliver that FPR, not merely its order of magnitude:
+  // an in-block layout whose probe positions are not independent passes
+  // at low bpk and overshoots by 1.4x at 12 bpk and 2.7x at 16.
+  auto keys = RandomSortedKeys(100000, 12);
+  struct Point {
+    uint64_t bpk;
+    double tolerance;  // relative to TheoreticalFprBlocked
+  };
+  // The model's per-block Bloom term is the large-filter approximation,
+  // which runs a few percent low once a block holds few items with many
+  // probes each; 20 bpk (k = 14) gets the wider bound for that reason.
+  for (Point point : {Point{4, 0.10}, Point{8, 0.10}, Point{12, 0.10},
+                      Point{14, 0.10}, Point{16, 0.10}, Point{20, 0.15}}) {
+    const uint64_t m = keys.size() * point.bpk;
     BloomFilter bf(m, BloomFilter::OptimalHashes(m, keys.size()),
                    /*blocked=*/true);
     for (uint64_t k : keys) bf.InsertInt(k);
+    const double standard = BloomFilter::TheoreticalFpr(m, keys.size());
+    const double blocked = BloomFilter::TheoreticalFprBlocked(m, keys.size());
+    // Enough probes for ~2000 expected false positives: a 2.2% relative
+    // standard error, well inside the bound.
+    const uint64_t probes =
+        std::max<uint64_t>(200000, static_cast<uint64_t>(2000 / blocked));
+    // Uniform 64-bit queries: all ~14M of them miss the 1e5 keys except
+    // with probability ~1e-7, so every hit is a false positive.
     Rng rng(13);
-    int fp = 0;
-    int probes = 200000;
-    for (int i = 0; i < probes; ++i) {
-      uint64_t q = rng.Next();
-      if (keyset.count(q)) {
-        --i;
-        continue;
-      }
-      if (bf.MayContainInt(q)) ++fp;
+    uint64_t fp = 0;
+    for (uint64_t i = 0; i < probes; ++i) {
+      if (bf.MayContainInt(rng.Next())) ++fp;
     }
-    double observed = static_cast<double>(fp) / probes;
-    double standard = BloomFilter::TheoreticalFpr(m, keys.size());
-    double blocked = BloomFilter::TheoreticalFprBlocked(m, keys.size());
+    const double observed = static_cast<double>(fp) / probes;
     // The blocked layout pays a real FPR premium over the standard layout,
     // and the Poisson-mixture model must price it accurately.
-    EXPECT_GT(blocked, standard) << "bpk=" << bpk;
-    EXPECT_NEAR(observed, blocked, blocked * 0.35 + 0.002) << "bpk=" << bpk;
+    EXPECT_GT(blocked, standard) << "bpk=" << point.bpk;
+    EXPECT_NEAR(observed / blocked, 1.0, point.tolerance)
+        << "bpk=" << point.bpk << " observed=" << observed
+        << " modeled=" << blocked << " false positives=" << fp;
   }
 }
 

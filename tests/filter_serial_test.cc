@@ -263,7 +263,7 @@ TEST(FilterSerial, BlockedBloomCarriesVersionedFormat) {
   bf.AppendTo(&blob);
   uint64_t header[2];
   std::memcpy(header, blob.data(), 16);
-  EXPECT_EQ(header[1] >> 32, 1u) << "blocked blobs must carry the format tag";
+  EXPECT_EQ(header[1] >> 32, 2u) << "blocked blobs must carry the format tag";
 
   std::string_view view = blob;
   BloomFilter parsed;
@@ -277,6 +277,42 @@ TEST(FilterSerial, BlockedBloomCarriesVersionedFormat) {
   future[12] = '\x7F';  // high half of header word 1
   view = future;
   EXPECT_FALSE(BloomFilter::ParseFrom(&view, &parsed));
+}
+
+TEST(FilterSerial, RetiredBlockedLayoutIsRejectedNotMisread) {
+  // Tag 1 marked the arithmetic-progression blocked layout. Its bits sit
+  // where today's independent in-block positions do not look, so reading
+  // it would answer false negatives; the parser must refuse it instead.
+  // Hand-built the way an old writer laid it out: {n_bits, 1 << 32 | k},
+  // then the block words, here with one key's progression bits set.
+  const uint64_t n_bits = 4 * BloomFilter::kBlockBits;
+  const uint32_t k = 5;
+  std::vector<uint64_t> words(n_bits / 64, 0);
+  uint64_t h1 = 0, h2 = 0;
+  BloomFilter::HashInt(43, &h1, &h2);
+  const uint64_t block =
+      static_cast<uint64_t>((static_cast<unsigned __int128>(h1) * 4) >> 64);
+  for (uint64_t i = 0, pos = h2; i < k; ++i, pos += h1 | 1) {
+    const uint64_t bit = pos & (BloomFilter::kBlockBits - 1);
+    words[block * 8 + bit / 64] |= uint64_t{1} << (bit % 64);
+  }
+  const uint64_t header[2] = {n_bits, uint64_t{1} << 32 | k};
+  std::string blob(reinterpret_cast<const char*>(header), sizeof(header));
+  blob.append(reinterpret_cast<const char*>(words.data()),
+              words.size() * sizeof(uint64_t));
+
+  std::string_view view = blob;
+  BloomFilter parsed;
+  EXPECT_FALSE(BloomFilter::ParseFrom(&view, &parsed));
+
+  // The same bytes under the current tag parse (the guard is the tag, not
+  // the shape), and then do miss the key: what a misread would have done.
+  std::string retagged = blob;
+  retagged[12] = '\x02';
+  view = retagged;
+  ASSERT_TRUE(BloomFilter::ParseFrom(&view, &parsed));
+  EXPECT_TRUE(parsed.blocked());
+  EXPECT_FALSE(parsed.MayContainInt(43));
 }
 
 TEST(FilterSerial, BlockedAndUnblockedFiltersRoundTripThroughRegistry) {

@@ -51,30 +51,54 @@ TEST(SimdDispatch, ForceScalarSwitchRoundTrips) {
 }
 
 TEST(BloomMultiContainHash, MatchesScalarAndSingleProbe) {
+  // Blocked probes read seven 9-bit fields of h2 and re-mix it after each
+  // seventh probe; these k straddle every boundary (none, exactly one
+  // word, one field past it, two words, and the 32-probe cap). Half the
+  // queries are inserted items, which must never come back negative.
   Rng rng(101);
   for (bool blocked : {true, false}) {
-    BloomFilter bf(97013, 7, blocked);
-    for (int i = 0; i < 8000; ++i) bf.InsertInt(rng.Next() % 20000);
-    for (size_t n : kBatchSizes) {
-      std::vector<uint64_t> h1(n), h2(n);
-      for (size_t i = 0; i < n; ++i) {
-        BloomFilter::HashInt(rng.Next() % 40000, &h1[i], &h2[i]);
+    for (uint32_t k : {1u, 6u, 7u, 8u, 14u, 15u, 32u}) {
+      BloomFilter bf(97013, k, blocked);
+      ASSERT_EQ(bf.n_hashes(), k);
+      std::vector<uint64_t> keys(3000);
+      for (uint64_t& key : keys) {
+        key = rng.Next();
+        bf.InsertInt(key);
       }
-      std::vector<uint8_t> scalar(n, 9), simd(n, 9);
-      {
-        ScopedForceScalar fs(true);
-        bf.MultiContainHash(h1.data(), h2.data(), n, scalar.data());
-      }
-      {
-        ScopedForceScalar fs(false);
-        bf.MultiContainHash(h1.data(), h2.data(), n, simd.data());
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const uint8_t ref = bf.MayContainHash(h1[i], h2[i]) ? 1 : 0;
-        ASSERT_EQ(scalar[i], ref) << "blocked=" << blocked << " n=" << n
-                                  << " i=" << i;
-        ASSERT_EQ(simd[i], ref) << "blocked=" << blocked << " n=" << n
-                                << " i=" << i;
+      for (size_t n : kBatchSizes) {
+        std::vector<uint64_t> h1(n), h2(n);
+        for (size_t i = 0; i < n; ++i) {
+          const uint64_t item =
+              i % 2 == 0 ? keys[rng.NextBelow(keys.size())] : rng.Next();
+          BloomFilter::HashInt(item, &h1[i], &h2[i]);
+        }
+        std::vector<uint8_t> scalar(n, 9), simd(n, 9);
+        {
+          ScopedForceScalar fs(true);
+          bf.MultiContainHash(h1.data(), h2.data(), n, scalar.data());
+        }
+        {
+          ScopedForceScalar fs(false);
+          bf.MultiContainHash(h1.data(), h2.data(), n, simd.data());
+        }
+        size_t negatives = 0;
+        for (size_t i = 0; i < n; ++i) {
+          const uint8_t ref = bf.MayContainHash(h1[i], h2[i]) ? 1 : 0;
+          ASSERT_EQ(scalar[i], ref) << "blocked=" << blocked << " k=" << k
+                                    << " n=" << n << " i=" << i;
+          ASSERT_EQ(simd[i], ref) << "blocked=" << blocked << " k=" << k
+                                  << " n=" << n << " i=" << i;
+          if (i % 2 == 0) {
+            ASSERT_EQ(ref, 1) << "false negative: blocked=" << blocked
+                              << " k=" << k << " i=" << i;
+          }
+          negatives += ref == 0;
+        }
+        // Absent items must be rejected too, or the agreement above
+        // would hold trivially.
+        if (n >= 63) {
+          EXPECT_GT(negatives, 0u) << "blocked=" << blocked << " k=" << k;
+        }
       }
     }
   }
