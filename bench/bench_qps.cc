@@ -243,6 +243,7 @@ int main(int argc, char** argv) {
         .Num("p99_us", r.p99_us)
         .Num("p999_us", r.p999_us)
         .Num("found", static_cast<double>(r.found))
+        .Num("filter_checks", static_cast<double>(r.stats.filter_checks))
         .Num("filter_negatives", static_cast<double>(r.stats.filter_negatives))
         .Num("sst_seeks", static_cast<double>(r.stats.sst_seeks))
         .Num("blocks_touched", static_cast<double>(r.stats.blocks_touched));
@@ -330,6 +331,7 @@ int main(int argc, char** argv) {
       RunResult r = RunLoop(queries, batch, qps.rate, issue);
       const DbStats& s = db.stats();
       const BlockCache::Stats& cache_after = db.cache().stats();
+      r.stats.filter_checks = s.filter_checks;
       r.stats.filter_negatives = s.filter_negatives;
       r.stats.sst_seeks = s.sst_seeks;
       r.stats.blocks_touched = (cache_after.hits - cache_before.hits) +

@@ -2063,14 +2063,59 @@ Db::ReadView Db::AcquireReadView(const ReadOptions& ro) const {
   return view;
 }
 
+namespace {
+
+// Index of the first file of a sorted level whose largest key is at or
+// past `lo`: the file a query starting at `lo` enters the level by.
+template <typename Files>
+size_t EntryFile(const Files& files, std::string_view lo) {
+  return static_cast<size_t>(
+      std::lower_bound(files.begin(), files.end(), lo,
+                       [](const auto& f, std::string_view key) {
+                         return f->largest < key;
+                       }) -
+      files.begin());
+}
+
+}  // namespace
+
+// One query's positioned sources. Sources sit in recency order
+// (memtables newest first, then L0 newest first, then L1, L2, ...), so
+// the first of two equal (key, seqno) candidates is the newer source:
+// that breaks the legacy seqno-0 ties exactly as the pre-MVCC age rule
+// did. `list` never shrinks, so a batch's queries reuse its cursor
+// buffers; the first `n` entries are the current query's sources.
+struct Db::ReadSources {
+  struct Source {
+    const MemTableSet* mem = nullptr;             // memtable source
+    const std::vector<FilePtr>* level = nullptr;  // sorted-level source
+    size_t idx = 0;                  // level: index of `file`
+    const FileMeta* file = nullptr;  // L0 or level: the file positioned
+    bool checked = false;    // filter consulted (here or by the batch)
+    bool seeked = false;     // cursor holds a position
+    bool found_any = false;  // at least one probe landed in range
+    bool dead = false;       // filter negative, range exhausted, or error
+    SstReader::RangeCursor cur;
+    // The candidate: the newest visible version of the smallest key at
+    // or past the cursor. The views point into a skiplist node (pinned
+    // by the ReadView) or into `cur`'s decoded entry.
+    bool valid = false;
+    std::string_view key, value;
+    uint64_t seqno = 0;
+    bool tombstone = false;
+  };
+  std::vector<Source> list;
+  size_t n = 0;
+  std::string cursor;
+};
+
 SeekResult Db::Seek(std::string_view lo, std::string_view hi,
                     const ReadOptions& options) {
   ++stats_->seeks;
-  const ReadView view = AcquireReadView(options);
+  ReadSources sources;
   SeekResult r;
-  r.found =
-      SeekLoop(view, options, std::string(lo), hi, &r.key, &r.value,
-               &r.status);
+  SeekLoop(AcquireReadView(options), options, lo, hi, nullptr, &sources,
+           &r);
   if (!r.found) RecordEmptySeek(lo, hi);
   return r;
 }
@@ -2080,244 +2125,170 @@ void Db::RecordEmptySeek(std::string_view lo, std::string_view hi) {
   if (query_queue_.OnEmptyQuery(lo, hi)) ++stats_->queue_sampled;
 }
 
-bool Db::SeekLoop(const ReadView& view, const ReadOptions& ro,
-                  std::string cursor, std::string_view hi, std::string* key,
-                  std::string* value, Status* first_error) {
+void Db::SeekLoop(const ReadView& view, const ReadOptions& ro,
+                  std::string_view lo, std::string_view hi,
+                  const uint32_t* verdicts, ReadSources* sources,
+                  SeekResult* result) {
+  using Source = ReadSources::Source;
   const BlockReadOptions bro{ro.verify_checksums, ro.fill_cache,
                              /*use_cache=*/true};
-  auto note_error = [&](Status s) {
-    ++stats_->read_errors;
-    if (first_error->ok()) *first_error = std::move(s);
-  };
+  const Version& v = *view.version;
 
-  // Every source keeps a POSITIONED candidate across tombstone winners:
-  // when the newest visible version at the front is a tombstone, only
-  // the sources standing ON the deleted key advance (from where they
-  // are — no fresh index descent), so a run of N consecutive tombstones
-  // costs O(files + N) instead of N full multi-level restarts. The
-  // winner rule is unchanged: smallest key; among versions of that key
-  // the highest seqno; rank (source recency) breaks the remaining
-  // legacy seqno-0 ties exactly as the pre-MVCC age rule did.
-  struct Cand {
-    bool valid = false;
-    std::string key, value;
-    uint64_t seqno = 0;
-    bool tombstone = false;
+  // A file source consults its filter ONCE per query (sound permanently:
+  // a negative for [lo, hi] covers every subrange the advancing cursor
+  // can ask about); the first probe is an index-descent Seek, every
+  // later one a forward SkipTo from the standing position.
+  auto open_file = [](Source& s, const FileMeta* f, bool checked) {
+    s.file = f;
+    s.checked = checked;
+    s.seeked = s.found_any = s.dead = false;
   };
-
-  // Memtable sources: skiplist descents are cheap, so repositioning is
-  // just a fresh SeekGeq at the advanced cursor.
-  struct MemSrc {
-    const MemTableSet* mem;
-    int rank;
-    Cand cand;
-  };
-  std::vector<MemSrc> mems;
-  mems.reserve(1 + view.version->imm.size());
-  mems.push_back({view.mem.get(), 0, {}});
-  {
-    int rank = 0;
-    for (const MemPtr& m : view.version->imm) {
-      mems.push_back({m.get(), ++rank, {}});
-    }
-  }
-  auto position_mem = [&](MemSrc& src, std::string_view lo) {
-    src.cand.valid = false;
-    SkipList::Entry entry;
-    uint8_t tag;
-    std::string_view user;
-    if (src.mem->SeekGeq(lo, view.snapshot, &entry) && entry.key <= hi &&
-        ParseInternalValue(entry.value, &tag, &user)) {
-      src.cand.valid = true;
-      src.cand.key.assign(entry.key);
-      src.cand.value.assign(user);
-      src.cand.seqno = entry.seqno;
-      src.cand.tombstone = tag == kTagTombstone;
-    }
-  };
-
-  // One SST file as a positioned source. The filter is consulted ONCE
-  // per file per query (sound permanently: a negative for [lo, hi]
-  // covers every subrange the advancing cursor can ask about); the
-  // first probe is an index-descent Seek, every later one a forward
-  // SkipTo from the standing position.
-  struct FileSrc {
-    const FileMeta* f = nullptr;
-    bool checked = false;    // filter consulted
-    bool seeked = false;     // cursor holds a position
-    bool found_any = false;  // at least one probe landed in range
-    bool dead = false;       // filter negative, range exhausted, or error
-    SstReader::RangeCursor cur;
-    Cand cand;
-  };
-  auto position_file = [&](FileSrc& src, std::string_view lo) {
-    src.cand.valid = false;
-    if (src.dead) return;
-    const FileMeta& f = *src.f;
-    if (f.largest < lo || f.smallest > hi) {
-      src.dead = true;  // lo only grows: a bypassed file stays bypassed
+  auto position_file = [&](Source& s, std::string_view at) {
+    if (s.dead) return;
+    const FileMeta& f = *s.file;
+    if (f.largest < at || f.smallest > hi) {
+      s.dead = true;  // `at` only grows: a bypassed file stays bypassed
       return;
     }
-    if (!src.checked) {
-      src.checked = true;
-      std::string_view clip_lo = lo > f.smallest
-                                     ? lo
-                                     : std::string_view(f.smallest);
-      std::string_view clip_hi =
-          hi < f.largest ? hi : std::string_view(f.largest);
+    if (!s.checked) {
+      s.checked = true;
       ++stats_->filter_checks;
       if (f.filter != nullptr) {
         NoteFilterChecks(f, 1);
-        if (!f.filter->MayContain(clip_lo, clip_hi)) {
+        if (!f.filter->MayContain(std::max(at, std::string_view(f.smallest)),
+                                  std::min(hi, std::string_view(f.largest)))) {
           ++stats_->filter_negatives;
-          src.dead = true;
+          s.dead = true;
           return;
         }
       }
-      src.cur.Init(f.reader.get(), bro, view.snapshot);
     }
     Status read_status;
     int rc;
-    if (!src.seeked) {
+    if (!s.seeked) {
       ++stats_->sst_seeks;
       NoteSstProbe(f);
-      rc = src.cur.Seek(lo, hi, &read_status);
-      src.seeked = true;
+      s.cur.Init(f.reader.get(), bro, view.snapshot);
+      rc = s.cur.Seek(at, hi, &read_status);
+      s.seeked = true;
     } else {
-      rc = src.cur.SkipTo(lo, hi, &read_status);
+      rc = s.cur.SkipTo(at, hi, &read_status);
     }
     if (rc == 0) {
-      src.found_any = true;
-      const SstReader::SeekEntry& se = src.cur.entry();
-      src.cand.valid = true;
-      src.cand.key = se.key;
-      src.cand.value = se.value;
-      src.cand.seqno = se.seqno;
-      src.cand.tombstone = se.tombstone;
-    } else if (rc == 1) {
-      src.dead = true;
-      if (!src.found_any && f.filter != nullptr) {
+      s.found_any = true;
+      const SstReader::SeekEntry& se = s.cur.entry();
+      s.valid = true;
+      s.key = se.key;
+      s.value = se.value;
+      s.seqno = se.seqno;
+      s.tombstone = se.tombstone;
+      return;
+    }
+    s.dead = true;
+    if (rc == 1) {
+      if (!s.found_any && f.filter != nullptr) {
         ++stats_->false_positive_files;  // filter passed, file had nothing
         NoteFalsePositive(f);
       }
     } else {
-      note_error(std::move(read_status));
-      src.dead = true;
+      ++stats_->read_errors;
+      if (result->status.ok()) result->status = std::move(read_status);
+    }
+  };
+  auto position = [&](Source& s, std::string_view at) {
+    s.valid = false;
+    if (s.mem != nullptr) {
+      SkipList::Entry entry;
+      uint8_t tag;
+      if (s.mem->SeekGeq(at, view.snapshot, &entry) && entry.key <= hi &&
+          ParseInternalValue(entry.value, &tag, &s.value)) {
+        s.valid = true;
+        s.key = entry.key;
+        s.seqno = entry.seqno;
+        s.tombstone = tag == kTagTombstone;
+      }
+      return;
+    }
+    position_file(s, at);
+    if (s.level == nullptr) return;
+    // A sorted level walks its files in key order, moving to the next
+    // file whenever the current one has nothing left in range.
+    const auto& files = *s.level;
+    while (!s.valid && s.idx + 1 < files.size() &&
+           files[s.idx + 1]->smallest <= hi) {
+      open_file(s, files[++s.idx].get(), false);
+      position_file(s, at);
     }
   };
 
-  // L0: every overlapping file is its own source (they overlap freely).
-  struct RankedFile {
-    FileSrc src;
-    int rank;
+  // Build the sources. One the batch's filter pass rejected is never
+  // built; one it passed starts out checked.
+  sources->n = 0;
+  const size_t most = 1 + v.imm.size() + v.levels[0].size() + v.levels.size();
+  if (sources->list.size() < most) sources->list.resize(most);
+  auto add = [&](const MemTableSet* mem) -> Source& {
+    Source& s = sources->list[sources->n++];
+    s.mem = mem;
+    s.level = nullptr;
+    return s;
   };
-  std::vector<RankedFile> l0s;
-  {
-    int rank = 1000;
-    for (const auto& f : view.version->levels[0]) {
-      RankedFile rf;
-      rf.src.f = f.get();
-      rf.rank = rank++;
-      l0s.push_back(std::move(rf));
+  add(view.mem.get());
+  for (const MemPtr& m : v.imm) add(m.get());
+  for (size_t i = 0; i < v.levels[0].size(); ++i) {
+    const FileMeta* f = v.levels[0][i].get();
+    if (verdicts != nullptr ? verdicts[i] == 0
+                            : f->largest < lo || f->smallest > hi) {
+      continue;
     }
+    open_file(add(nullptr), f, verdicts != nullptr);
   }
-
-  // Sorted levels: one source per level that walks its files in key
-  // order, binary-searching the entry file once and advancing file by
-  // file as the cursor outruns each one.
-  struct LevelSrc {
-    const std::vector<FilePtr>* files;
-    int rank;
+  for (size_t level = 1; level < v.levels.size(); ++level) {
+    const auto& files = v.levels[level];
     size_t idx = 0;
-    bool started = false;
-    FileSrc file;
-    Cand cand;
-  };
-  std::vector<LevelSrc> lvls;
-  for (size_t level = 1; level < view.version->levels.size(); ++level) {
-    if (view.version->levels[level].empty()) continue;
-    LevelSrc src;
-    src.files = &view.version->levels[level];
-    src.rank = 1000000 + static_cast<int>(level);
-    lvls.push_back(std::move(src));
+    bool passed = false;
+    if (verdicts == nullptr) {
+      idx = EntryFile(files, lo);
+    } else {  // the batch's entry file; a rejected one is skipped
+      const uint32_t entry = verdicts[v.levels[0].size() + level - 1];
+      passed = (entry & 1) != 0;
+      idx = (entry >> 1) + (passed ? 0 : 1);
+    }
+    if (idx >= files.size() || files[idx]->smallest > hi) continue;
+    Source& s = add(nullptr);
+    s.level = &files;
+    s.idx = idx;
+    open_file(s, files[idx].get(), passed);
   }
-  auto position_level = [&](LevelSrc& src, std::string_view lo) {
-    src.cand.valid = false;
-    const auto& files = *src.files;
-    if (!src.started) {
-      src.started = true;
-      src.idx = static_cast<size_t>(
-          std::lower_bound(files.begin(), files.end(), lo,
-                           [](const FilePtr& f, std::string_view key) {
-                             return f->largest < key;
-                           }) -
-          files.begin());
-      src.file = FileSrc{};
-      if (src.idx < files.size()) src.file.f = files[src.idx].get();
-    }
-    while (src.idx < files.size()) {
-      if (files[src.idx]->smallest > hi) return;  // rest of level is past hi
-      position_file(src.file, lo);
-      if (src.file.cand.valid) {
-        src.cand = src.file.cand;
-        return;
-      }
-      // Exhausted (or filter-rejected, or error-noted): next file.
-      ++src.idx;
-      src.file = FileSrc{};
-      if (src.idx < files.size()) src.file.f = files[src.idx].get();
-    }
-  };
 
-  // Prime every source at the original cursor, then loop: pick the best
-  // candidate; a tombstone winner advances the cursor and repositions
-  // ONLY the sources standing on the deleted key.
-  for (auto& src : mems) position_mem(src, cursor);
-  for (auto& rf : l0s) position_file(rf.src, cursor);
-  for (auto& src : lvls) position_level(src, cursor);
-
+  // Prime every source at `lo`, then loop: pick the best candidate
+  // (smallest key; among versions of that key the highest seqno); a
+  // tombstone winner advances the cursor past the deleted key and
+  // repositions ONLY the sources standing on it, so a run of N
+  // consecutive tombstones costs O(files + N), not N restarts.
+  Source* const first = sources->list.data();
+  Source* const last = first + sources->n;
+  for (Source* s = first; s != last; ++s) position(*s, lo);
+  std::string& cursor = sources->cursor;
   for (;;) {
-    const Cand* best = nullptr;
-    int best_rank = 1 << 30;
-    auto consider = [&](const Cand& c, int rank) {
-      if (!c.valid) return;
-      const bool better =
-          best == nullptr || c.key < best->key ||
-          (c.key == best->key &&
-           (c.seqno > best->seqno ||
-            (c.seqno == best->seqno && rank < best_rank)));
-      if (better) {
-        best = &c;
-        best_rank = rank;
+    const Source* best = nullptr;
+    for (const Source* s = first; s != last; ++s) {
+      if (s->valid &&
+          (best == nullptr || s->key < best->key ||
+           (s->key == best->key && s->seqno > best->seqno))) {
+        best = s;
       }
-    };
-    for (const auto& src : mems) consider(src.cand, src.rank);
-    for (const auto& rf : l0s) consider(rf.src.cand, rf.rank);
-    for (const auto& src : lvls) consider(src.cand, src.rank);
-
-    if (best == nullptr) return false;
-    if (!best->tombstone) {
-      if (key != nullptr) key->assign(best->key);
-      if (value != nullptr) value->assign(best->value);
-      return true;
     }
-    // The newest visible version in range is a tombstone: advance past
-    // the deleted key. Only sources whose candidate IS that key are
-    // stale (every other candidate already sits beyond the new cursor).
+    if (best == nullptr) return;
+    if (!best->tombstone) {
+      result->found = true;
+      result->key.assign(best->key);
+      result->value.assign(best->value);
+      return;
+    }
     cursor.assign(best->key);
     cursor.push_back('\0');
-    for (auto& src : mems) {
-      if (src.cand.valid && src.cand.key < cursor) position_mem(src, cursor);
-    }
-    for (auto& rf : l0s) {
-      if (rf.src.cand.valid && rf.src.cand.key < cursor) {
-        position_file(rf.src, cursor);
-      }
-    }
-    for (auto& src : lvls) {
-      if (src.cand.valid && src.cand.key < cursor) {
-        position_level(src, cursor);
-      }
+    for (Source* s = first; s != last; ++s) {
+      if (s->valid && s->key < cursor) position(*s, cursor);
     }
   }
 }
@@ -2333,22 +2304,21 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
   // ONE view and horizon for the whole batch: its answers are mutually
   // consistent even while writers commit concurrently.
   const ReadView view = AcquireReadView(options);
-  const BlockReadOptions bro{options.verify_checksums, options.fill_cache,
-                             /*use_cache=*/true};
+  const Version& v = *view.version;
 
   // Layout hints for layout-aware schedulers: the boundaries of the
   // largest sorted level (the one most batches fan out over).
   ScheduleContext context;
   size_t widest = 0;  // 0 = no sorted level yet (L0 has no boundaries)
-  for (size_t level = 1; level < view.version->levels.size(); ++level) {
-    if (view.version->levels[level].size() >
-        (widest == 0 ? size_t{0} : view.version->levels[widest].size())) {
+  for (size_t level = 1; level < v.levels.size(); ++level) {
+    if (v.levels[level].size() >
+        (widest == 0 ? size_t{0} : v.levels[widest].size())) {
       widest = level;
     }
   }
   if (widest != 0) {
-    context.file_boundaries.reserve(view.version->levels[widest].size());
-    for (const auto& f : view.version->levels[widest]) {
+    context.file_boundaries.reserve(v.levels[widest].size());
+    for (const auto& f : v.levels[widest]) {
       context.file_boundaries.push_back(f->smallest);
     }
   }
@@ -2369,197 +2339,89 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
     }
   }
 
-  // Round one: the first Seek-loop iteration of every query, batched so
-  // each SST is visited once. Per-query winners accumulate here exactly
-  // like Seek's `consider`.
-  struct Cand {
-    bool found = false;
-    bool tombstone = false;
-    uint64_t seqno = 0;
-    int rank = 1 << 30;
-    std::string key, value;
-    Status first_error;
-  };
-  std::vector<Cand> cands(n);
-  auto consider = [&](uint32_t qi, std::string_view k, uint64_t seqno,
-                      bool tombstone, std::string_view user, int rank) {
-    if (k > batch[qi].hi) return;
-    Cand& c = cands[qi];
-    const bool better =
-        !c.found || k < c.key ||
-        (k == c.key &&
-         (seqno > c.seqno || (seqno == c.seqno && rank < c.rank)));
-    if (better) {
-      c.found = true;
-      c.key.assign(k);
-      c.seqno = seqno;
-      c.tombstone = tombstone;
-      c.value.assign(user);
-      c.rank = rank;
-    }
-  };
-
-  SkipList::Entry entry;
-  uint8_t tag;
-  std::string_view user;
-  for (uint32_t qi : order) {
-    if (view.mem->SeekGeq(batch[qi].lo, view.snapshot, &entry) &&
-        ParseInternalValue(entry.value, &tag, &user)) {
-      consider(qi, entry.key, entry.seqno, tag == kTagTombstone, user, 0);
-    }
-    int rank = 0;
-    for (const MemPtr& m : view.version->imm) {
-      ++rank;
-      if (m->SeekGeq(batch[qi].lo, view.snapshot, &entry) &&
-          ParseInternalValue(entry.value, &tag, &user)) {
-        consider(qi, entry.key, entry.seqno, tag == kTagTombstone, user,
-                 rank);
-      }
-    }
-  }
-
-  // Per-SST grouping: a file's group is the (scheduled-order) queries
-  // that still need it; all their filter verdicts come from one batched
-  // call, then only the passing ones probe the SST. A query that finds
-  // an in-range entry (rc == 0) is done with the level — Seek's
-  // per-level early exit — while one that doesn't carries over to the
-  // next file only if its range spans past this one.
-  SstReader::SeekEntry se;
+  // The batched filter pass: exactly the verdicts the read loop takes
+  // while priming its sources (each overlapping L0 file, each sorted
+  // level's entry file), grouped per file in scheduled order into one
+  // MultiMayContain call and booked here. Row qi of `verdicts` is the
+  // loop's `verdicts` argument for query qi: per L0 file the verdict,
+  // per sorted level 2 * entry file + verdict.
+  const size_t stride = v.levels[0].size() + v.levels.size() - 1;
+  std::vector<uint32_t> verdicts(n * stride, 0);
+  std::vector<uint32_t> group;
   std::vector<std::string_view> clip_lo, clip_hi;
-  std::vector<uint8_t> verdicts;
-  auto probe_group = [&](const FileMeta& f, int file_rank,
-                         const std::vector<uint32_t>& group,
-                         std::vector<uint32_t>* carry) {
-    if (group.empty()) return;
+  std::vector<uint8_t> pass;
+  auto check_group = [&](const FileMeta& f, size_t slot) {
     clip_lo.clear();
     clip_hi.clear();
     for (uint32_t qi : group) {
-      const StrRangeQuery& q = batch[qi];
-      clip_lo.push_back(q.lo > f.smallest ? std::string_view(q.lo)
-                                          : std::string_view(f.smallest));
-      clip_hi.push_back(q.hi < f.largest ? std::string_view(q.hi)
-                                         : std::string_view(f.largest));
+      clip_lo.push_back(std::max(std::string_view(batch[qi].lo),
+                                 std::string_view(f.smallest)));
+      clip_hi.push_back(std::min(std::string_view(batch[qi].hi),
+                                 std::string_view(f.largest)));
     }
     stats_->filter_checks += group.size();
-    verdicts.assign(group.size(), 1);
+    pass.assign(group.size(), 1);
     if (f.filter != nullptr) {
       NoteFilterChecks(f, group.size());
-      f.filter->MultiMayContain(clip_lo.data(), clip_hi.data(), group.size(),
-                                verdicts.data());
-      for (uint8_t v : verdicts) {
-        if (v == 0) ++stats_->filter_negatives;
+      if (group.size() == 1) {
+        pass[0] = f.filter->MayContain(clip_lo[0], clip_hi[0]) ? 1 : 0;
+      } else {
+        f.filter->MultiMayContain(clip_lo.data(), clip_hi.data(),
+                                  group.size(), pass.data());
       }
     }
+    uint64_t negatives = 0;
     for (size_t g = 0; g < group.size(); ++g) {
-      const uint32_t qi = group[g];
-      const StrRangeQuery& q = batch[qi];
-      bool done = false;
-      if (verdicts[g] != 0) {
-        ++stats_->sst_seeks;
-        NoteSstProbe(f);
-        Status read_status;
-        int rc = f.reader->SeekInRange(q.lo, q.hi, view.snapshot, bro, &se,
-                                       &read_status);
-        if (rc == 0) {
-          consider(qi, se.key, se.seqno, se.tombstone, se.value, file_rank);
-          done = true;
-        } else if (rc == 1 && f.filter != nullptr) {
-          ++stats_->false_positive_files;
-          NoteFalsePositive(f);
-        } else if (rc == -1) {
-          ++stats_->read_errors;
-          if (cands[qi].first_error.ok()) {
-            cands[qi].first_error = std::move(read_status);
-          }
-        }
-      }
-      if (!done && carry != nullptr && q.hi > f.largest) carry->push_back(qi);
+      verdicts[group[g] * stride + slot] |= pass[g];
+      negatives += pass[g] == 0;
     }
+    if (negatives != 0) stats_->filter_negatives += negatives;
   };
-
-  // L0 files overlap arbitrarily, so every file sees every overlapping
-  // query (no early exit to exploit — same as Seek).
-  std::vector<uint32_t> group;
-  int rank = 1000;
-  for (const auto& f : view.version->levels[0]) {
+  for (size_t i = 0; i < v.levels[0].size(); ++i) {
+    const FileMeta& f = *v.levels[0][i];
     group.clear();
     for (uint32_t qi : order) {
-      const StrRangeQuery& q = batch[qi];
-      if (!(f->largest < q.lo || f->smallest > q.hi)) group.push_back(qi);
-    }
-    probe_group(*f, rank++, group, nullptr);
-  }
-
-  // Sorted levels: files are ascending and non-overlapping, so each
-  // query binary-searches its first overlapping file instead of every
-  // file scanning every query; a query whose range spans a file
-  // boundary carries into the next file's group (Seek's scan order
-  // exactly). One flat (file, query) list per level keeps this
-  // allocation-free across files.
-  std::vector<std::pair<uint32_t, uint32_t>> assigned;
-  std::vector<uint32_t> carry;
-  for (size_t level = 1; level < view.version->levels.size(); ++level) {
-    const auto& files = view.version->levels[level];
-    if (files.empty()) continue;
-    const int level_rank = 1000000 + static_cast<int>(level);
-    assigned.clear();
-    for (uint32_t qi : order) {
-      const StrRangeQuery& q = batch[qi];
-      auto it = std::lower_bound(
-          files.begin(), files.end(), q.lo,
-          [](const auto& f, std::string_view lo) { return f->largest < lo; });
-      if (it == files.end() || (*it)->smallest > q.hi) continue;
-      assigned.emplace_back(static_cast<uint32_t>(it - files.begin()), qi);
-    }
-    // Queries with the same entry file become adjacent, scheduled order
-    // preserved within each file.
-    std::stable_sort(assigned.begin(), assigned.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    size_t pos = 0;
-    carry.clear();
-    for (size_t i = 0; i < files.size(); ++i) {
-      if (carry.empty()) {
-        if (pos == assigned.size()) break;
-        i = assigned[pos].first;  // skip files nobody needs
+      if (!(f.largest < batch[qi].lo || f.smallest > batch[qi].hi)) {
+        group.push_back(qi);
       }
+    }
+    if (!group.empty()) check_group(f, i);
+  }
+  // (entry file, position in `order`): sorting groups the queries of one
+  // entry file and keeps them in scheduled order.
+  std::vector<std::pair<uint32_t, uint32_t>> entries;
+  for (size_t level = 1; level < v.levels.size(); ++level) {
+    const auto& files = v.levels[level];
+    const size_t slot = v.levels[0].size() + level - 1;
+    entries.clear();
+    for (uint32_t pos = 0; pos < n; ++pos) {
+      const StrRangeQuery& q = batch[order[pos]];
+      const size_t idx = EntryFile(files, q.lo);
+      verdicts[order[pos] * stride + slot] = static_cast<uint32_t>(2 * idx);
+      if (idx < files.size() && files[idx]->smallest <= q.hi) {
+        entries.emplace_back(static_cast<uint32_t>(idx), pos);
+      }
+    }
+    std::sort(entries.begin(), entries.end());
+    for (size_t e = 0; e < entries.size();) {
+      const uint32_t file = entries[e].first;
       group.clear();
-      for (uint32_t qi : carry) {
-        // A carried range can end before this file starts (Seek would
-        // break the level scan there): drop it.
-        if (batch[qi].hi >= files[i]->smallest) group.push_back(qi);
+      for (; e < entries.size() && entries[e].first == file; ++e) {
+        group.push_back(order[entries[e].second]);
       }
-      carry.clear();
-      while (pos < assigned.size() && assigned[pos].first == i) {
-        group.push_back(assigned[pos++].second);
-      }
-      probe_group(*files[i], level_rank, group,
-                  i + 1 < files.size() ? &carry : nullptr);
+      check_group(*files[file], slot);
     }
   }
 
-  // Resolve. Tombstone winners resume through the single-query loop past
-  // the deleted key (rare: a batch amortizes nothing over a resume whose
-  // cursor is unique to one query). Empty results feed the sample queue
-  // with their original bounds, exactly like Seek.
+  // The read loop once per query, in scheduled order. Empty results feed
+  // the sample queue with their original bounds, in arrival order.
+  ReadSources sources;
+  for (uint32_t qi : order) {
+    SeekLoop(view, options, batch[qi].lo, batch[qi].hi,
+             verdicts.data() + qi * stride, &sources, &(*results)[qi]);
+  }
   for (size_t qi = 0; qi < n; ++qi) {
-    MultiSeekResult& r = (*results)[qi];
-    Cand& c = cands[qi];
-    r.status = std::move(c.first_error);
-    if (c.found && !c.tombstone) {
-      r.found = true;
-      r.key = std::move(c.key);
-      r.value = std::move(c.value);
-      continue;
-    }
-    if (c.found) {
-      std::string cursor = std::move(c.key);
-      cursor.push_back('\0');
-      r.found = SeekLoop(view, options, std::move(cursor), batch[qi].hi,
-                         &r.key, &r.value, &r.status);
-    }
-    if (!r.found) RecordEmptySeek(batch[qi].lo, batch[qi].hi);
+    if (!(*results)[qi].found) RecordEmptySeek(batch[qi].lo, batch[qi].hi);
   }
 }
 

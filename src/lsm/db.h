@@ -323,21 +323,22 @@ class Db {
 
   /// Closed Seek: finds the smallest live key in [lo, hi] visible at the
   /// read's snapshot horizon (options.snapshot, or the latest committed
-  /// state). Empty results feed the sample query queue. Safe to call
-  /// concurrently with writes and background maintenance.
+  /// state) by running the read loop (SeekLoop) once. Empty results feed
+  /// the sample query queue. Safe to call concurrently with writes and
+  /// background maintenance.
   SeekResult Seek(std::string_view lo, std::string_view hi,
                   const ReadOptions& options = {});
 
   /// Batched Seek: answers every query in `batch` with exactly the
-  /// Seek() results, but amortizes the tree walk across the batch. The
-  /// scheduler fixes the execution order (see engine/scheduler.h); the
-  /// engine then visits each overlapping SST once, takes all of the
-  /// batch's filter verdicts for that file in one MultiMayContain call,
-  /// and probes only the passing queries — so with a key-sorted order
-  /// one file's filter and data blocks stay hot for the whole batch
-  /// instead of being re-fetched per query. The whole batch resolves
-  /// against ONE pinned view and one snapshot horizon, so its answers
-  /// are mutually consistent even while writers commit concurrently.
+  /// Seek() results and the same cost counters. The scheduler fixes the
+  /// execution order (see engine/scheduler.h). A batched filter pass then
+  /// takes every verdict the read loop would take while priming its
+  /// sources (each overlapping L0 file, each sorted level's entry file)
+  /// in one MultiMayContain call per file, and the read loop runs once
+  /// per query in scheduled order, primed with that query's verdicts.
+  /// The whole batch resolves against ONE pinned view and one snapshot
+  /// horizon, so its answers are mutually consistent even while writers
+  /// commit concurrently.
   void MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
                  std::vector<MultiSeekResult>* results,
                  const ReadOptions& options = {});
@@ -520,14 +521,27 @@ class Db {
 
   ReadView AcquireReadView(const ReadOptions& ro) const;
 
-  /// The Seek cursor loop starting at `cursor` (tombstones advance the
-  /// cursor and retry). No empty-query accounting: callers own that,
-  /// because the sample queue must see the ORIGINAL query bounds, not a
-  /// tombstone-advanced cursor. Read errors accumulate into
-  /// `first_error` (first one wins) and stats_.read_errors.
-  bool SeekLoop(const ReadView& view, const ReadOptions& ro,
-                std::string cursor, std::string_view hi, std::string* key,
-                std::string* value, Status* first_error);
+  /// One query's positioned sources (defined in db.cc). MultiSeek reuses
+  /// one set across its batch, so the loop allocates little per query.
+  struct ReadSources;
+
+  /// The read loop, the only code that answers a range query: positions
+  /// a source per memtable, overlapping L0 file and sorted level at `lo`,
+  /// returns the newest visible version of the smallest key in [lo, hi],
+  /// and walks past tombstones by advancing only the sources that stood
+  /// on the deleted key. Each SST's filter is consulted at most once.
+  /// `verdicts`, when non-null, holds the priming verdicts a batched
+  /// filter pass already took and booked: one per L0 file (1 = pass,
+  /// 0 = rejected or no overlap), then per sorted level 2 * its entry
+  /// file index + the verdict on that file. The loop builds no source
+  /// for a rejected file and books only the checks it takes itself.
+  /// Fills `result`; the first read error lands in result->status and
+  /// each one counts in stats_.read_errors. No empty-query accounting:
+  /// callers own that.
+  void SeekLoop(const ReadView& view, const ReadOptions& ro,
+                std::string_view lo, std::string_view hi,
+                const uint32_t* verdicts, ReadSources* sources,
+                SeekResult* result);
 
   /// Empty-result bookkeeping shared by Seek and MultiSeek: counts the
   /// empty seek and offers the query to the sample queue.

@@ -311,40 +311,11 @@ Status SstReader::VerifyChecksums() const {
 int SstReader::SeekInRange(std::string_view lo, std::string_view hi,
                            uint64_t snapshot, const BlockReadOptions& opts,
                            SeekEntry* out, Status* status) const {
-  // First block whose last key >= lo holds the smallest candidate. The
-  // scan continues into later blocks only while entries are invisible at
-  // the snapshot (rare), so the common case still touches one block.
-  size_t b = index_.LowerBound(lo);
-  bool first_block = true;
-  for (; b < index_.n_entries(); ++b, first_block = false) {
-    BlockReader block;
-    Status s = ReadDataBlock(b, &block, opts);
-    if (!s.ok()) {
-      if (status != nullptr) *status = std::move(s);
-      return -1;
-    }
-    size_t i = first_block ? block.LowerBound(lo) : 0;
-    for (; i < block.n_entries(); ++i) {
-      std::string_view k = block.KeyAt(i);
-      if (k > hi) return 1;
-      ParsedValue parsed;
-      if (!ParseSstValue(footer_version_, block.ValueAt(i), &parsed)) {
-        if (status != nullptr) {
-          *status = Status::Corruption("SST value malformed: " + path_);
-        }
-        return -1;
-      }
-      // Versions of one key are stored newest-first, so the first entry
-      // at or under the horizon is the newest visible version of its key.
-      if (parsed.seqno > snapshot) continue;
-      out->key.assign(k);
-      out->value.assign(parsed.user_value);
-      out->seqno = parsed.seqno;
-      out->tombstone = parsed.tombstone();
-      return 0;
-    }
-  }
-  return 1;
+  RangeCursor cursor;
+  cursor.Init(this, opts, snapshot);
+  const int rc = cursor.Seek(lo, hi, status);
+  if (rc == 0) *out = cursor.entry();
+  return rc;
 }
 
 int SstReader::RangeCursor::Seek(std::string_view lo, std::string_view hi,

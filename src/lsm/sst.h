@@ -13,7 +13,7 @@
 // v4 files are multi-version: a user key may appear in several
 // consecutive entries, newest (highest seqno) first, and every value is
 // encoded as `tag u8 | seqno u64 | user bytes` (ikey.h). The reader's
-// SeekInRange resolves visibility against a snapshot sequence horizon.
+// RangeCursor resolves visibility against a snapshot sequence horizon.
 //
 // Footer v4 (fixed width, 72 bytes): index_offset, index_size, n_entries,
 // filter_offset, filter_size, filter_format, filter_checksum,
@@ -166,7 +166,8 @@ class SstReader {
   /// entries can carry the scan into the next block(s). Legacy files
   /// (v1–v3) decode as seqno 0, visible to every snapshot.
   /// Returns 0 = found, 1 = none in range, -1 = corruption/IO error
-  /// (the block failed its CRC or checksum; details in `status`).
+  /// (the block failed its CRC or checksum; details in `status`). A
+  /// one-shot RangeCursor; the Db's read loop uses cursors directly.
   int SeekInRange(std::string_view lo, std::string_view hi, uint64_t snapshot,
                   const BlockReadOptions& opts, SeekEntry* out,
                   Status* status = nullptr) const;

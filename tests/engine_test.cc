@@ -270,6 +270,108 @@ TEST(MultiSeekTest, EmptyAndSingletonBatches) {
   EXPECT_EQ(results[0].value, "x");
 }
 
+// --- MultiSeek books exactly Seek's costs ---
+
+struct ReadCosts {
+  uint64_t filter_checks, filter_negatives, sst_seeks, false_positive_files;
+  std::map<uint64_t, std::vector<uint64_t>> per_file;  // checks, probes, fps
+};
+
+ReadCosts TakeReadCosts(const Db& db) {
+  const DbStats s = db.stats();
+  ReadCosts c{s.filter_checks, s.filter_negatives, s.sst_seeks,
+              s.false_positive_files, {}};
+  for (const auto& info : db.DesignInfo()) {
+    c.per_file[info.file_id] = {info.checks, info.probes,
+                                info.false_positives};
+  }
+  return c;
+}
+
+// after - before, counter by counter (the file set is fixed).
+ReadCosts CostDelta(const ReadCosts& before, const ReadCosts& after) {
+  ReadCosts d{after.filter_checks - before.filter_checks,
+              after.filter_negatives - before.filter_negatives,
+              after.sst_seeks - before.sst_seeks,
+              after.false_positive_files - before.false_positive_files,
+              {}};
+  for (const auto& [id, counts] : after.per_file) {
+    const auto& old = before.per_file.at(id);
+    d.per_file[id] = {counts[0] - old[0], counts[1] - old[1],
+                      counts[2] - old[2]};
+  }
+  return d;
+}
+
+TEST(MultiSeekTest, BooksTheSameCostsAsSeekAcrossTombstoneRuns) {
+  // Values in sorted levels and in an older L0 file, tombstone runs in a
+  // newer L0 file: the answers walk past deleted keys, and a batch must
+  // consult every filter, probe every SST and charge every false
+  // positive exactly as often as the same queries issued one by one.
+  auto options = SmallDbOptions("parity");
+  options.filter_policy = MakeProteusIntPolicy(14.0);
+  options.memtable_bytes = 1 << 20;
+  options.sst_target_bytes = 32 << 10;
+  options.adaptive_redesign = false;
+  auto [db, st] = Db::Create(options);
+  ASSERT_TRUE(st.ok());
+  const uint64_t kKeys = 6000;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(db->Put(EncodeKeyBE(k * 1000), "base" + std::to_string(k)).ok());
+  }
+  ASSERT_TRUE(db->CompactAll().ok());
+  for (uint64_t k = 0; k < kKeys; k += 3) {
+    ASSERT_TRUE(db->Put(EncodeKeyBE(k * 1000), "l0-" + std::to_string(k)).ok());
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    if ((k / 8) % 4 == 0) {
+      ASSERT_TRUE(db->Delete(EncodeKeyBE(k * 1000)).ok());
+    }
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  db->WaitForBackground();
+  size_t l0_files = 0, level_files = 0;
+  for (const auto& info : db->DesignInfo()) {
+    (info.level == 0 ? l0_files : level_files) += 1;
+  }
+  ASSERT_EQ(l0_files, 2u) << "the tree must keep both L0 files";
+  ASSERT_GT(level_files, 2u);
+
+  Rng rng(27);
+  QueryBatch batch = RandomBatch(rng, 96);
+  for (uint64_t run = 0; run < kKeys; run += 32 * 7) {
+    // Starts on a tombstone run; the answer lies past its end.
+    batch.push_back({EncodeKeyBE(run * 1000), EncodeKeyBE((run + 20) * 1000)});
+  }
+
+  for (const char* spec : {"fifo", "sorted", "grouped"}) {
+    auto scheduler = SchedulerRegistry::Global().Create(spec);
+    ASSERT_NE(scheduler, nullptr);
+    const ReadCosts start = TakeReadCosts(*db);
+    std::vector<MultiSeekResult> results;
+    db->MultiSeek(batch, *scheduler, &results);
+    const ReadCosts mid = TakeReadCosts(*db);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      SeekResult r = db->Seek(batch[i].lo, batch[i].hi);
+      ASSERT_EQ(results[i].found, r.found) << spec << " query " << i;
+      ASSERT_EQ(results[i].key, r.key) << spec << " query " << i;
+    }
+    const ReadCosts batched = CostDelta(start, mid);
+    const ReadCosts single = CostDelta(mid, TakeReadCosts(*db));
+    EXPECT_GT(single.false_positive_files + single.filter_negatives, 0u);
+    EXPECT_EQ(batched.filter_checks, single.filter_checks) << spec;
+    EXPECT_EQ(batched.filter_negatives, single.filter_negatives) << spec;
+    EXPECT_EQ(batched.sst_seeks, single.sst_seeks) << spec;
+    EXPECT_EQ(batched.false_positive_files, single.false_positive_files)
+        << spec;
+    for (const auto& [id, counts] : single.per_file) {
+      EXPECT_EQ(batched.per_file.at(id), counts)
+          << spec << " file " << id << " (checks, probes, false positives)";
+    }
+  }
+}
+
 // --- sample-queue feed + stats ---
 
 TEST(MultiSeekTest, EmptyQueriesFeedTheSampleQueue) {
