@@ -26,7 +26,7 @@ int main() {
     DbOptions options;
     options.dir = "/tmp/proteus_example_lsm";
     options.memtable_bytes = 1 << 20;
-    if (use_filter) options.filter_policy = MakeProteusIntPolicy(14.0);
+    if (use_filter) options.filter_policy = MakeFilterPolicy("proteus:bpk=14");
     auto [db_ptr, create_status] = Db::Create(options);
     if (db_ptr == nullptr) {
       std::fprintf(stderr, "create failed: %s\n",

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <string>
 
+#include "core/filter_spec.h"
 #include "engine/server.h"
 #include "lsm/db.h"
 #include "surf/surf.h"
@@ -75,7 +76,10 @@ int main(int argc, char** argv) {
   options.memtable_bytes = 1 << 20;
   options.sst_target_bytes = 1 << 20;
   options.l1_size_bytes = 4u << 20;
-  if (bpk > 0) options.filter_policy = MakeProteusIntPolicy(bpk);
+  if (bpk > 0) {
+    options.filter_policy =
+        MakeFilterPolicy("proteus:bpk=" + FormatSpecDouble(bpk));
+  }
   auto [db_ptr, create_status] = Db::Create(options);
   if (db_ptr == nullptr) {
     std::fprintf(stderr, "db create failed: %s\n",

@@ -9,6 +9,10 @@ each one is quoted correctly in docs/FORMAT.md:
   * decimal-valued constants (sizes, opcodes, record kinds, versions)
     must appear on a doc line that also names the constant.
 
+The reverse holds too: every backticked `k[A-Z]...` name in the doc must
+be one of the constants checked here, so a constant retired from the
+code cannot linger in the doc.
+
 Run from the repository root:  python3 scripts/check_format_doc.py
 Exits non-zero (and prints every mismatch) when the doc and code drift.
 """
@@ -24,16 +28,14 @@ DOC = ROOT / "docs" / "FORMAT.md"
 SOURCES = {
     "src/lsm/sst.cc": [
         "kSstMagic",
-        "kFooterVersion2",
-        "kFooterVersion3",
         "kFooterVersion4",
-        "kFooterV1Size",
-        "kFooterV2Size",
-        "kFooterV3Size",
-        "kFooterV4Size",
-        "kHandleV2Size",
-        "kHandleV3Size",
+        "kFooterSize",
+        "kHandleSize",
         "kFilterChecksumSeed",
+    ],
+    "src/lsm/ikey.h": [
+        "kTagValue",
+        "kTagTombstone",
     ],
     "src/lsm/db.cc": [
         "kManifestMagic",
@@ -42,8 +44,6 @@ SOURCES = {
         "kManifestRecordDelta",
     ],
     "src/lsm/wal.h": [
-        "kWalOpPut",
-        "kWalOpDelete",
         "kWalOpPutSeq",
         "kWalOpDeleteSeq",
     ],
@@ -62,6 +62,9 @@ MEMBER_RE = re.compile(
     r"static\s+constexpr\s+[\w:<>]+\s+(k\w+)\s*=\s*"
     r"(0[xX][0-9a-fA-F']+|\d+)"
 )
+# A constant name at the start of a backticked span: `kName` or
+# `kName = value`.
+DOC_NAME_RE = re.compile(r"`(k[A-Z]\w*)")
 
 
 def extract_constants(text):
@@ -107,6 +110,13 @@ def main():
                         f"docs/FORMAT.md names {name} but no such line "
                         f"carries its value {literal} (from {rel_path})"
                     )
+
+    checked = {name for names in SOURCES.values() for name in names}
+    for name in sorted(set(DOC_NAME_RE.findall(doc)) - checked):
+        errors.append(
+            f"docs/FORMAT.md names `{name}`, which is not a checked format "
+            f"constant (retired from the code, or missing from SOURCES)"
+        )
 
     if errors:
         print("FORMAT.md / source drift detected:")

@@ -62,15 +62,6 @@ class PrefixBloom {
     return bf_.MayContainHash(h1, h2);
   }
 
-  /// Batch form of ProbeHash over parallel (h1, h2) arrays; dispatches to
-  /// the AVX2 multi-query kernel when available (util/simd.h). This is the
-  /// entry the 1PBF/2PBF coarse walks and Rosetta's per-level probes use
-  /// once a batch is dense enough to beat the one-ahead scalar pipeline.
-  void MultiProbeHash(const uint64_t* h1, const uint64_t* h2, size_t n,
-                      uint8_t* out) const {
-    bf_.MultiContainHash(h1, h2, n, out);
-  }
-
   /// Hashes `n` right-aligned l-bit prefix values in stack-sized chunks
   /// and batch-probes them: out[i] = ProbePrefix(prefix_values[i]).
   void MultiProbePrefix(const uint64_t* prefix_values, size_t n,

@@ -57,11 +57,6 @@ void BlockCache::AddPinnedBytes(uint64_t file_id, uint64_t bytes) {
   EvictIfNeeded();
 }
 
-void BlockCache::ReleasePinnedBytes(uint64_t file_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ReleasePinnedLocked(file_id);
-}
-
 void BlockCache::ReleasePinnedLocked(uint64_t file_id) {
   auto it = pinned_.find(file_id);
   if (it == pinned_.end()) return;

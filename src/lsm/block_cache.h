@@ -47,9 +47,6 @@ class BlockCache {
   /// cache_index_and_filter_blocks accounting. Cumulative per file.
   void AddPinnedBytes(uint64_t file_id, uint64_t bytes);
 
-  /// Releases the pinned charge of a file (EraseFile also does this).
-  void ReleasePinnedBytes(uint64_t file_id);
-
   Stats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;

@@ -48,24 +48,22 @@ constexpr size_t kMaxLevels = 8;
 //
 //   record  := length u32 | crc32c(payload) u32 | payload[length]
 //   snapshot payload := kind u8 (1) | magic u64 | version u64 |
-//                       next_file_id u64 | last_seqno u64 (v3+) |
+//                       next_file_id u64 | last_seqno u64 |
 //                       n_levels u64 | per level: n_files u64, file*
 //   delta payload    := kind u8 (2) | next_file_id u64 |
-//                       last_seqno u64 (v3+) |
+//                       last_seqno u64 |
 //                       n_added u64,  (level u64, file)* |
 //                       n_deleted u64, (file_id u64)*
 //   file := id u64 | smallest lp | largest lp | n_entries u64 |
 //           file_size u64 |      (lp = u64 length + raw bytes)
-//           v4+: design_epoch u64 | modeled_fpr f64 |
-//                design_signature f64 | design_samples u64 |
-//                checks u64 | probes u64 | false_positives u64
+//           design_epoch u64 | modeled_fpr f64 |
+//           design_signature f64 | design_samples u64 |
+//           checks u64 | probes u64 | false_positives u64
 //           (f64 = IEEE-754 bit pattern as fixed u64; -1.0 = none)
 //
-// v2 manifests (pre-MVCC) have no last_seqno fields; v3 has no per-file
-// design provenance. Both are read and rewritten as v4 at open, so
-// deltas never mix formats within one file.
+// A snapshot of any other version is refused as NotSupported.
 constexpr uint64_t kManifestMagic = 0x494E414D544F5250ull;  // "PROTMANI"
-constexpr uint64_t kManifestVersion = 4;  // 3 = no provenance, 2 = pre-MVCC
+constexpr uint64_t kManifestVersion = 4;
 constexpr uint8_t kManifestRecordSnapshot = 1;
 constexpr uint8_t kManifestRecordDelta = 2;
 
@@ -104,7 +102,7 @@ void WipeDbFiles(const std::string& dir) {
     std::string name = e->d_name;
     const bool sst =
         name.size() > 4 && name.substr(name.size() - 4) == ".sst";
-    const bool wal = name == "WAL" || name.rfind("WAL-", 0) == 0;
+    const bool wal = name.rfind("WAL-", 0) == 0;
     if (sst || wal) ::unlink((dir + "/" + name).c_str());
   }
   ::closedir(d);
@@ -112,14 +110,9 @@ void WipeDbFiles(const std::string& dir) {
   ::unlink((dir + "/MANIFEST.tmp").c_str());
 }
 
-/// Parses a WAL file name into its segment number: "WAL" (the legacy
-/// un-numbered log) is segment 0, "WAL-<n>" is segment n. Returns false
-/// for anything else.
+/// Parses a WAL file name "WAL-<n>" into its segment number n. Returns
+/// false for anything else.
 bool ParseWalName(const std::string& name, uint64_t* number) {
-  if (name == "WAL") {
-    *number = 0;
-    return true;
-  }
   if (name.rfind("WAL-", 0) != 0) return false;
   const std::string digits = name.substr(4);
   if (digits.empty()) return false;
@@ -201,15 +194,14 @@ class MemTableMergeSource : public EntrySource {
   int best_ = -1;
 };
 
-/// K-way merge over SST iterators in (key asc, seqno desc, source age)
-/// order. Equal (key, seqno) pairs across sources are ONE logical write
-/// seen through several files (crash-replay overlap, or legacy seqno-0
-/// entries colliding): only the newest source's copy is emitted.
+/// K-way merge over SST iterators in (key asc, seqno desc) order. Equal
+/// (key, seqno) pairs across sources are ONE logical write seen through
+/// several files (crash-replay overlap), so their bytes are identical:
+/// one copy is emitted and every input steps past it.
 class MergeSource : public EntrySource {
  public:
-  void Add(const SstReader* reader, int age) {
-    items_.push_back(
-        Item{SstReader::Iterator(reader), reader->footer_version(), age, {}});
+  void Add(const SstReader* reader) {
+    items_.push_back(Item{SstReader::Iterator(reader), {}});
     DecodeItem(&items_.back());
   }
   void Init() { FindBest(); }
@@ -249,15 +241,12 @@ class MergeSource : public EntrySource {
  private:
   struct Item {
     SstReader::Iterator it;
-    uint32_t footer_version;
-    int age;  // smaller = newer
     ParsedValue parsed;
   };
 
   void DecodeItem(Item* item) {
     if (!item->it.Valid()) return;
-    if (!ParseSstValue(item->footer_version, item->it.value(),
-                       &item->parsed)) {
+    if (!ParseSstValue(item->it.value(), &item->parsed)) {
       decode_error_ = Status::Corruption("SST value malformed during merge");
     }
   }
@@ -273,9 +262,7 @@ class MergeSource : public EntrySource {
       const Item& a = items_[i];
       const Item& b = items_[static_cast<size_t>(best_)];
       const int c = a.it.key().compare(b.it.key());
-      if (c < 0 ||
-          (c == 0 && (a.parsed.seqno > b.parsed.seqno ||
-                      (a.parsed.seqno == b.parsed.seqno && a.age < b.age)))) {
+      if (c < 0 || (c == 0 && a.parsed.seqno > b.parsed.seqno)) {
         best_ = static_cast<int>(i);
       }
     }
@@ -347,7 +334,7 @@ class CollapseSource : public EntrySource {
         return;
       }
       // An older version of the same key.
-      if (sq == prev_seqno_) {  // duplicate logical slot: newest source won
+      if (sq == prev_seqno_) {  // one write seen twice: keep one copy
         in_.Next();
         continue;
       }
@@ -1034,7 +1021,6 @@ Status Db::FinishFile(SstWriter* writer, std::vector<std::string>* keys,
   meta->smallest = writer->smallest();
   meta->largest = writer->largest();
   meta->n_entries = writer->n_entries();
-  meta->format_version = 4;
   meta->level = target_level;
   if (options_.filter_policy != nullptr) {
     FilterBuildContext ctx;
@@ -1158,15 +1144,14 @@ Status Db::CompactL0Locked() {
     largest = std::max(largest, f->largest);
   }
   MergeSource merge;
-  int age = 0;
-  for (const auto& f : l0) merge.Add(f->reader.get(), age++);
+  for (const auto& f : l0) merge.Add(f->reader.get());
   std::vector<FilePtr> l1_keep;
   std::vector<FilePtr> removed;
   for (const auto& f : base->levels[1]) {
     if (f->largest < smallest || f->smallest > largest) {
       l1_keep.push_back(f);
     } else {
-      merge.Add(f->reader.get(), age++);
+      merge.Add(f->reader.get());
     }
   }
   merge.Init();
@@ -1230,14 +1215,14 @@ Status Db::CompactLevelLocked(size_t level) {
   FilePtr input = base->levels[level][pick];
 
   MergeSource merge;
-  merge.Add(input->reader.get(), 0);
+  merge.Add(input->reader.get());
   std::vector<FilePtr> next_keep;
   std::vector<FilePtr> removed;
   for (const auto& f : base->levels[level + 1]) {
     if (f->largest < input->smallest || f->smallest > input->largest) {
       next_keep.push_back(f);
     } else {
-      merge.Add(f->reader.get(), 1);
+      merge.Add(f->reader.get());
     }
   }
   merge.Init();
@@ -1353,7 +1338,7 @@ Status Db::RedesignFileLocked(size_t level, const FilePtr& input) {
   design_epoch_.fetch_add(1, std::memory_order_relaxed);
 
   MergeSource merge;
-  merge.Add(input->reader.get(), 0);
+  merge.Add(input->reader.get());
   merge.Init();
   // Never drop tombstones here: unlike a real compaction this rewrite
   // sees only one file, and other L0 files or deeper levels may still
@@ -1502,7 +1487,7 @@ void Db::EncodeFileMeta(std::string* out, const FileMeta& f) {
   PutLengthPrefixed(out, f.largest);
   PutFixed64(out, f.n_entries);
   PutFixed64(out, f.file_size);
-  // v4 design provenance + observed-FPR counters. Persisting the probe
+  // Design provenance + observed-FPR counters. Persisting the probe
   // counters keeps drift evidence accumulating across clean reopens.
   PutFixed64(out, f.design_epoch);
   PutFixed64(out, DoubleBits(f.modeled_fpr));
@@ -1513,20 +1498,13 @@ void Db::EncodeFileMeta(std::string* out, const FileMeta& f) {
   PutFixed64(out, f.false_positives.load(std::memory_order_relaxed));
 }
 
-bool Db::DecodeFileMeta(std::string_view* cursor, uint64_t version,
-                        FileMeta* f) {
+bool Db::DecodeFileMeta(std::string_view* cursor, FileMeta* f) {
   if (!GetFixed64(cursor, &f->id) ||
       !GetLengthPrefixed(cursor, &f->smallest) ||
       !GetLengthPrefixed(cursor, &f->largest) ||
       !GetFixed64(cursor, &f->n_entries) ||
       !GetFixed64(cursor, &f->file_size)) {
     return false;
-  }
-  if (version < 4) {
-    // Legacy entry: no provenance. design_epoch 0 marks the design as
-    // predating the provenance format; modeled_fpr/design_signature
-    // keep their "not available" defaults.
-    return true;
   }
   uint64_t modeled_bits, signature_bits, checks, probes, fps;
   if (!GetFixed64(cursor, &f->design_epoch) ||
@@ -1669,7 +1647,6 @@ Status Db::RecoverManifest(bool* needs_rewrite) {
   std::vector<std::vector<FilePtr>> levels(kMaxLevels);
   uint64_t recovered_next_id = 1;
   uint64_t recovered_last_seqno = 0;
-  uint64_t current_version = 0;  // format of the records being read
   bool torn_tail = false;
   size_t records = 0;
   size_t deltas_since_snapshot = 0;
@@ -1704,18 +1681,18 @@ Status Db::RecoverManifest(bool* needs_rewrite) {
       if (!GetFixed64(&cursor, &magic) || magic != kManifestMagic) {
         return Status::Corruption("bad manifest magic");
       }
-      if (!GetFixed64(&cursor, &version) || version < 2 ||
-          version > kManifestVersion) {
-        return Status::NotSupported("unsupported manifest version");
-      }
-      current_version = version;
-      if (!GetFixed64(&cursor, &recovered_next_id)) {
+      if (!GetFixed64(&cursor, &version)) {
         return Status::Corruption("corrupt manifest snapshot header");
       }
-      if (version >= 3 && !GetFixed64(&cursor, &recovered_last_seqno)) {
-        return Status::Corruption("corrupt manifest snapshot header");
+      if (version != kManifestVersion) {
+        return Status::NotSupported(
+            "manifest version " + std::to_string(version) +
+            " (this build reads only version " +
+            std::to_string(kManifestVersion) + ")");
       }
-      if (!GetFixed64(&cursor, &n_levels) || n_levels > kMaxLevels) {
+      if (!GetFixed64(&cursor, &recovered_next_id) ||
+          !GetFixed64(&cursor, &recovered_last_seqno) ||
+          !GetFixed64(&cursor, &n_levels) || n_levels > kMaxLevels) {
         return Status::Corruption("corrupt manifest snapshot header");
       }
       for (auto& level : levels) level.clear();  // snapshot replaces state
@@ -1726,7 +1703,7 @@ Status Db::RecoverManifest(bool* needs_rewrite) {
         }
         for (uint64_t i = 0; i < n_files; ++i) {
           auto meta = std::make_shared<FileMeta>();
-          if (!DecodeFileMeta(&cursor, version, meta.get())) {
+          if (!DecodeFileMeta(&cursor, meta.get())) {
             return Status::Corruption("corrupt manifest file entry");
           }
           meta->path =
@@ -1741,21 +1718,16 @@ Status Db::RecoverManifest(bool* needs_rewrite) {
         return Status::Corruption("manifest does not start with a snapshot");
       }
       uint64_t n_added, n_deleted;
-      if (!GetFixed64(&cursor, &recovered_next_id)) {
-        return Status::Corruption("corrupt manifest delta header");
-      }
-      if (current_version >= 3 &&
-          !GetFixed64(&cursor, &recovered_last_seqno)) {
-        return Status::Corruption("corrupt manifest delta header");
-      }
-      if (!GetFixed64(&cursor, &n_added)) {
+      if (!GetFixed64(&cursor, &recovered_next_id) ||
+          !GetFixed64(&cursor, &recovered_last_seqno) ||
+          !GetFixed64(&cursor, &n_added)) {
         return Status::Corruption("corrupt manifest delta header");
       }
       for (uint64_t i = 0; i < n_added; ++i) {
         uint64_t level;
         auto meta = std::make_shared<FileMeta>();
         if (!GetFixed64(&cursor, &level) || level >= kMaxLevels ||
-            !DecodeFileMeta(&cursor, current_version, meta.get())) {
+            !DecodeFileMeta(&cursor, meta.get())) {
           return Status::Corruption("corrupt manifest delta add");
         }
         meta->path = options_.dir + "/" + std::to_string(meta->id) + ".sst";
@@ -1827,7 +1799,7 @@ Status Db::RecoverManifest(bool* needs_rewrite) {
     }
   }
   next_file_id_ = std::max(recovered_next_id, max_id + 1);
-  // New designs must outrank every recovered one (legacy files are 0).
+  // New designs must outrank every recovered one.
   design_epoch_.store(max_epoch + 1, std::memory_order_relaxed);
   manifest_deltas_since_snapshot_ = deltas_since_snapshot;
   last_seqno_.store(recovered_last_seqno, std::memory_order_relaxed);
@@ -1840,11 +1812,10 @@ Status Db::RecoverManifest(bool* needs_rewrite) {
     version_ = std::move(nv);
   }
 
-  // A torn tail or an older-format file must be rewritten as one clean
-  // current-version snapshot before any delta is appended; leaving the
-  // append fd
-  // closed routes the next manifest write through WriteManifestSnapshot.
-  *needs_rewrite = torn_tail || current_version < kManifestVersion;
+  // A torn tail must be rewritten as one clean snapshot before any delta
+  // is appended; leaving the append fd closed routes the next manifest
+  // write through WriteManifestSnapshot.
+  *needs_rewrite = torn_tail;
   if (!*needs_rewrite) {
     manifest_fd_ = ::open(ManifestPath().c_str(), O_WRONLY | O_APPEND);
     if (manifest_fd_ < 0) {
@@ -1858,7 +1829,6 @@ Status Db::LoadFile(const FilePtr& meta) {
   meta->reader = std::make_unique<SstReader>();
   Status s = meta->reader->Open(meta->path, meta->id, &cache_);
   if (!s.ok()) return s;
-  meta->format_version = meta->reader->footer_version();
   const bool wants_filters = options_.filter_policy != nullptr &&
                              options_.filter_policy->Name() != "none";
   if (wants_filters) {
@@ -1904,8 +1874,8 @@ Status Db::LoadFile(const FilePtr& meta) {
 }
 
 Status Db::ReplayWalSegments() {
-  // Enumerate segments: the legacy un-numbered "WAL" replays first.
   std::vector<std::pair<uint64_t, std::string>> segments;
+  bool unnumbered_wal = false;
   DIR* d = ::opendir(options_.dir.c_str());
   if (d != nullptr) {
     while (dirent* e = ::readdir(d)) {
@@ -1913,8 +1883,14 @@ Status Db::ReplayWalSegments() {
       if (ParseWalName(e->d_name, &number)) {
         segments.emplace_back(number, options_.dir + "/" + e->d_name);
       }
+      unnumbered_wal |= std::strcmp(e->d_name, "WAL") == 0;
     }
     ::closedir(d);
+  }
+  if (unnumbered_wal) {
+    return Status::NotSupported(
+        "unnumbered WAL file (this build reads only WAL-<n> segments): " +
+        options_.dir + "/WAL");
   }
   std::sort(segments.begin(), segments.end());
 
@@ -1927,14 +1903,8 @@ Status Db::ReplayWalSegments() {
         segments[i].second,
         [&](uint8_t op, uint64_t seqno, std::string_view key,
             std::string_view value) {
-          const uint8_t tag = (op == kWalOpPut || op == kWalOpPutSeq)
-                                  ? kTagValue
-                                  : kTagTombstone;
-          if (op == kWalOpPut || op == kWalOpDelete) {
-            seqno = ++max_seq;  // legacy records: file order is seqno order
-          } else {
-            max_seq = std::max(max_seq, seqno);
-          }
+          const uint8_t tag = op == kWalOpPutSeq ? kTagValue : kTagTombstone;
+          max_seq = std::max(max_seq, seqno);
           // Replay routes through the same key hash as the live write
           // path: shard placement need not survive a restart, only the
           // (key, seqno) versions themselves.
@@ -1984,8 +1954,7 @@ Status Db::ReplayWalSegments() {
 
   // Reuse the highest existing segment for appends (a crash loop must
   // not mint a new file per reopen); the replayed records keep every
-  // existing segment pinned until the memtable flushes. A lone legacy
-  // "WAL" file keeps its name (segment 0) until the next rotation.
+  // existing segment pinned until the memtable flushes.
   uint64_t active = 1;
   std::string active_path = WalSegmentPath(1);
   if (!segments.empty()) {
@@ -2007,8 +1976,7 @@ Status Db::RecoverAll() {
   s = ReplayWalSegments();
   if (!s.ok()) return s;
   if (needs_rewrite && manifest_fd_ < 0) {
-    // Replace snapshot+deltas+debris (or a v2-format file) with one
-    // clean v3 snapshot record.
+    // Replace snapshot+deltas+debris with one clean snapshot record.
     s = WriteManifestSnapshot();
     if (!s.ok()) return s;
   }
@@ -2079,12 +2047,12 @@ size_t EntryFile(const Files& files, std::string_view lo) {
 
 }  // namespace
 
-// One query's positioned sources. Sources sit in recency order
-// (memtables newest first, then L0 newest first, then L1, L2, ...), so
-// the first of two equal (key, seqno) candidates is the newer source:
-// that breaks the legacy seqno-0 ties exactly as the pre-MVCC age rule
-// did. `list` never shrinks, so a batch's queries reuse its cursor
-// buffers; the first `n` entries are the current query's sources.
+// One query's positioned sources, in recency order (memtables newest
+// first, then L0 newest first, then L1, L2, ...). Two candidates with
+// equal (key, seqno) are one write seen through two sources (crash-replay
+// overlap), so whichever comes first answers. `list` never shrinks, so a
+// batch's queries reuse its cursor buffers; the first `n` entries are the
+// current query's sources.
 struct Db::ReadSources {
   struct Source {
     const MemTableSet* mem = nullptr;             // memtable source

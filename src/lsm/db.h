@@ -51,7 +51,7 @@
 //    every manifest_compact_threshold deltas); obsolete SSTs are
 //    unlinked only after the delta that retires them is durable and no
 //    in-flight read still holds them.
-//  * v3+ SSTs carry a CRC32C per data block in the index handle; a
+//  * SSTs carry a CRC32C per data block in the index handle; a
 //    flipped byte surfaces as a Corruption status (SeekResult::status,
 //    VerifyChecksums), never as silently wrong bytes.
 //
@@ -244,17 +244,6 @@ struct DbStats {
                           : static_cast<double>(false_positive_files) /
                                 static_cast<double>(sst_seeks);
   }
-
-  /// One level's live FPR: false positives over the filter checks whose
-  /// range was empty at that level (checks minus true-positive probes) —
-  /// directly comparable to the designs' modeled FPR.
-  double LevelObservedFpr(size_t level) const {
-    if (level >= level_filter_checks.size()) return 0.0;
-    const uint64_t tp = level_sst_seeks[level] - level_fp_files[level];
-    if (level_filter_checks[level] <= tp) return 0.0;
-    return static_cast<double>(level_fp_files[level]) /
-           static_cast<double>(level_filter_checks[level] - tp);
-  }
 };
 
 /// One range query's outcome: the smallest live key in [lo, hi] visible
@@ -372,12 +361,6 @@ class Db {
   SampleQueryQueue& query_queue() { return query_queue_; }
   const SampleQueryQueue& query_queue() const { return query_queue_; }
 
-  /// The live workload sample the next flush's filters will be built
-  /// from (the queue's current snapshot).
-  std::vector<std::pair<std::string, std::string>> SampledQueries() const {
-    return query_queue_.Snapshot();
-  }
-
   DbStats stats() const;
   void ResetStats();
   BlockCache& cache() { return cache_; }
@@ -407,7 +390,7 @@ class Db {
   struct SstDesignInfo {
     uint64_t file_id = 0;
     int level = 0;
-    uint64_t design_epoch = 0;       // 0 = legacy (pre-provenance) design
+    uint64_t design_epoch = 0;       // redesign wave that built it (>= 1)
     double modeled_fpr = -1.0;       // model's promise (< 0: none)
     double design_signature = -1.0;  // query-window signature at design
     uint64_t design_samples = 0;     // queue.sampled() at design time
@@ -437,14 +420,13 @@ class Db {
     std::string smallest, largest;
     uint64_t n_entries = 0;
     uint64_t file_size = 0;
-    uint32_t format_version = 4;  // footer generation (value encoding)
     std::unique_ptr<SstReader> reader;
     std::unique_ptr<SstFilter> filter;
     // The level the file lives at (set at install/recovery) — feeds the
     // per-level stats and lets a redesign rewrite in place.
     int level = 0;
-    // Design provenance, persisted in MANIFEST v4 (negative doubles =
-    // not available; design_epoch 0 = legacy pre-provenance design).
+    // Design provenance, persisted in the MANIFEST (negative doubles =
+    // not available).
     uint64_t design_epoch = 0;
     double modeled_fpr = -1.0;
     double design_signature = -1.0;
@@ -618,11 +600,10 @@ class Db {
   /// filter block, or rebuilds the filter from keys as a fallback.
   Status LoadFile(const FilePtr& meta);
 
-  /// MANIFEST file-entry codec (v4 adds the design provenance and the
-  /// observed-FPR counters; `version` < 4 decodes with legacy defaults).
+  /// MANIFEST file-entry codec, design provenance and observed-FPR
+  /// counters included.
   static void EncodeFileMeta(std::string* out, const FileMeta& f);
-  static bool DecodeFileMeta(std::string_view* cursor, uint64_t version,
-                             FileMeta* f);
+  static bool DecodeFileMeta(std::string_view* cursor, FileMeta* f);
 
   // Maintenance bodies; callers hold maint_mu_.
   Status FlushImmLocked();
@@ -710,7 +691,7 @@ class Db {
   uint64_t next_file_id_ = 1;           // maint_mu_ / recovery
   // Stamped into every built filter's provenance; bumped by each
   // redesign wave, so tests can tell a rebuilt filter from its ancestor.
-  // Starts at 1: epoch 0 is reserved for legacy (pre-v4) manifests.
+  // Starts at 1, so every built design has an epoch >= 1.
   std::atomic<uint64_t> design_epoch_{1};
   std::vector<size_t> compact_cursor_;  // round-robin pick per level
   int manifest_fd_ = -1;

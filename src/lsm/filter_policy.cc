@@ -258,49 +258,4 @@ std::unique_ptr<SstFilter> DeserializeSstFilter(std::string_view blob,
       static_cast<StrRangeFilter*>(filter.release())));
 }
 
-std::unique_ptr<FilterPolicy> MakeNullFilterPolicy() {
-  return MakeFilterPolicy("none");
-}
-std::unique_ptr<FilterPolicy> MakeBloomFilterPolicy(double bits_per_key) {
-  return MakeFilterPolicy("bloom-str:bpk=" + FormatSpecDouble(bits_per_key));
-}
-std::unique_ptr<FilterPolicy> MakeProteusIntPolicy(double bits_per_key) {
-  return MakeFilterPolicy("proteus:bpk=" + FormatSpecDouble(bits_per_key));
-}
-std::unique_ptr<FilterPolicy> MakeProteusStrPolicy(double bits_per_key,
-                                                   uint32_t max_key_bits,
-                                                   uint32_t prefix_stride) {
-  return MakeFilterPolicy("proteus-str:bpk=" + FormatSpecDouble(bits_per_key) +
-                          ",max_key_bits=" + std::to_string(max_key_bits) +
-                          ",stride=" + std::to_string(prefix_stride));
-}
-
-namespace {
-const char* SurfModeName(int suffix_mode) {
-  switch (suffix_mode) {
-    case 1:
-      return "real";
-    case 2:
-      return "hash";
-    default:
-      return "base";
-  }
-}
-}  // namespace
-
-std::unique_ptr<FilterPolicy> MakeSurfIntPolicy(int suffix_mode,
-                                                uint32_t suffix_bits) {
-  return MakeFilterPolicy(std::string("surf:mode=") + SurfModeName(suffix_mode) +
-                          ",suffix=" + std::to_string(suffix_bits));
-}
-std::unique_ptr<FilterPolicy> MakeSurfStrPolicy(int suffix_mode,
-                                                uint32_t suffix_bits) {
-  return MakeFilterPolicy(std::string("surf-str:mode=") +
-                          SurfModeName(suffix_mode) +
-                          ",suffix=" + std::to_string(suffix_bits));
-}
-std::unique_ptr<FilterPolicy> MakeRosettaIntPolicy(double bits_per_key) {
-  return MakeFilterPolicy("rosetta:bpk=" + FormatSpecDouble(bits_per_key));
-}
-
 }  // namespace proteus

@@ -108,36 +108,6 @@ std::unique_ptr<FilterPolicy> MakeFilterPolicy(const std::string& spec,
 std::unique_ptr<SstFilter> DeserializeSstFilter(std::string_view blob,
                                                 Status* status = nullptr);
 
-// Convenience wrappers over MakeFilterPolicy for the filters the paper
-// evaluates (kept for the benches; new call sites should pass spec
-// strings directly).
-
-/// No filtering: every Seek touches the SSTs (the paper's no-filter floor).
-std::unique_ptr<FilterPolicy> MakeNullFilterPolicy();
-
-/// Full-key Bloom filter (point filtering only; ranges always positive).
-std::unique_ptr<FilterPolicy> MakeBloomFilterPolicy(double bits_per_key);
-
-/// Proteus over integer-encoded keys.
-std::unique_ptr<FilterPolicy> MakeProteusIntPolicy(double bits_per_key);
-
-/// Proteus over raw string keys, padded to `max_key_bits` (Section 7).
-/// `prefix_stride` > 1 coarsens the Bloom-prefix search grid.
-std::unique_ptr<FilterPolicy> MakeProteusStrPolicy(double bits_per_key,
-                                                   uint32_t max_key_bits,
-                                                   uint32_t prefix_stride = 1);
-
-/// SuRF over integer-encoded keys.
-std::unique_ptr<FilterPolicy> MakeSurfIntPolicy(int suffix_mode,
-                                                uint32_t suffix_bits);
-
-/// SuRF over raw string keys.
-std::unique_ptr<FilterPolicy> MakeSurfStrPolicy(int suffix_mode,
-                                                uint32_t suffix_bits);
-
-/// Rosetta over integer-encoded keys.
-std::unique_ptr<FilterPolicy> MakeRosettaIntPolicy(double bits_per_key);
-
 }  // namespace proteus
 
 #endif  // PROTEUS_LSM_FILTER_POLICY_H_

@@ -1,20 +1,14 @@
 // Internal value encoding shared by the memtable, WAL, and SSTs.
 //
 // The Db layer never stores a user value raw: every version of a key
-// carries an operation tag (live value vs tombstone) and, since format
-// v4, the sequence number the group-commit leader assigned to the write.
-// Three encodings coexist on disk:
+// carries an operation tag (live value vs tombstone) and the sequence
+// number the group-commit leader assigned to the write. Two encodings
+// exist:
 //
 //   memtable / WAL payload ("mem value"):  tag u8 | user value
 //       (the seqno travels beside it — a skiplist node field, a WAL
 //        payload field — so it is not duplicated inside the bytes)
-//   SST v3 value:                          tag u8 | user value
-//   SST v4 value:                          tag u8 | seqno u64 LE | user value
-//   SST v1/v2 value:                       user value (no tag, no seqno)
-//
-// Entries without a seqno (legacy files, replayed legacy WAL records)
-// decode as seqno 0: visible to every snapshot, ordered among themselves
-// by source age exactly as before MVCC existed.
+//   SST value:                             tag u8 | seqno u64 LE | user value
 
 #ifndef PROTEUS_LSM_IKEY_H_
 #define PROTEUS_LSM_IKEY_H_
@@ -33,7 +27,7 @@ inline constexpr uint8_t kTagTombstone = 1;
 /// Snapshot horizon meaning "latest": every committed seqno is visible.
 inline constexpr uint64_t kMaxSequence = ~uint64_t{0};
 
-/// One decoded version of a key, regardless of which encoding it came from.
+/// One decoded SST version of a key.
 struct ParsedValue {
   uint8_t tag = kTagValue;
   uint64_t seqno = 0;
@@ -41,15 +35,7 @@ struct ParsedValue {
   bool tombstone() const { return tag == kTagTombstone; }
 };
 
-/// tag u8 | user value — the memtable/WAL form (and the SST v3 form).
-inline std::string MakeInternalValue(uint8_t tag, std::string_view value) {
-  std::string out;
-  out.reserve(1 + value.size());
-  out.push_back(static_cast<char>(tag));
-  out.append(value);
-  return out;
-}
-
+/// Splits a memtable/WAL value (tag u8 | user value).
 inline bool ParseInternalValue(std::string_view mem, uint8_t* tag,
                                std::string_view* user_value) {
   if (mem.empty()) return false;
@@ -58,7 +44,7 @@ inline bool ParseInternalValue(std::string_view mem, uint8_t* tag,
   return true;
 }
 
-/// tag u8 | seqno u64 | user value — what a v4 SST stores.
+/// tag u8 | seqno u64 | user value — what an SST stores.
 inline std::string MakeSstValueV4(uint8_t tag, uint64_t seqno,
                                   std::string_view value) {
   std::string out;
@@ -69,28 +55,13 @@ inline std::string MakeSstValueV4(uint8_t tag, uint64_t seqno,
   return out;
 }
 
-/// Decodes a raw SST value according to the file's footer version.
-/// Unknown/legacy versions decode as always-visible live values (the
-/// pre-tag format stored user bytes directly).
-inline bool ParseSstValue(uint32_t footer_version, std::string_view raw,
-                          ParsedValue* out) {
-  if (footer_version >= 4) {
-    if (raw.size() < 9) return false;
-    out->tag = static_cast<uint8_t>(raw.front());
-    out->seqno = LoadFixed64(raw.data() + 1);
-    out->user_value = raw.substr(9);
-    return true;
-  }
-  if (footer_version == 3) {
-    if (raw.empty()) return false;
-    out->tag = static_cast<uint8_t>(raw.front());
-    out->seqno = 0;
-    out->user_value = raw.substr(1);
-    return true;
-  }
-  out->tag = kTagValue;
-  out->seqno = 0;
-  out->user_value = raw;
+/// Decodes a raw SST value; false when it is too short to hold the
+/// tag and seqno.
+inline bool ParseSstValue(std::string_view raw, ParsedValue* out) {
+  if (raw.size() < 9) return false;
+  out->tag = static_cast<uint8_t>(raw.front());
+  out->seqno = LoadFixed64(raw.data() + 1);
+  out->user_value = raw.substr(9);
   return true;
 }
 

@@ -24,7 +24,7 @@
 //     loads, and nodes are never deleted or mutated while the list is
 //     alive. A reader concurrent with an insert sees either the old or
 //     the new list — both are valid states.
-//   - Clear()/destruction require that no readers remain (the Db retires
+//   - destruction requires that no readers remain (the Db retires
 //     memtables by dropping the last shared_ptr instead).
 
 #ifndef PROTEUS_LSM_SKIPLIST_H_
@@ -57,15 +57,6 @@ class SkipList {
         arena_(arena != nullptr ? arena : owned_arena_.get()),
         head_(NewNode("", 0, "", "", kMaxHeight)) {}
 
-  /// Removes all entries. Callers must guarantee no concurrent readers
-  /// or writers (tests only; the Db never clears a published memtable).
-  /// Node memory stays in the arena until the arena itself dies.
-  void Clear() {
-    for (int i = 0; i < kMaxHeight; ++i) {
-      head_->SetNext(i, nullptr);
-    }
-    size_.store(0, std::memory_order_relaxed);
-  }
   SkipList(const SkipList&) = delete;
   SkipList& operator=(const SkipList&) = delete;
 

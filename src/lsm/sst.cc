@@ -19,24 +19,14 @@ namespace proteus {
 namespace {
 
 constexpr uint64_t kSstMagic = 0x50524F5445555353ull;  // "PROTEUSS"
-// Footer-version sentinels stored immediately before the magic in v2+
-// footers. A v1 footer has n_entries in that slot, which can never equal
-// these values ("PROTFTV2"/"PROTFTV3"/"PROTFTV4" as bytes), so the
-// widths are unambiguous. v3 differs from v2 only in the index handles,
-// which carry a per-block CRC32C (20 bytes instead of 16); v4 differs
-// from v3 only in the value encoding (tag + seqno + user bytes, ikey.h).
-constexpr uint64_t kFooterVersion2 = 0x32565446544F5250ull;
-constexpr uint64_t kFooterVersion3 = 0x33565446544F5250ull;
+// Footer-version sentinel stored immediately before the magic: bytes
+// "PROTFTV4". Older generations wrote "PROTFTV<digit>" in the same slot;
+// only the last byte differs, so Open can name the generation it refuses.
 constexpr uint64_t kFooterVersion4 = 0x34565446544F5250ull;
-constexpr size_t kFooterV1Size = 32;
+constexpr uint64_t kFooterSentinelPrefixMask = 0x00FFFFFFFFFFFFFFull;
 constexpr uint64_t kFilterChecksumSeed = 0xF117E12;
-constexpr size_t kFooterV2Size = 72;
-constexpr size_t kFooterV3Size = 72;
-constexpr size_t kFooterV4Size = 72;
-static_assert(kFooterV2Size == kFooterV3Size && kFooterV3Size == kFooterV4Size,
-              "v3/v4 reuse the v2 footer layout; only the sentinel differs");
-constexpr size_t kHandleV2Size = 16;  // offset u64 | size u64
-constexpr size_t kHandleV3Size = 20;  // offset u64 | size u64 | crc32c u32
+constexpr size_t kFooterSize = 72;
+constexpr size_t kHandleSize = 20;  // offset u64 | size u64 | crc32c u32
 
 }  // namespace
 
@@ -70,11 +60,9 @@ void SstWriter::FlushBlock() {
   std::string handle;
   PutFixed64(&handle, offset_);
   PutFixed64(&handle, on_disk.size());
-  if (options_.format_version >= 3) {
-    // The CRC covers the exact bytes written to disk (compression tag
-    // included), so damage is caught before decompression runs.
-    PutFixed32(&handle, Crc32c(on_disk));
-  }
+  // The CRC covers the exact bytes written to disk (compression tag
+  // included), so damage is caught before decompression runs.
+  PutFixed32(&handle, Crc32c(on_disk));
   index_block_.Add(last_key_in_block_, handle);
   file_buffer_.append(on_disk);
   offset_ += on_disk.size();
@@ -91,31 +79,21 @@ Status SstWriter::Finish() {
   uint64_t index_offset = offset_;
   file_buffer_.append(index_disk);
   offset_ += index_disk.size();
+  uint64_t filter_offset = offset_;
+  file_buffer_.append(filter_block_);
+  offset_ += filter_block_.size();
   std::string footer;
-  if (options_.format_version <= 1) {
-    // Legacy 32-byte footer: no filter block slot at all.
-    PutFixed64(&footer, index_offset);
-    PutFixed64(&footer, index_disk.size());
-    PutFixed64(&footer, n_entries_);
-    PutFixed64(&footer, kSstMagic);
-  } else {
-    uint64_t filter_offset = offset_;
-    file_buffer_.append(filter_block_);
-    offset_ += filter_block_.size();
-    PutFixed64(&footer, index_offset);
-    PutFixed64(&footer, index_disk.size());
-    PutFixed64(&footer, n_entries_);
-    PutFixed64(&footer, filter_offset);
-    PutFixed64(&footer, filter_block_.size());
-    PutFixed64(&footer, filter_format_);
-    PutFixed64(&footer, Murmur3Bytes64(filter_block_.data(),
-                                       filter_block_.size(),
-                                       kFilterChecksumSeed));
-    PutFixed64(&footer, options_.format_version >= 4   ? kFooterVersion4
-                        : options_.format_version >= 3 ? kFooterVersion3
-                                                       : kFooterVersion2);
-    PutFixed64(&footer, kSstMagic);
-  }
+  PutFixed64(&footer, index_offset);
+  PutFixed64(&footer, index_disk.size());
+  PutFixed64(&footer, n_entries_);
+  PutFixed64(&footer, filter_offset);
+  PutFixed64(&footer, filter_block_.size());
+  PutFixed64(&footer, filter_format_);
+  PutFixed64(&footer, Murmur3Bytes64(filter_block_.data(),
+                                     filter_block_.size(),
+                                     kFilterChecksumSeed));
+  PutFixed64(&footer, kFooterVersion4);
+  PutFixed64(&footer, kSstMagic);
   file_buffer_.append(footer);
   offset_ += footer.size();
 
@@ -161,46 +139,37 @@ Status SstReader::Open(const std::string& path, uint64_t file_id,
   fd_ = ::open(path.c_str(), O_RDONLY);
   if (fd_ < 0) return Status::IOError(Errno("cannot open SST " + path));
   off_t fsize = ::lseek(fd_, 0, SEEK_END);
-  if (fsize < static_cast<off_t>(kFooterV1Size)) {
+  if (fsize < static_cast<off_t>(kFooterSize)) {
     return Status::Corruption("SST too small for a footer: " + path);
   }
   const uint64_t file_size = static_cast<uint64_t>(fsize);
-  std::string tail;
-  if (!ReadRaw(file_size - kFooterV1Size, kFooterV1Size, &tail)) {
+  std::string footer;
+  if (!ReadRaw(file_size - kFooterSize, kFooterSize, &footer)) {
     return Status::IOError(Errno("cannot read SST footer: " + path));
   }
-  if (LoadFixed64(tail.data() + 24) != kSstMagic) {
+  if (LoadFixed64(footer.data() + 64) != kSstMagic) {
     return Status::Corruption("bad SST magic: " + path);
   }
-
-  uint64_t index_offset, index_size;
-  uint64_t filter_offset = 0, filter_size = 0, filter_format = 0;
-  uint64_t filter_checksum = 0;
-  const uint64_t sentinel = LoadFixed64(tail.data() + 16);
-  if (file_size >= kFooterV3Size &&
-      (sentinel == kFooterVersion2 || sentinel == kFooterVersion3 ||
-       sentinel == kFooterVersion4)) {
-    footer_version_ = sentinel == kFooterVersion4   ? 4
-                      : sentinel == kFooterVersion3 ? 3
-                                                    : 2;
-    std::string footer;
-    if (!ReadRaw(file_size - kFooterV3Size, kFooterV3Size, &footer)) {
-      return Status::IOError(Errno("cannot read SST footer: " + path));
+  const uint64_t sentinel = LoadFixed64(footer.data() + 56);
+  if (sentinel != kFooterVersion4) {
+    const char generation = static_cast<char>(sentinel >> 56);
+    if ((sentinel & kFooterSentinelPrefixMask) ==
+            (kFooterVersion4 & kFooterSentinelPrefixMask) &&
+        generation >= '0' && generation <= '9') {
+      return Status::NotSupported("SST footer version " +
+                                  std::string(1, generation) +
+                                  " (this build reads only version 4): " +
+                                  path);
     }
-    index_offset = LoadFixed64(footer.data());
-    index_size = LoadFixed64(footer.data() + 8);
-    n_entries_ = LoadFixed64(footer.data() + 16);
-    filter_offset = LoadFixed64(footer.data() + 24);
-    filter_size = LoadFixed64(footer.data() + 32);
-    filter_format = LoadFixed64(footer.data() + 40);
-    filter_checksum = LoadFixed64(footer.data() + 48);
-  } else {
-    // v1 footer: no filter block, 16-byte handles, no block CRCs.
-    footer_version_ = 1;
-    index_offset = LoadFixed64(tail.data());
-    index_size = LoadFixed64(tail.data() + 8);
-    n_entries_ = LoadFixed64(tail.data() + 16);
+    return Status::Corruption("bad SST footer version: " + path);
   }
+  const uint64_t index_offset = LoadFixed64(footer.data());
+  const uint64_t index_size = LoadFixed64(footer.data() + 8);
+  n_entries_ = LoadFixed64(footer.data() + 16);
+  const uint64_t filter_offset = LoadFixed64(footer.data() + 24);
+  const uint64_t filter_size = LoadFixed64(footer.data() + 32);
+  const uint64_t filter_format = LoadFixed64(footer.data() + 40);
+  const uint64_t filter_checksum = LoadFixed64(footer.data() + 48);
 
   // Subtraction-form bounds checks: offset + size can wrap uint64 when a
   // torn footer write leaves garbage sizes.
@@ -218,11 +187,8 @@ Status SstReader::Open(const std::string& path, uint64_t file_id,
   if (!index_.Init(std::move(index_payload))) {
     return Status::Corruption("SST index block checksum mismatch: " + path);
   }
-  // Every handle must have the width this footer version promises.
-  const size_t handle_size =
-      footer_version_ >= 3 ? kHandleV3Size : kHandleV2Size;
   for (size_t i = 0; i < index_.n_entries(); ++i) {
-    if (index_.ValueAt(i).size() != handle_size) {
+    if (index_.ValueAt(i).size() != kHandleSize) {
       return Status::Corruption("SST index handle malformed: " + path);
     }
   }
@@ -252,13 +218,10 @@ std::unique_ptr<SstFilter> SstReader::LoadFilter(Status* status) const {
 
 bool SstReader::ParseHandle(size_t block_index, BlockHandle* out) const {
   std::string_view handle = index_.ValueAt(block_index);
-  const size_t expected =
-      footer_version_ >= 3 ? kHandleV3Size : kHandleV2Size;
-  if (handle.size() != expected) return false;
+  if (handle.size() != kHandleSize) return false;
   out->offset = LoadFixed64(handle.data());
   out->size = LoadFixed64(handle.data() + 8);
-  out->has_crc = footer_version_ >= 3;
-  out->crc = out->has_crc ? LoadFixed32(handle.data() + 16) : 0;
+  out->crc = LoadFixed32(handle.data() + 16);
   return true;
 }
 
@@ -283,7 +246,7 @@ Status SstReader::ReadDataBlock(size_t block_index, BlockReader* out,
   // verify_checksums=false skips only this redundant handle CRC; the
   // in-block checksum below still runs (Init cannot parse without it),
   // so a cached block is never wholly unverified.
-  if (opts.verify_checksums && handle.has_crc && Crc32c(disk) != handle.crc) {
+  if (opts.verify_checksums && Crc32c(disk) != handle.crc) {
     return Status::Corruption("data block CRC mismatch: " + path_);
   }
   auto payload = std::make_shared<std::string>();
@@ -306,16 +269,6 @@ Status SstReader::VerifyChecksums() const {
     if (!s.ok()) return s;
   }
   return Status::OK();
-}
-
-int SstReader::SeekInRange(std::string_view lo, std::string_view hi,
-                           uint64_t snapshot, const BlockReadOptions& opts,
-                           SeekEntry* out, Status* status) const {
-  RangeCursor cursor;
-  cursor.Init(this, opts, snapshot);
-  const int rc = cursor.Seek(lo, hi, status);
-  if (rc == 0) *out = cursor.entry();
-  return rc;
 }
 
 int SstReader::RangeCursor::Seek(std::string_view lo, std::string_view hi,
@@ -353,8 +306,7 @@ int SstReader::RangeCursor::ScanForward(std::string_view lo,
       if (k < lo) continue;  // SkipTo resume: stale prefix of this block
       if (k > hi) return 1;
       ParsedValue parsed;
-      if (!ParseSstValue(reader_->footer_version_, blockr_.ValueAt(pos_),
-                         &parsed)) {
+      if (!ParseSstValue(blockr_.ValueAt(pos_), &parsed)) {
         if (status != nullptr) {
           *status = Status::Corruption("SST value malformed: " +
                                        reader_->path_);

@@ -10,21 +10,16 @@
 // filter block is the SstFilter::Serialize wire form of the file's range
 // filter (absent when the file was written without one).
 //
-// v4 files are multi-version: a user key may appear in several
-// consecutive entries, newest (highest seqno) first, and every value is
-// encoded as `tag u8 | seqno u64 | user bytes` (ikey.h). The reader's
-// RangeCursor resolves visibility against a snapshot sequence horizon.
+// Files are multi-version: a user key may appear in several consecutive
+// entries, newest (highest seqno) first, and every value is encoded as
+// `tag u8 | seqno u64 | user bytes` (ikey.h). The reader's RangeCursor
+// resolves visibility against a snapshot sequence horizon.
 //
-// Footer v4 (fixed width, 72 bytes): index_offset, index_size, n_entries,
-// filter_offset, filter_size, filter_format, filter_checksum,
-// footer_version, magic — the same field layout as v2/v3; only the
-// footer_version sentinel differs, and it is what tells the reader the
-// handle width (16 bytes in v2, 20 in v3+) and the value encoding
-// (raw in v1/v2, tag-prefixed in v3, tag+seqno in v4). Legacy files
-// remain readable down to v1 footers (32 bytes: index_offset,
-// index_size, n_entries, magic; no filter block). The trailing magic
-// sits in the same place in all generations, so corruption detection at
-// open is uniform.
+// Footer (fixed width, 72 bytes): index_offset, index_size, n_entries,
+// filter_offset, filter_size, filter_format, filter_checksum, the
+// generation sentinel "PROTFTV4", magic. A file carrying another
+// generation's sentinel ("PROTFTV2", "PROTFTV3") is rejected at Open as
+// NotSupported, anything else unrecognisable as Corruption.
 //
 // As in the paper's tuned RocksDB (Section 6.1), index and filter stay
 // pinned in memory: SstReader keeps the parsed index block and the raw
@@ -55,7 +50,7 @@ struct SstStats {
 
 /// Per-read knobs threaded down from ReadOptions at the Db layer.
 struct BlockReadOptions {
-  bool verify_checksums = true;  // check the v3+ handle CRC on a cache miss
+  bool verify_checksums = true;  // check the handle CRC on a cache miss
   bool fill_cache = true;        // insert read blocks into the block cache
   // Look the block up in the cache at all. Compaction and
   // VerifyChecksums set this false: they must observe the on-disk bytes,
@@ -68,19 +63,13 @@ class SstWriter {
   struct Options {
     size_t block_size = 4096;   // uncompressed target
     bool compress = true;       // RLE data blocks
-    /// Footer generation to emit. 4 (current) stores tag+seqno values;
-    /// 3 writes per-block CRCs in 20-byte index handles with tag-only
-    /// values; 2 writes 16-byte handles and the v2 sentinel; 1 writes
-    /// the legacy 32-byte footer and drops any filter block. 1–3 exist
-    /// so compatibility tests can produce genuine old-format files —
-    /// production writers always use 4.
-    uint32_t format_version = 4;
   };
 
   SstWriter(std::string path, Options options);
 
   /// Keys must arrive in non-decreasing order; equal keys are a version
-  /// run (newest seqno first — the caller's merge order).
+  /// run (newest seqno first — the caller's merge order). Values are
+  /// MakeSstValueV4 encodings.
   void Add(std::string_view key, std::string_view value);
 
   /// Attaches the serialized filter (SstFilter::Serialize output) to be
@@ -117,8 +106,9 @@ class SstWriter {
 class SstReader {
  public:
   /// Opens the file and pins the index block (and any filter block) in
-  /// memory. Returns Corruption for a damaged footer/index and IOError
-  /// when the OS fails the read. A damaged or out-of-bounds filter block
+  /// memory. Returns NotSupported for a file of an older footer
+  /// generation, Corruption for a damaged footer/index and IOError when
+  /// the OS fails the read. A damaged or out-of-bounds filter block
   /// does NOT fail Open — the data remains readable and the caller falls
   /// back to rebuilding the filter (has_filter_block() reports false).
   Status Open(const std::string& path, uint64_t file_id, BlockCache* cache);
@@ -126,15 +116,9 @@ class SstReader {
   uint64_t n_entries() const { return n_entries_; }
   uint64_t n_blocks() const { return index_.n_entries(); }
 
-  /// Footer generation this file was written with (1–4). Callers use it
-  /// to interpret the value encoding (ikey.h: v3 values carry a tombstone
-  /// tag, v4 values a tag and a seqno) and the handle width.
-  uint32_t footer_version() const { return footer_version_; }
-
   /// True when the file carried a filter block with a bounds-sane handle
   /// and a wire-format version this build understands.
   bool has_filter_block() const { return !filter_block_.empty(); }
-  const std::string& filter_block() const { return filter_block_; }
   uint64_t filter_format() const { return filter_format_; }
 
   /// Deserializes the pinned filter block into a live SstFilter without
@@ -150,7 +134,7 @@ class SstReader {
     filter_block_.shrink_to_fit();
   }
 
-  /// One resolved entry out of SeekInRange: the user key, the newest
+  /// One resolved entry out of a RangeCursor: the user key, the newest
   /// visible version's user bytes, and that version's tag/seqno.
   struct SeekEntry {
     std::string key;
@@ -159,24 +143,14 @@ class SstReader {
     bool tombstone = false;
   };
 
-  /// Finds the newest version visible at `snapshot` (seqno <= snapshot)
+  /// Finds the newest version visible at a snapshot (seqno <= snapshot)
   /// of the smallest key in [lo, hi]. Versions newer than the snapshot
   /// are skipped; a key whose every version is invisible is skipped
-  /// entirely. Usually touches one data block; skipping invisible
-  /// entries can carry the scan into the next block(s). Legacy files
-  /// (v1–v3) decode as seqno 0, visible to every snapshot.
-  /// Returns 0 = found, 1 = none in range, -1 = corruption/IO error
-  /// (the block failed its CRC or checksum; details in `status`). A
-  /// one-shot RangeCursor; the Db's read loop uses cursors directly.
-  int SeekInRange(std::string_view lo, std::string_view hi, uint64_t snapshot,
-                  const BlockReadOptions& opts, SeekEntry* out,
-                  Status* status = nullptr) const;
-
-  /// A positioned SeekInRange: one Seek() descends the index, then
-  /// SkipTo() re-positions FORWARD from where the cursor stands instead
-  /// of descending again. The Db's Seek loop keeps one RangeCursor per
-  /// SST source, so walking a run of consecutive tombstones costs one
-  /// index descent per file total — not one per tombstone.
+  /// entirely. One Seek() descends the index, then SkipTo() re-positions
+  /// FORWARD from where the cursor stands instead of descending again.
+  /// The Db's Seek loop keeps one RangeCursor per SST source, so walking
+  /// a run of consecutive tombstones costs one index descent per file
+  /// total — not one per tombstone.
   class RangeCursor {
    public:
     RangeCursor() = default;
@@ -214,7 +188,7 @@ class SstReader {
     SeekEntry entry_;
   };
 
-  /// Reads every data block (bypassing the cache), verifying the v3
+  /// Reads every data block (bypassing the cache), verifying the
   /// per-block CRC32C and the in-block checksum. Returns the first
   /// failure as a Corruption/IOError status.
   Status VerifyChecksums() const;
@@ -291,8 +265,7 @@ class SstReader {
   struct BlockHandle {
     uint64_t offset = 0;
     uint64_t size = 0;
-    uint32_t crc = 0;       // v3+ only
-    bool has_crc = false;
+    uint32_t crc = 0;
   };
   bool ParseHandle(size_t block_index, BlockHandle* out) const;
   Status ReadDataBlock(size_t block_index, BlockReader* out,
@@ -303,9 +276,8 @@ class SstReader {
   int fd_ = -1;
   uint64_t file_id_ = 0;
   uint64_t n_entries_ = 0;
-  uint32_t footer_version_ = 0;
   BlockCache* cache_ = nullptr;
-  BlockReader index_;  // entries: last_key -> block handle (16 or 20 bytes)
+  BlockReader index_;  // entries: last_key -> 20-byte block handle
   std::string filter_block_;
   uint64_t filter_format_ = 0;
 

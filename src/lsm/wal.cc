@@ -15,12 +15,10 @@ namespace proteus {
 
 std::string EncodeWalRecord(uint8_t op, uint64_t seqno, std::string_view key,
                             std::string_view value) {
-  const bool with_seqno = op == kWalOpPutSeq || op == kWalOpDeleteSeq;
   std::string payload;
-  payload.reserve(1 + (with_seqno ? 8 : 0) + 4 + key.size() + 4 +
-                  value.size());
+  payload.reserve(1 + 8 + 4 + key.size() + 4 + value.size());
   payload.push_back(static_cast<char>(op));
-  if (with_seqno) PutFixed64(&payload, seqno);
+  PutFixed64(&payload, seqno);
   PutFixed32(&payload, static_cast<uint32_t>(key.size()));
   payload.append(key);
   PutFixed32(&payload, static_cast<uint32_t>(value.size()));
@@ -129,27 +127,27 @@ Status WalReplay(
     std::string_view payload(content.data() + offset + 8, length);
     if (Crc32c(payload) != crc) return torn();
 
-    // Parse the payload; a framing CRC that matched but an op that does
-    // not parse means an incompatible writer, which replay also treats
-    // as the end of the intelligible prefix.
     std::string_view cursor = payload;
     uint32_t klen, vlen;
     uint64_t seqno = 0;
     if (cursor.empty()) return torn();
     const uint8_t op = static_cast<uint8_t>(cursor.front());
     cursor.remove_prefix(1);
-    const bool is_put = op == kWalOpPut || op == kWalOpPutSeq;
-    const bool is_delete = op == kWalOpDelete || op == kWalOpDeleteSeq;
-    if (!is_put && !is_delete) return torn();
-    if (op == kWalOpPutSeq || op == kWalOpDeleteSeq) {
-      if (!GetFixed64(&cursor, &seqno)) return torn();
+    if (op != kWalOpPutSeq && op != kWalOpDeleteSeq) {
+      // A whole frame that passed its CRC is not crash debris: it was
+      // written by a log format this build does not read.
+      return Status::NotSupported("WAL record op " + std::to_string(op) +
+                                  " at offset " + std::to_string(offset) +
+                                  " (this build reads only ops 3 and 4): " +
+                                  path);
     }
+    if (!GetFixed64(&cursor, &seqno)) return torn();
     if (!GetFixed32(&cursor, &klen) || cursor.size() < klen) return torn();
     std::string_view key = cursor.substr(0, klen);
     cursor.remove_prefix(klen);
     if (!GetFixed32(&cursor, &vlen) || cursor.size() != vlen) return torn();
     std::string_view value = cursor.substr(0, vlen);
-    if (is_delete && vlen != 0) return torn();
+    if (op == kWalOpDeleteSeq && vlen != 0) return torn();
 
     apply(op, seqno, key, value);
     offset += 8 + length;

@@ -16,15 +16,12 @@
 // memtable order, and replay order are one and the same — replay
 // re-applies each record at its original seqno, so recovery reproduces
 // the exact pre-crash version history (including concurrent same-key
-// writes, which used to be a documented race). Legacy seqno-less records
-// (ops 1/2, written before format v2 of the log) still replay; they are
-// assigned seqnos in file order.
+// writes).
 //
 // Segments: the log is a sequence of files `WAL-<n>` (n decimal,
 // increasing). Every memtable swap rotates to a fresh segment; a segment
 // is deleted once every memtable whose writes it holds has been flushed
-// to SSTs. Recovery replays all segments in numeric order (a legacy
-// un-numbered `WAL` file, if present, replays first). Replay is
+// to SSTs. Recovery replays all segments in numeric order. Replay is
 // idempotent across segments: an entry applied twice lands at the same
 // (key, seqno) slot.
 //
@@ -35,7 +32,10 @@
 // not parse and reporting the clean-prefix length, which the caller
 // truncates to before appending again. A torn record was never
 // acknowledged (writes are acknowledged only after the fdatasync), so
-// dropping it loses nothing the client was promised.
+// dropping it loses nothing the client was promised. A complete,
+// CRC-valid record with an op other than 3/4 is not crash debris but a
+// log this build cannot read: replay stops with NotSupported and the
+// file is left as it is.
 
 #ifndef PROTEUS_LSM_WAL_H_
 #define PROTEUS_LSM_WAL_H_
@@ -51,15 +51,12 @@
 
 namespace proteus {
 
-inline constexpr uint8_t kWalOpPut = 1;        // legacy: no seqno field
-inline constexpr uint8_t kWalOpDelete = 2;     // legacy: no seqno field
-inline constexpr uint8_t kWalOpPutSeq = 3;     // payload carries seqno u64
-inline constexpr uint8_t kWalOpDeleteSeq = 4;  // payload carries seqno u64
+inline constexpr uint8_t kWalOpPutSeq = 3;
+inline constexpr uint8_t kWalOpDeleteSeq = 4;
 
-/// Frames one operation as a WAL record (length + CRC + payload), ready
-/// to append. Ops 3/4 embed `seqno`; the legacy ops 1/2 ignore it (they
-/// exist so compatibility tests can produce genuine old-format logs).
-/// `value` must be empty for deletes.
+/// Frames one operation (kWalOpPutSeq or kWalOpDeleteSeq) as a WAL record
+/// (length + CRC + payload), ready to append. `value` must be empty for
+/// deletes.
 std::string EncodeWalRecord(uint8_t op, uint64_t seqno, std::string_view key,
                             std::string_view value);
 
@@ -129,13 +126,13 @@ class WalWriter {
 };
 
 /// Replays one segment in append order, invoking
-/// `apply(op, seqno, key, value)` for every intact record (legacy ops 1/2
-/// pass seqno 0 — the caller assigns replay-order seqnos). A torn tail
+/// `apply(op, seqno, key, value)` for every intact record. A torn tail
 /// stops the replay: `*valid_bytes` is set to the clean-prefix length
 /// (truncate to it before reusing the file) and `*torn_tail` reports
 /// whether anything was cut. A missing file replays as empty. Returns
-/// non-OK only for I/O errors reading the file — torn frames are expected
-/// crash debris, not corruption.
+/// NotSupported for a CRC-valid record whose op is not 3 or 4 (the file
+/// must then not be truncated), and IOError when reading the file fails —
+/// torn frames are expected crash debris, not corruption.
 Status WalReplay(
     const std::string& path,
     const std::function<void(uint8_t op, uint64_t seqno, std::string_view key,

@@ -108,7 +108,6 @@ class CpfprModel {
   TwoPbfDesign SelectTwoPbf(
       uint64_t mem_bits, BloomProbeMode mode = BloomProbeMode::kStandard) const;
 
-  const KeyStats& key_stats() const { return key_stats_; }
   const TrieMemoryModel& trie_model() const { return trie_model_; }
   uint64_t n_samples() const { return n_samples_; }
 

@@ -50,7 +50,6 @@ class StrCpfprModel {
       uint64_t mem_bits, BloomProbeMode mode = BloomProbeMode::kStandard) const;
 
   uint32_t max_bits() const { return max_bits_; }
-  const KeyStats& key_stats() const { return key_stats_; }
   const TrieMemoryModel& trie_model() const { return trie_model_; }
   const std::vector<uint32_t>& trie_grid() const { return trie_grid_; }
   const std::vector<uint32_t>& bloom_grid() const { return bloom_grid_; }

@@ -95,11 +95,6 @@ class BitVector {
   /// Memory footprint of the raw bits, in bits (excludes rank/select).
   uint64_t SizeBits() const { return words_.size() * 64; }
 
-  void Clear() {
-    n_bits_ = 0;
-    words_.clear();
-  }
-
   bool operator==(const BitVector& o) const {
     return n_bits_ == o.n_bits_ && words_ == o.words_;
   }

@@ -118,19 +118,6 @@ inline uint64_t PrefixRangeHi64(uint64_t prefix, uint32_t l) {
   return (prefix << (64 - l)) | (l == 64 ? 0 : (~uint64_t{0} >> l));
 }
 
-/// Ceiling division for positive integers.
-inline uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
-
-/// Reads bit i (0 = MSB of word 0) from a packed word array.
-inline bool GetBitMsb(const uint64_t* words, uint64_t i) {
-  return (words[i >> 6] >> (63 - (i & 63))) & 1;
-}
-
-/// Sets bit i (0 = MSB of word 0) in a packed word array.
-inline void SetBitMsb(uint64_t* words, uint64_t i) {
-  words[i >> 6] |= uint64_t{1} << (63 - (i & 63));
-}
-
 }  // namespace proteus
 
 #endif  // PROTEUS_UTIL_BITS_H_

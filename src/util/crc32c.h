@@ -1,6 +1,6 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41 reflected to 0x82F63B78) —
 // the per-block checksum used by the WAL, the MANIFEST delta log, and the
-// v3 SST index handles.
+// SST index handles.
 //
 // Chosen over the Murmur3/ClHash checksums used elsewhere because the
 // Castagnoli polynomial has a hardware instruction on x86 (SSE4.2

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "hash/murmur3.h"
 #include "util/random.h"
@@ -61,6 +60,28 @@ uint64_t DrawKey(Dataset dataset, Rng& rng) {
   return 0;
 }
 
+// Draws until `n` distinct values not in `exclude` (sorted) have been
+// seen, and returns them sorted. Each round draws exactly the shortfall,
+// so the last draw is the one that completes the set: the result and the
+// number of draws taken from `rng` match inserting draw after draw into
+// a std::set until it holds n values.
+std::vector<uint64_t> DrawDistinct(Dataset dataset, size_t n, Rng& rng,
+                                   const std::vector<uint64_t>& exclude = {}) {
+  std::vector<uint64_t> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    for (size_t shortfall = n - out.size(); shortfall > 0; --shortfall) {
+      const uint64_t v = DrawKey(dataset, rng);
+      if (!std::binary_search(exclude.begin(), exclude.end(), v)) {
+        out.push_back(v);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<uint64_t> GenerateKeys(Dataset dataset, size_t n, uint64_t seed) {
@@ -77,9 +98,7 @@ std::vector<uint64_t> GenerateKeys(Dataset dataset, size_t n, uint64_t seed) {
     }
     return keys;  // strictly increasing by construction
   }
-  std::set<uint64_t> keys;
-  while (keys.size() < n) keys.insert(DrawKey(dataset, rng));
-  return {keys.begin(), keys.end()};
+  return DrawDistinct(dataset, n, rng);
 }
 
 void GenerateKeysAndQueryPoints(Dataset dataset, size_t n, size_t n_extra,
@@ -109,15 +128,8 @@ void GenerateKeysAndQueryPoints(Dataset dataset, size_t n, size_t n_extra,
     }
     return;
   }
-  std::set<uint64_t> key_set;
-  while (key_set.size() < n) key_set.insert(DrawKey(dataset, rng));
-  std::set<uint64_t> extra;
-  while (extra.size() < n_extra) {
-    uint64_t v = DrawKey(dataset, rng);
-    if (!key_set.count(v)) extra.insert(v);
-  }
-  keys->assign(key_set.begin(), key_set.end());
-  query_points->assign(extra.begin(), extra.end());
+  *keys = DrawDistinct(dataset, n, rng);
+  *query_points = DrawDistinct(dataset, n_extra, rng, *keys);
 }
 
 std::string MakeValuePayload(uint64_t key, size_t size) {

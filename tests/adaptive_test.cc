@@ -10,9 +10,9 @@
 //    it (3-arg Build with a FilterBuildContext carrying a bpk override)
 //    round-trips Serialize -> Deserialize -> Serialize bit-identically,
 //    for every registered family.
-//  * Format compatibility: a handcrafted legacy (v3, pre-provenance)
-//    MANIFEST opens cleanly, surfaces design_epoch = 0 for every file,
-//    and is upgraded to the current version on open.
+//  * Format refusal: a handcrafted older (v2 pre-MVCC or v3
+//    pre-provenance) MANIFEST fails Open as NotSupported, naming the
+//    version it found, and is left untouched.
 
 #include <gtest/gtest.h>
 
@@ -309,7 +309,7 @@ TEST(AdaptiveSerializeTest, RedesignedBlobsRoundTripBitIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy (pre-provenance) MANIFEST compatibility
+// Older MANIFEST versions are refused
 // ---------------------------------------------------------------------------
 
 std::string ReadFile(const std::string& path) {
@@ -323,8 +323,10 @@ void WriteFile(const std::string& path, const std::string& content) {
 }
 
 // Parses the single v4 snapshot record a clean close leaves behind and
-// re-encodes it as a v3 record: same tree, no per-file provenance.
-std::string DowngradeManifestToV3(const std::string& manifest) {
+// re-encodes it as a `version` record: same tree, no per-file provenance,
+// and (version 2) no last_seqno.
+std::string DowngradeManifest(const std::string& manifest,
+                              uint64_t version_out) {
   std::string_view cursor(manifest);
   // Frame: length u32 | crc32c u32 | payload.
   EXPECT_GE(cursor.size(), 8u);
@@ -345,9 +347,9 @@ std::string DowngradeManifestToV3(const std::string& manifest) {
   std::string out;
   out.push_back(1);
   PutFixed64(&out, magic);
-  PutFixed64(&out, 3);  // the pre-provenance format
+  PutFixed64(&out, version_out);
   PutFixed64(&out, next_id);
-  PutFixed64(&out, last_seqno);
+  if (version_out >= 3) PutFixed64(&out, last_seqno);
   PutFixed64(&out, n_levels);
   for (uint64_t l = 0; l < n_levels; ++l) {
     uint64_t n_files = 0;
@@ -378,8 +380,8 @@ std::string DowngradeManifestToV3(const std::string& manifest) {
   return framed;
 }
 
-TEST(AdaptiveManifestTest, LegacyV3ManifestOpensWithEpochZero) {
-  const std::string dir = "/tmp/proteus_adaptive_legacy";
+TEST(AdaptiveManifestTest, OlderManifestVersionIsNotSupported) {
+  const std::string dir = "/tmp/proteus_adaptive_old_manifest";
   DbOptions options = AdaptiveOptions(dir, 1);
   {
     auto [db, status] = Db::Create(options);
@@ -393,34 +395,30 @@ TEST(AdaptiveManifestTest, LegacyV3ManifestOpensWithEpochZero) {
   }  // clean close snapshots a v4 MANIFEST
 
   const std::string manifest_path = dir + "/MANIFEST";
-  WriteFile(manifest_path, DowngradeManifestToV3(ReadFile(manifest_path)));
-
+  const std::string current = ReadFile(manifest_path);
+  for (uint64_t version : {uint64_t{2}, uint64_t{3}}) {
+    const std::string old = DowngradeManifest(current, version);
+    WriteFile(manifest_path, old);
+    auto [db, status] = Db::Open(options);
+    EXPECT_EQ(db, nullptr);
+    EXPECT_TRUE(status.IsNotSupported()) << status.ToString();
+    EXPECT_NE(status.ToString().find("manifest version " +
+                                     std::to_string(version)),
+              std::string::npos)
+        << status.ToString();
+    // Refusal rewrites nothing: the old log is still there, byte for byte.
+    EXPECT_EQ(ReadFile(manifest_path), old);
+  }
+  // Nor did it touch the tree: with the current MANIFEST back in place,
+  // every key answers again.
+  WriteFile(manifest_path, current);
   auto [db, status] = Db::Open(options);
   ASSERT_TRUE(status.ok()) << status.ToString();
-  auto info = db->DesignInfo();
-  ASSERT_FALSE(info.empty());
-  for (const auto& f : info) {
-    EXPECT_EQ(f.design_epoch, 0u) << "legacy file " << f.file_id;
-    EXPECT_LT(f.modeled_fpr, 0.0);
-    EXPECT_EQ(f.probes, 0u);
-    EXPECT_FALSE(f.drift_flagged);
-  }
-  // Every key survived the downgrade/upgrade round trip.
   for (uint64_t k = 0; k < 2000; ++k) {
     SeekResult r = db->Seek(EncodeKeyBE(k * 31), EncodeKeyBE(k * 31));
     ASSERT_TRUE(r.found) << "lost key " << k * 31;
     EXPECT_EQ(r.value, "v" + std::to_string(k));
   }
-  // Open auto-upgraded the legacy log: the on-disk snapshot is current
-  // again (version word sits right after the record kind + magic).
-  const std::string upgraded = ReadFile(manifest_path);
-  ASSERT_GE(upgraded.size(), 8u + 1u + 16u);
-  std::string_view payload(upgraded.data() + 8, upgraded.size() - 8);
-  payload.remove_prefix(1);  // record kind
-  uint64_t magic, version;
-  ASSERT_TRUE(GetFixed64(&payload, &magic));
-  ASSERT_TRUE(GetFixed64(&payload, &version));
-  EXPECT_EQ(version, 4u);
 }
 
 }  // namespace

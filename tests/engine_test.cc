@@ -192,7 +192,7 @@ TEST(MultiSeekTest, MatchesSeekWithoutFilters) {
 
 TEST(MultiSeekTest, MatchesSeekWithFilters) {
   auto options = SmallDbOptions("filtered");
-  options.filter_policy = MakeProteusIntPolicy(14.0);
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=14");
   auto [db, st] = Db::Create(options);
   ASSERT_TRUE(st.ok());
   Rng rng(22);
@@ -202,7 +202,7 @@ TEST(MultiSeekTest, MatchesSeekWithFilters) {
 
 TEST(MultiSeekTest, MatchesSeekAfterCompactionAndReopen) {
   auto options = SmallDbOptions("reopen");
-  options.filter_policy = MakeProteusIntPolicy(14.0);
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=14");
   {
     auto [db, st] = Db::Create(options);
     ASSERT_TRUE(st.ok());
@@ -221,7 +221,7 @@ TEST(MultiSeekTest, MatchesSeekAgainstReferenceMap) {
   // Differential check with a model map, so MultiSeek is validated
   // against ground truth and not just against Seek.
   auto options = SmallDbOptions("refmap");
-  options.filter_policy = MakeProteusIntPolicy(12.0);
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=12");
   auto [db, st] = Db::Create(options);
   ASSERT_TRUE(st.ok());
   std::map<std::string, std::string> ref;
@@ -309,7 +309,7 @@ TEST(MultiSeekTest, BooksTheSameCostsAsSeekAcrossTombstoneRuns) {
   // consult every filter, probe every SST and charge every false
   // positive exactly as often as the same queries issued one by one.
   auto options = SmallDbOptions("parity");
-  options.filter_policy = MakeProteusIntPolicy(14.0);
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=14");
   options.memtable_bytes = 1 << 20;
   options.sst_target_bytes = 32 << 10;
   options.adaptive_redesign = false;
@@ -396,13 +396,13 @@ TEST(MultiSeekTest, EmptyQueriesFeedTheSampleQueue) {
   EXPECT_EQ(s.empty_seeks, 100u);
   // sample_rate=10: every 10th empty query lands in the queue.
   EXPECT_EQ(s.queue_sampled, 10u);
-  EXPECT_EQ(db->SampledQueries().size(), 10u);
+  EXPECT_EQ(db->query_queue().Snapshot().size(), 10u);
   EXPECT_EQ(db->query_queue().seen(), 100u);
 }
 
 TEST(QueryEngineTest, ReportsBatchStats) {
   auto options = SmallDbOptions("stats");
-  options.filter_policy = MakeProteusIntPolicy(14.0);
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=14");
   auto [db, st] = Db::Create(options);
   ASSERT_TRUE(st.ok());
   Rng rng(26);

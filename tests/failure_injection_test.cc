@@ -22,6 +22,20 @@
 namespace proteus {
 namespace {
 
+// One lookup through a fresh RangeCursor: the newest version visible at
+// `snapshot` of the smallest key in [lo, hi] (0 = found, 1 = none, -1 =
+// read error).
+int SeekInRange(const SstReader& reader, std::string_view lo,
+                std::string_view hi, uint64_t snapshot,
+                const BlockReadOptions& opts, SstReader::SeekEntry* out,
+                Status* status = nullptr) {
+  SstReader::RangeCursor cursor;
+  cursor.Init(&reader, opts, snapshot);
+  const int rc = cursor.Seek(lo, hi, status);
+  if (rc == 0) *out = cursor.entry();
+  return rc;
+}
+
 std::string WriteTestSst(const std::string& path, bool compress) {
   SstWriter::Options wopts;
   wopts.block_size = 512;
@@ -100,8 +114,8 @@ TEST_P(SstCorruptionTest, DataBlockBitflipsDetectedOnRead) {
     bool bad = false;
     for (uint64_t i = 0; i < 2000; i += 3) {
       SstReader::SeekEntry se;
-      int rc = reader.SeekInRange(EncodeKeyBE(i * 5), EncodeKeyBE(i * 5),
-                                  kMaxSequence, BlockReadOptions{}, &se);
+      int rc = SeekInRange(reader, EncodeKeyBE(i * 5), EncodeKeyBE(i * 5),
+                           kMaxSequence, BlockReadOptions{}, &se);
       if (rc == -1 || rc == 1) {
         bad = true;  // detected (read error) or entry unreachable
       } else if (se.value != "value" + std::to_string(i)) {

@@ -20,6 +20,21 @@
 namespace proteus {
 namespace {
 
+// One lookup through a fresh RangeCursor: the newest version visible at
+// `snapshot` of the smallest key in [lo, hi] (0 = found, 1 = none, -1 =
+// read error).
+int SeekInRange(const SstReader& reader, std::string_view lo,
+                std::string_view hi, uint64_t snapshot,
+                const BlockReadOptions& opts, SstReader::SeekEntry* out,
+                Status* status = nullptr) {
+  SstReader::RangeCursor cursor;
+  cursor.Init(&reader, opts, snapshot);
+  const int rc = cursor.Seek(lo, hi, status);
+  if (rc == 0) *out = cursor.entry();
+  return rc;
+}
+
+
 TEST(SkipListTest, AddGetOrdered) {
   SkipList list;
   Rng rng(1);
@@ -58,10 +73,10 @@ TEST(SkipListTest, AddGetOrdered) {
   });
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
   EXPECT_EQ(order.size(), 5000u);
-  list.Clear();
-  EXPECT_EQ(list.size(), 0u);
+  SkipList empty;
+  EXPECT_EQ(empty.size(), 0u);
   SkipList::Entry e;
-  EXPECT_FALSE(list.SeekGeq("", kMaxSequence, &e));
+  EXPECT_FALSE(empty.SeekGeq("", kMaxSequence, &e));
 }
 
 TEST(SkipListTest, ByteCostAccounting) {
@@ -195,7 +210,7 @@ TEST(Sst, WriteReadRoundTrip) {
   for (uint64_t i = 0; i < 3000; ++i) {
     std::string k = EncodeKeyBE(i * 7 + 1);
     std::string v = "value" + std::to_string(i);
-    // Format v4 stores tag | seqno | user bytes per value.
+    // An SST value is tag | seqno | user bytes.
     writer.Add(k, MakeSstValueV4(kTagValue, i + 1, v));
     ref[k] = v;
   }
@@ -210,26 +225,26 @@ TEST(Sst, WriteReadRoundTrip) {
   ASSERT_EQ(reader.n_entries(), 3000u);
   EXPECT_GT(reader.n_blocks(), 10u);
 
-  // SeekInRange across hits, gaps, and misses (latest horizon).
+  // Lookups across hits, gaps, and misses (latest horizon).
   const BlockReadOptions bro;
   SstReader::SeekEntry se;
-  EXPECT_EQ(reader.SeekInRange(EncodeKeyBE(1), EncodeKeyBE(1), kMaxSequence,
-                               bro, &se),
+  EXPECT_EQ(SeekInRange(reader, EncodeKeyBE(1), EncodeKeyBE(1), kMaxSequence,
+                        bro, &se),
             0);
   EXPECT_EQ(se.key, EncodeKeyBE(1));
-  EXPECT_EQ(reader.SeekInRange(EncodeKeyBE(2), EncodeKeyBE(7), kMaxSequence,
-                               bro, &se),
+  EXPECT_EQ(SeekInRange(reader, EncodeKeyBE(2), EncodeKeyBE(7), kMaxSequence,
+                        bro, &se),
             1);
-  EXPECT_EQ(reader.SeekInRange(EncodeKeyBE(2), EncodeKeyBE(8), kMaxSequence,
-                               bro, &se),
+  EXPECT_EQ(SeekInRange(reader, EncodeKeyBE(2), EncodeKeyBE(8), kMaxSequence,
+                        bro, &se),
             0);
   EXPECT_EQ(se.key, EncodeKeyBE(8));
-  EXPECT_EQ(reader.SeekInRange(EncodeKeyBE(999999), EncodeKeyBE(9999999),
-                               kMaxSequence, bro, &se),
+  EXPECT_EQ(SeekInRange(reader, EncodeKeyBE(999999), EncodeKeyBE(9999999),
+                        kMaxSequence, bro, &se),
             1);
 
   // Full scan via the iterator matches the reference map (iterator
-  // yields the raw stored bytes; decode per the footer version).
+  // yields the raw stored bytes).
   SstReader::Iterator it(&reader);
   auto ref_it = ref.begin();
   size_t n = 0;
@@ -237,7 +252,7 @@ TEST(Sst, WriteReadRoundTrip) {
     ASSERT_NE(ref_it, ref.end());
     ASSERT_EQ(it.key(), ref_it->first);
     ParsedValue parsed;
-    ASSERT_TRUE(ParseSstValue(reader.footer_version(), it.value(), &parsed));
+    ASSERT_TRUE(ParseSstValue(it.value(), &parsed));
     ASSERT_EQ(parsed.user_value, ref_it->second);
   }
   EXPECT_EQ(n, ref.size());
@@ -245,7 +260,7 @@ TEST(Sst, WriteReadRoundTrip) {
 }
 
 TEST(Sst, MultiVersionSnapshotResolution) {
-  // A v4 file may hold several versions of one key, newest first; the
+  // A file may hold several versions of one key, newest first; the
   // reader resolves visibility against the caller's horizon.
   std::string path = "/tmp/proteus_test_sst_mv.sst";
   SstWriter writer(path, SstWriter::Options{});
@@ -260,21 +275,22 @@ TEST(Sst, MultiVersionSnapshotResolution) {
   ASSERT_TRUE(reader.Open(path, 3, &cache).ok());
   const BlockReadOptions bro;
   SstReader::SeekEntry se;
-  ASSERT_EQ(reader.SeekInRange("a", "zz", kMaxSequence, bro, &se), 0);
+  ASSERT_EQ(SeekInRange(reader, "a", "zz", kMaxSequence, bro, &se), 0);
   EXPECT_EQ(se.value, "v30");
   EXPECT_EQ(se.seqno, 30u);
   EXPECT_FALSE(se.tombstone);
   // Horizon 25 sees the tombstone (newest visible version of "k").
-  ASSERT_EQ(reader.SeekInRange("a", "zz", 25, bro, &se), 0);
+  ASSERT_EQ(SeekInRange(reader, "a", "zz", 25, bro, &se), 0);
   EXPECT_TRUE(se.tombstone);
   EXPECT_EQ(se.seqno, 20u);
   // Horizon 15 sees v10.
-  ASSERT_EQ(reader.SeekInRange("a", "zz", 15, bro, &se), 0);
+  ASSERT_EQ(SeekInRange(reader, "a", "zz", 15, bro, &se), 0);
   EXPECT_EQ(se.value, "v10");
   // Horizon 5: every version of "k" is invisible; nothing else <= 5.
-  EXPECT_EQ(reader.SeekInRange("a", "zz", 5, bro, &se), 1);
+  EXPECT_EQ(SeekInRange(reader, "a", "zz", 5, bro, &se), 1);
   // Horizon 35: past "k", the only remaining key is "z"@40 — invisible.
-  ASSERT_EQ(reader.SeekInRange(std::string("k\0", 2), "zz", 35, bro, &se), 1);
+  ASSERT_EQ(
+      SeekInRange(reader, std::string("k\0", 2), "zz", 35, bro, &se), 1);
   ::unlink(path.c_str());
 }
 
@@ -295,8 +311,8 @@ TEST(Sst, CompressedBlocks) {
   SstReader reader;
   ASSERT_TRUE(reader.Open(path, 2, &cache).ok());
   SstReader::SeekEntry se;
-  ASSERT_EQ(reader.SeekInRange(EncodeKeyBE(500), EncodeKeyBE(500),
-                               kMaxSequence, BlockReadOptions{}, &se),
+  ASSERT_EQ(SeekInRange(reader, EncodeKeyBE(500), EncodeKeyBE(500),
+                        kMaxSequence, BlockReadOptions{}, &se),
             0);
   EXPECT_EQ(se.value, std::string(256, '\0') + "x");
   ::unlink(path.c_str());

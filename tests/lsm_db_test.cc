@@ -133,7 +133,7 @@ TEST(DbTest, FiltersCutSstProbes) {
   };
 
   DbStats no_filter = run(nullptr, "none");
-  DbStats with_filter = run(MakeProteusIntPolicy(14.0), "proteus");
+  DbStats with_filter = run(MakeFilterPolicy("proteus:bpk=14"), "proteus");
   EXPECT_EQ(no_filter.sst_seeks, no_filter.filter_checks);
   EXPECT_LT(with_filter.sst_seeks, no_filter.sst_seeks / 5)
       << "filtered=" << with_filter.sst_seeks
@@ -143,10 +143,10 @@ TEST(DbTest, FiltersCutSstProbes) {
 TEST(DbTest, NoFalseNegativesThroughFilters) {
   // Seeks for present keys must always find them, whatever the policy.
   auto keys = GenerateKeys(Dataset::kNormal, 5000, 15);
-  for (auto make : {+[]() { return MakeProteusIntPolicy(12.0); },
-                    +[]() { return MakeSurfIntPolicy(1, 4); },
-                    +[]() { return MakeRosettaIntPolicy(12.0); },
-                    +[]() { return MakeBloomFilterPolicy(12.0); }}) {
+  for (auto make : {+[]() { return MakeFilterPolicy("proteus:bpk=12"); },
+                    +[]() { return MakeFilterPolicy("surf:mode=real,suffix=4"); },
+                    +[]() { return MakeFilterPolicy("rosetta:bpk=12"); },
+                    +[]() { return MakeFilterPolicy("bloom-str:bpk=12"); }}) {
     auto options = SmallDbOptions("nofn");
     options.filter_policy = make();
     auto [db, st] = Db::Create(options);
@@ -166,7 +166,7 @@ TEST(DbTest, NoFalseNegativesThroughFilters) {
 
 TEST(DbTest, QueryQueueFeedsFilterConstruction) {
   auto options = SmallDbOptions("queue");
-  options.filter_policy = MakeProteusIntPolicy(12.0);
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=12");
   options.queue_options.sample_rate = 1;  // record every empty query
   auto [db, st] = Db::Create(options);
   ASSERT_TRUE(st.ok());

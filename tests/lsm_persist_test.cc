@@ -1,8 +1,9 @@
 // Persistence round-trips: SST filter blocks survive the disk, Db::Open
 // reconstructs the tree and its filters from the manifest without
 // rebuilding, and every damage mode (bit-flipped blob, foreign format
-// version, legacy filter-less footer) degrades to a rebuild or a plain
-// unfiltered read — never a crash or a wrong answer.
+// version) degrades to a rebuild or a plain unfiltered read — never a
+// crash or a wrong answer — and a file of an older footer generation is
+// refused as NotSupported.
 
 #include <gtest/gtest.h>
 
@@ -85,7 +86,21 @@ std::vector<std::string> ListSstFiles(const std::string& dir) {
 // SST-level: the filter block in the file format.
 // ---------------------------------------------------------------------------
 
-constexpr size_t kFooterV2Size = 72;
+constexpr size_t kFooterSize = 72;
+
+// One lookup through a fresh RangeCursor: the newest version visible at
+// `snapshot` of the smallest key in [lo, hi] (0 = found, 1 = none, -1 =
+// read error).
+int SeekInRange(const SstReader& reader, std::string_view lo,
+                std::string_view hi, uint64_t snapshot,
+                const BlockReadOptions& opts, SstReader::SeekEntry* out,
+                Status* status = nullptr) {
+  SstReader::RangeCursor cursor;
+  cursor.Init(&reader, opts, snapshot);
+  const int rc = cursor.Seek(lo, hi, status);
+  if (rc == 0) *out = cursor.entry();
+  return rc;
+}
 
 std::unique_ptr<SstFilter> BuildTestFilter(
     const std::vector<std::string>& keys) {
@@ -95,24 +110,14 @@ std::unique_ptr<SstFilter> BuildTestFilter(
 
 std::string WriteSstWithFilter(const std::string& path,
                                std::vector<std::string>* keys,
-                               uint64_t filter_format = Filter::kVersion,
-                               uint32_t format_version = 3) {
+                               uint64_t filter_format = Filter::kVersion) {
   SstWriter::Options wopts;
   wopts.block_size = 512;
-  wopts.format_version = format_version;
   SstWriter writer(path, wopts);
   for (uint64_t i = 0; i < 3000; ++i) {
     std::string key = EncodeKeyBE(i * 7);
-    std::string value = "value" + std::to_string(i);
-    // Encode the value the way the writer's format version expects:
-    // v4 = tag|seqno|user, v3 = tag|user, v1/v2 = raw user bytes.
-    if (format_version >= 4) {
-      writer.Add(key, MakeSstValueV4(kTagValue, i + 1, value));
-    } else if (format_version == 3) {
-      writer.Add(key, MakeInternalValue(kTagValue, value));
-    } else {
-      writer.Add(key, value);
-    }
+    writer.Add(key, MakeSstValueV4(kTagValue, i + 1,
+                                   "value" + std::to_string(i)));
     keys->push_back(std::move(key));
   }
   auto filter = BuildTestFilter(*keys);
@@ -149,50 +154,36 @@ TEST(SstFilterBlock, RoundTripsThroughTheFile) {
   ::unlink(path.c_str());
 }
 
-TEST(SstFilterBlock, LegacyV1FooterStillReadable) {
-  const std::string path = "/tmp/proteus_persist_legacy.sst";
+TEST(SstFilterBlock, OlderFooterVersionIsNotSupported) {
+  const std::string path = "/tmp/proteus_persist_old_footer.sst";
   std::vector<std::string> keys;
-  // A genuine v1 file: 32-byte footer, 16-byte handles, no filter block.
-  WriteSstWithFilter(path, &keys, Filter::kVersion, /*format_version=*/1);
-
-  BlockCache cache(1 << 20);
-  SstReader reader;
-  ASSERT_TRUE(reader.Open(path, 1, &cache).ok());
-  EXPECT_EQ(reader.footer_version(), 1u);
-  EXPECT_FALSE(reader.has_filter_block());
-  EXPECT_EQ(reader.LoadFilter(), nullptr);
-  EXPECT_EQ(reader.n_entries(), 3000u);
-  SstReader::SeekEntry se;
-  EXPECT_EQ(reader.SeekInRange(EncodeKeyBE(70), EncodeKeyBE(70), kMaxSequence,
-                               BlockReadOptions{}, &se),
-            0);
-  EXPECT_EQ(se.value, "value10");
-  ::unlink(path.c_str());
-}
-
-TEST(SstFilterBlock, LegacyV2FooterStillReadableWithFilter) {
-  const std::string path = "/tmp/proteus_persist_legacy_v2.sst";
-  std::vector<std::string> keys;
-  // A genuine v2 file: 72-byte footer, filter block, 16-byte handles
-  // (no per-block CRC — damage detection falls back to the in-block
-  // checksum, as before PR 4).
-  WriteSstWithFilter(path, &keys, Filter::kVersion, /*format_version=*/2);
-
-  BlockCache cache(1 << 20);
-  SstReader reader;
-  ASSERT_TRUE(reader.Open(path, 1, &cache).ok());
-  EXPECT_EQ(reader.footer_version(), 2u);
-  ASSERT_TRUE(reader.has_filter_block());
-  Status status;
-  auto loaded = reader.LoadFilter(&status);
-  ASSERT_NE(loaded, nullptr) << status.ToString();
-  EXPECT_EQ(reader.n_entries(), 3000u);
-  EXPECT_TRUE(reader.VerifyChecksums().ok());
-  SstReader::SeekEntry se;
-  EXPECT_EQ(reader.SeekInRange(EncodeKeyBE(70), EncodeKeyBE(70), kMaxSequence,
-                               BlockReadOptions{}, &se),
-            0);
-  EXPECT_EQ(se.value, "value10");
+  WriteSstWithFilter(path, &keys);
+  const std::string clean = ReadFile(path);
+  // The sentinel "PROTFTV4" sits right before the 8-byte magic; an older
+  // writer left "PROTFTV2" or "PROTFTV3" in the same slot.
+  const size_t sentinel = clean.size() - 16;
+  ASSERT_EQ(clean.substr(sentinel, 8), "PROTFTV4");
+  for (char generation : {'2', '3'}) {
+    std::string old = clean;
+    old[sentinel + 7] = generation;
+    WriteFile(path, old);
+    BlockCache cache(1 << 20);
+    SstReader reader;
+    Status s = reader.Open(path, 1, &cache);
+    EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+    EXPECT_NE(s.ToString().find(std::string("version ") + generation),
+              std::string::npos)
+        << s.ToString();
+  }
+  // A sentinel that names no footer generation is damage.
+  for (size_t pos : {sentinel, sentinel + 7}) {
+    std::string damaged = clean;
+    damaged[pos] ^= 0x40;
+    WriteFile(path, damaged);
+    BlockCache cache(1 << 20);
+    SstReader reader;
+    EXPECT_TRUE(reader.Open(path, 1, &cache).IsCorruption()) << pos;
+  }
   ::unlink(path.c_str());
 }
 
@@ -207,9 +198,10 @@ TEST(SstFilterBlock, ForeignFormatVersionIsIgnoredNotFatal) {
   // A filter written by a future format version is skipped (rebuild
   // fallback), but the data stays readable.
   EXPECT_FALSE(reader.has_filter_block());
+  EXPECT_EQ(reader.LoadFilter(), nullptr);
   SstReader::SeekEntry se;
-  EXPECT_EQ(reader.SeekInRange(EncodeKeyBE(0), EncodeKeyBE(0), kMaxSequence,
-                               BlockReadOptions{}, &se),
+  EXPECT_EQ(SeekInRange(reader, EncodeKeyBE(0), EncodeKeyBE(0), kMaxSequence,
+                        BlockReadOptions{}, &se),
             0);
   ::unlink(path.c_str());
 }
@@ -219,7 +211,7 @@ TEST(SstFilterBlock, EveryBitflipInTheBlockIsDetected) {
   std::vector<std::string> keys;
   WriteSstWithFilter(path, &keys);
   std::string clean = ReadFile(path);
-  const size_t footer = clean.size() - kFooterV2Size;
+  const size_t footer = clean.size() - kFooterSize;
   const uint64_t filter_offset = ReadU64At(clean, footer + 24);
   const uint64_t filter_size = ReadU64At(clean, footer + 32);
   ASSERT_GT(filter_size, 0u);
@@ -365,8 +357,8 @@ TEST(DbReopen, CorruptFilterBlocksTriggerRebuildFallback) {
   size_t corrupted = 0;
   for (const std::string& path : ListSstFiles(options.dir)) {
     std::string content = ReadFile(path);
-    ASSERT_GE(content.size(), kFooterV2Size);
-    const size_t footer = content.size() - kFooterV2Size;
+    ASSERT_GE(content.size(), kFooterSize);
+    const size_t footer = content.size() - kFooterSize;
     const uint64_t filter_offset = ReadU64At(content, footer + 24);
     const uint64_t filter_size = ReadU64At(content, footer + 32);
     if (filter_size == 0) continue;
@@ -414,8 +406,8 @@ TEST(DbReopen, RetiredBlockedBloomLayoutIsRebuiltNotMisread) {
   size_t retagged = 0;
   for (const std::string& path : ListSstFiles(options.dir)) {
     std::string content = ReadFile(path);
-    ASSERT_GE(content.size(), kFooterV2Size);
-    const size_t footer = content.size() - kFooterV2Size;
+    ASSERT_GE(content.size(), kFooterSize);
+    const size_t footer = content.size() - kFooterSize;
     const uint64_t filter_offset = ReadU64At(content, footer + 24);
     const uint64_t filter_size = ReadU64At(content, footer + 32);
     if (filter_size == 0) continue;

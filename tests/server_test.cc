@@ -84,7 +84,7 @@ class ServerTest : public ::testing::Test {
     options.memtable_bytes = 64 << 10;
     options.sst_target_bytes = 128 << 10;
     options.block_size = 1024;
-    options.filter_policy = MakeProteusIntPolicy(14.0);
+    options.filter_policy = MakeFilterPolicy("proteus:bpk=14");
     auto [db, create_status] = Db::Create(options);
     ASSERT_TRUE(create_status.ok()) << create_status.ToString();
     db_ = std::move(db);

@@ -28,7 +28,9 @@
 #include "lsm/filter_policy.h"
 #include "lsm/wal.h"
 #include "surf/surf.h"
+#include "util/crc32c.h"
 #include "util/random.h"
+#include "util/serial.h"
 
 namespace proteus {
 namespace {
@@ -44,14 +46,27 @@ void WriteFile(const std::string& path, const std::string& content) {
   out.write(content.data(), static_cast<std::streamsize>(content.size()));
 }
 
-// Sum of bytes across every WAL segment in `dir` (WAL and WAL-<n>).
+// Sum of bytes across every WAL segment `WAL-<n>` in `dir`.
 size_t TotalWalBytes(const std::string& dir) {
   size_t total = 0;
-  for (uint64_t n = 0; n < 64; ++n) {
+  for (uint64_t n = 1; n < 64; ++n) {
     total += ReadFile(dir + "/WAL-" + std::to_string(n)).size();
   }
-  total += ReadFile(dir + "/WAL").size();
   return total;
+}
+
+// A CRC-valid record in the seqno-less layout older logs used: op u8 |
+// klen u32 | key | vlen u32 | value, with op 1 = Put.
+std::string SeqnolessPutRecord(std::string_view key, std::string_view value) {
+  std::string payload;
+  payload.push_back(1);
+  PutFixed32(&payload, static_cast<uint32_t>(key.size()));
+  payload.append(key);
+  PutFixed32(&payload, static_cast<uint32_t>(value.size()));
+  payload.append(value);
+  std::string record;
+  AppendCrcFrame(&record, payload);
+  return record;
 }
 
 DbOptions CrashDbOptions(const std::string& name) {
@@ -195,6 +210,26 @@ TEST(WalReplayUnit, BitflippedRecordEndsTheIntelligiblePrefix) {
     EXPECT_LE(applied, 10u);
     EXPECT_LE(valid_bytes, corrupt.size());
   }
+  ::unlink(path.c_str());
+}
+
+TEST(WalReplayUnit, RecordOfAnOlderLayoutIsNotSupported) {
+  const std::string path = "/tmp/proteus_wal_old_op.log";
+  WriteFile(path, EncodeWalRecord(kWalOpPutSeq, 1, "a", "x") +
+                      SeqnolessPutRecord("b", "y"));
+  size_t applied = 0;
+  uint64_t valid_bytes = 0;
+  bool torn = false;
+  Status s = WalReplay(
+      path,
+      [&](uint8_t, uint64_t, std::string_view, std::string_view) {
+        ++applied;
+      },
+      &valid_bytes, &torn);
+  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+  EXPECT_NE(s.ToString().find("op 1"), std::string::npos) << s.ToString();
+  EXPECT_EQ(applied, 1u);
+  EXPECT_FALSE(torn);
   ::unlink(path.c_str());
 }
 
@@ -585,6 +620,48 @@ TEST(DbCrashRecovery, WalDisabledKeepsTheOldContract) {
   auto [db, status] = Db::Open(options);
   ASSERT_NE(db, nullptr) << status.ToString();
   EXPECT_EQ(db->TotalKeys(), 0u);  // documented regression of use_wal=false
+}
+
+TEST(DbCrashRecovery, OlderWalRecordFailsOpenAndLeavesTheLogIntact) {
+  auto options = CrashDbOptions("old_op");
+  {
+    auto [db, st] = Db::Create(options);
+    ASSERT_TRUE(st.ok());
+    for (uint64_t i = 0; i < 50; ++i) {
+      ASSERT_TRUE(db->Put(EncodeKeyBE(i), "v").ok());
+    }
+    db->TEST_CrashClose();  // every write lives in WAL-1
+  }
+  const std::string segment = options.dir + "/WAL-1";
+  const std::string log = ReadFile(segment) + SeqnolessPutRecord("k", "v");
+  WriteFile(segment, log);
+
+  auto [db, status] = Db::Open(options);
+  EXPECT_EQ(db, nullptr);
+  EXPECT_TRUE(status.IsNotSupported()) << status.ToString();
+  EXPECT_NE(status.ToString().find("op 1"), std::string::npos)
+      << status.ToString();
+  // A complete frame is not a torn tail: nothing was truncated.
+  EXPECT_EQ(ReadFile(segment), log);
+}
+
+TEST(DbCrashRecovery, UnnumberedWalFileIsNotSupported) {
+  auto options = CrashDbOptions("unnumbered");
+  {
+    auto [db, st] = Db::Create(options);
+    ASSERT_TRUE(st.ok());
+    ASSERT_TRUE(db->Put(EncodeKeyBE(1), "v").ok());
+  }
+  const std::string legacy = SeqnolessPutRecord("k", "v");
+  WriteFile(options.dir + "/WAL", legacy);
+
+  auto [db, status] = Db::Open(options);
+  EXPECT_EQ(db, nullptr);
+  EXPECT_TRUE(status.IsNotSupported()) << status.ToString();
+  EXPECT_NE(status.ToString().find("/WAL"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(ReadFile(options.dir + "/WAL"), legacy);
+  ::unlink((options.dir + "/WAL").c_str());
 }
 
 }  // namespace

@@ -4,12 +4,87 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <vector>
 
+#include "util/random.h"
 #include "workload/datasets.h"
 #include "workload/queries.h"
 
 namespace proteus {
 namespace {
+
+// Reference generators: the datasets' draw sequence, deduplicated one
+// draw at a time through a std::set. GenerateKeys and
+// GenerateKeysAndQueryPoints must return exactly these sets.
+struct ReferenceDraws {
+  ReferenceDraws(Dataset d, uint64_t seed)
+      : dataset(d), rng(seed ^ 0xDA7A5E7Bu) {}
+
+  uint64_t Draw() {
+    switch (dataset) {
+      case Dataset::kUniform:
+        return rng.Next();
+      case Dataset::kNormal: {
+        double v = 9.223372036854776e18 +
+                   rng.NextGaussian() * 1.8446744073709552e17;
+        if (v < 0) v = 0;
+        if (v >= 1.8446744073709552e19) v = 1.8446744073709552e19 - 1;
+        return static_cast<uint64_t>(v);
+      }
+      case Dataset::kBooks: {
+        double v = rng.NextLogNormal(std::log(1e12), 2.5);
+        if (v >= 1.8446744073709552e19) v = 1.8446744073709552e19 - 1;
+        return static_cast<uint64_t>(v);
+      }
+      case Dataset::kFacebook:
+        facebook += 1 + rng.NextBelow(16);
+        return facebook;
+    }
+    return 0;
+  }
+
+  Dataset dataset;
+  Rng rng;
+  uint64_t facebook = uint64_t{1} << 40;
+};
+
+TEST(Datasets, DistinctDrawsMatchASetReference) {
+  const size_t n = 20000, n_extra = 5000;
+  for (Dataset d : {Dataset::kUniform, Dataset::kNormal, Dataset::kBooks,
+                    Dataset::kFacebook}) {
+    for (uint64_t seed : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
+      ReferenceDraws ref(d, seed);
+      std::set<uint64_t> keys;
+      while (keys.size() < n) keys.insert(ref.Draw());
+      EXPECT_EQ(GenerateKeys(d, n, seed),
+                std::vector<uint64_t>(keys.begin(), keys.end()))
+          << DatasetName(d) << " seed " << seed;
+
+      std::vector<uint64_t> got_keys, got_points;
+      GenerateKeysAndQueryPoints(d, n, n_extra, seed, &got_keys, &got_points);
+      if (d == Dataset::kFacebook) {
+        // One dense run split between the two outputs: disjoint, and
+        // together every one of the n + n_extra draws.
+        std::set<uint64_t> all(got_keys.begin(), got_keys.end());
+        all.insert(got_points.begin(), got_points.end());
+        EXPECT_EQ(got_keys.size(), n);
+        EXPECT_EQ(got_points.size(), n_extra);
+        EXPECT_EQ(all.size(), n + n_extra);
+        continue;
+      }
+      std::set<uint64_t> extra;
+      while (extra.size() < n_extra) {
+        const uint64_t v = ref.Draw();
+        if (!keys.count(v)) extra.insert(v);
+      }
+      EXPECT_EQ(got_keys, std::vector<uint64_t>(keys.begin(), keys.end()))
+          << DatasetName(d) << " seed " << seed;
+      EXPECT_EQ(got_points, std::vector<uint64_t>(extra.begin(), extra.end()))
+          << DatasetName(d) << " seed " << seed;
+    }
+  }
+}
 
 TEST(Datasets, SortedUniqueAndDeterministic) {
   for (Dataset d : {Dataset::kUniform, Dataset::kNormal, Dataset::kBooks,
