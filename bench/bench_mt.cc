@@ -8,12 +8,13 @@
 // qps, read latency percentiles, and sustained write throughput; the
 // final lines print the read-scaling factor (largest over smallest
 // reader count) and, when several writer counts ran, the write-scaling
-// factor across them — the headline number for the sharded memtable.
+// factor across them — the headline number for the parallel memtable
+// apply.
 //
 // Flags beyond bench_common's: --writers=LIST (default 1),
-// --readers=LIST (default 1,2,4,8), --shards=N (memtable shards,
-// default DbOptions'), --duration-ms=N per window (default 1500),
-// --snapshot-reads (pin one snapshot per window and read through it).
+// --readers=LIST (default 1,2,4,8), --duration-ms=N per window (default
+// 1500), --snapshot-reads (pin one snapshot per window and read through
+// it).
 // --json=PATH dumps one record per (writers, readers) window.
 
 #include <algorithm>
@@ -37,7 +38,6 @@ namespace {
 struct MtArgs {
   std::vector<uint64_t> writers = {1};
   std::vector<uint64_t> readers = {1, 2, 4, 8};
-  uint64_t shards = 0;  // 0 = keep DbOptions' default
   uint64_t duration_ms = 1500;
   bool snapshot_reads = false;
 };
@@ -59,8 +59,6 @@ MtArgs ParseMtArgs(int argc, char** argv) {
       args.writers = ParseList(a + 10);
     } else if (std::strncmp(a, "--readers=", 10) == 0) {
       args.readers = ParseList(a + 10);
-    } else if (std::strncmp(a, "--shards=", 9) == 0) {
-      args.shards = std::strtoull(a + 9, nullptr, 10);
     } else if (std::strncmp(a, "--duration-ms=", 14) == 0) {
       args.duration_ms = std::strtoull(a + 14, nullptr, 10);
     } else if (std::strcmp(a, "--snapshot-reads") == 0) {
@@ -192,7 +190,6 @@ int main(int argc, char** argv) {
   options.l1_size_bytes = 8u << 20;
   options.block_cache_bytes = 64u << 20;
   options.wal_sync = false;  // group commit batches; measure CPU not fsync
-  if (mt.shards != 0) options.memtable_shards = mt.shards;
   options.filter_policy = bench::MakePolicyOrDie(filter_spec);
   auto [db_ptr, db_status] = Db::Create(options);
   if (!db_status.ok()) {
@@ -225,12 +222,9 @@ int main(int argc, char** argv) {
     queries.push_back({EncodeKeyBE(lo), EncodeKeyBE(lo + 64)});
   }
 
-  const uint64_t shards_used =
-      mt.shards != 0 ? mt.shards : options.memtable_shards;
   bench::PrintHeader("mt: concurrent readers vs writers");
-  std::printf("keys=%llu shards=%llu duration=%llums snapshot_reads=%d\n",
+  std::printf("keys=%llu duration=%llums snapshot_reads=%d\n",
               static_cast<unsigned long long>(n_keys),
-              static_cast<unsigned long long>(shards_used),
               static_cast<unsigned long long>(mt.duration_ms),
               mt.snapshot_reads ? 1 : 0);
 
@@ -254,7 +248,6 @@ int main(int argc, char** argv) {
           .Str("bench", "mt")
           .Num("writers", static_cast<double>(w))
           .Num("readers", static_cast<double>(m))
-          .Num("memtable_shards", static_cast<double>(shards_used))
           .Num("duration_ms", static_cast<double>(mt.duration_ms))
           .Num("snapshot_reads", mt.snapshot_reads ? 1 : 0)
           .Num("read_qps", r.read_qps)

@@ -102,7 +102,9 @@ void WipeDbFiles(const std::string& dir) {
     std::string name = e->d_name;
     const bool sst =
         name.size() > 4 && name.substr(name.size() - 4) == ".sst";
-    const bool wal = name.rfind("WAL-", 0) == 0;
+    // "WAL" alone is the unnumbered log of older builds: left behind,
+    // it would fail the next Open.
+    const bool wal = name.rfind("WAL-", 0) == 0 || name == "WAL";
     if (sst || wal) ::unlink((dir + "/" + name).c_str());
   }
   ::closedir(d);
@@ -123,16 +125,15 @@ bool ParseWalName(const std::string& name, uint64_t* number) {
   return true;
 }
 
-/// K-way merge over memtable shards (the flush path): each shard's
-/// skiplist streams its own (key asc, seqno desc) order, and the merge
-/// interleaves them back into ONE globally sorted stream. (key, seqno)
-/// pairs are globally unique — the leader assigns each seqno once — so
-/// the merge is deterministic and the SSTs it feeds are byte-identical
-/// regardless of how many shards the writes were routed across. The
-/// iterators point into skiplist nodes the caller keeps alive.
+/// K-way merge over immutable memtables (the flush path): each
+/// memtable's skiplist streams its own (key asc, seqno desc) order, and
+/// the merge interleaves them into ONE sorted stream. (key, seqno) pairs
+/// are globally unique — the leader assigns each seqno once — so the
+/// merge is deterministic. The iterators point into skiplist nodes the
+/// caller keeps alive.
 class MemTableMergeSource : public EntrySource {
  public:
-  /// Add every shard of every immutable memtable, then Init().
+  /// Add every immutable memtable's list, then Init().
   void Add(const SkipList* list) {
     Item item{SkipList::Iterator(list), kTagValue, {}};
     DecodeItem(&item);
@@ -458,9 +459,7 @@ Db::Db(DbOptions options, bool wipe_existing)
   auto v = std::make_shared<Version>();
   v->levels.resize(kMaxLevels);
   version_ = std::move(v);
-  mem_ = std::make_shared<MemTableSet>(options_.memtable_shards);
-  shard_applies_ =
-      std::vector<std::atomic<uint64_t>>(mem_->shard_count());
+  mem_ = std::make_shared<MemTable>();
   compact_cursor_.resize(kMaxLevels, 0);
   pool_ = std::make_unique<TaskPool>(
       std::max<size_t>(1, options_.background_threads));
@@ -550,21 +549,20 @@ Status Db::Delete(std::string_view key, const WriteOptions& options) {
 // Shared state of one batch's parallel memtable apply. Lives on the
 // leader's stack for the duration of CommitBatch; the leader hands each
 // follower a pointer (under write_mu_), every follower inserts its OWN
-// entry into its memtable shard, and the last decrement of `pending`
+// entry into the memtable, and the last decrement of `pending`
 // releases the leader to publish the commit point. The group must not be
 // destroyed until pending hits zero — the leader's wait guarantees that,
 // and followers notify while holding `mu` so the leader cannot observe
 // pending == 0 and destroy the group mid-notify.
 struct Db::ApplyGroup {
-  MemTableSet* mem = nullptr;
+  MemTable* mem = nullptr;
   std::atomic<uint32_t> pending{0};
   std::mutex mu;
   std::condition_variable cv;
 };
 
-void Db::ApplyWriter(MemTableSet* mem, const Writer& w) {
-  const size_t shard = mem->Add(w.key, w.seqno, w.tag, w.value);
-  shard_applies_[shard].fetch_add(1, std::memory_order_relaxed);
+void Db::ApplyWriter(MemTable* mem, const Writer& w) {
+  mem->Add(w.key, w.seqno, w.tag, w.value);
   if (w.tag == kTagValue) {
     ++stats_->puts;
   } else {
@@ -590,7 +588,7 @@ Status Db::WriteInternal(uint8_t tag, std::string_view key,
   });
   if (w.apply != nullptr && !w.done) {
     // Follower with work: the leader has WAL-appended the batch and is
-    // waiting for the shard applies. Insert our own entry (outside the
+    // waiting for the batch's applies. Insert our own entry (outside the
     // queue lock — this is the parallel part), then report in.
     ApplyGroup* group = w.apply;
     qlock.unlock();
@@ -690,8 +688,8 @@ Status Db::CommitBatch(const std::vector<Writer*>& batch,
   }
 
   // Apply. The WAL already fixed the batch's order (seqnos); the
-  // memtable inserts commute — each lands in its own key's position in
-  // its own shard — so the followers apply their entries IN PARALLEL
+  // memtable inserts commute — each lands in its own (key, seqno)
+  // position — so the followers apply their entries IN PARALLEL
   // while the leader applies its own. mem_ is stable here: it changes
   // only under pipeline_mu_ (held) plus view_mu_.
   MemPtr mem = mem_;
@@ -707,7 +705,7 @@ Status Db::CommitBatch(const std::vector<Writer*>& batch,
         if (w != leader) w->apply = &group;
       }
     }
-    write_cv_.notify_all();  // release the followers to their shards
+    write_cv_.notify_all();  // release the followers to their applies
     ApplyWriter(mem.get(), *leader);
     std::unique_lock<std::mutex> gl(group.mu);
     group.cv.wait(gl, [&] {
@@ -870,7 +868,7 @@ bool Db::PrepareFlush(bool force) {
     wal_number_ = next;
     ++stats_->wal_rotations;
   }
-  auto fresh = std::make_shared<MemTableSet>(options_.memtable_shards);
+  auto fresh = std::make_shared<MemTable>();
   fresh->wal_segment = wal_number_;
   {
     std::lock_guard<std::mutex> vl(view_mu_);
@@ -890,15 +888,11 @@ Status Db::FlushImmLocked() {
   }
   if (imm.empty()) return Status::OK();
 
-  // Merge every shard of every immutable memtable back into one sorted
-  // (key asc, seqno desc) stream — no materialize-and-sort pass; the
-  // iterators stream straight out of skiplist nodes `imm` keeps alive.
+  // Merge every immutable memtable into one sorted (key asc, seqno
+  // desc) stream — no materialize-and-sort pass; the iterators stream
+  // straight out of skiplist nodes `imm` keeps alive.
   MemTableMergeSource source;
-  for (const MemPtr& m : imm) {
-    for (size_t i = 0; i < m->shard_count(); ++i) {
-      source.Add(&m->shard(i));
-    }
-  }
+  for (const MemPtr& m : imm) source.Add(&m->list());
   source.Init();
   CollapseSource collapsed(source, LiveSnapshots(),
                            /*drop_tombstones=*/false);
@@ -1069,7 +1063,6 @@ Status Db::WriteSstFiles(EntrySource& entries, int target_level,
                          size_t max_data_bytes, std::vector<FilePtr>* out) {
   SstWriter::Options wopts;
   wopts.block_size = options_.block_size;
-  wopts.compress = target_level >= options_.compress_min_level;
   while (entries.Valid()) {
     std::string path =
         options_.dir + "/" + std::to_string(next_file_id_) + ".sst";
@@ -1905,11 +1898,7 @@ Status Db::ReplayWalSegments() {
             std::string_view value) {
           const uint8_t tag = op == kWalOpPutSeq ? kTagValue : kTagTombstone;
           max_seq = std::max(max_seq, seqno);
-          // Replay routes through the same key hash as the live write
-          // path: shard placement need not survive a restart, only the
-          // (key, seqno) versions themselves.
-          const size_t shard = mem_->Add(key, seqno, tag, value);
-          shard_applies_[shard].fetch_add(1, std::memory_order_relaxed);
+          mem_->Add(key, seqno, tag, value);
           ++stats_->wal_replayed;
           ++replayed;
         },
@@ -2055,7 +2044,7 @@ size_t EntryFile(const Files& files, std::string_view lo) {
 // current query's sources.
 struct Db::ReadSources {
   struct Source {
-    const MemTableSet* mem = nullptr;             // memtable source
+    const MemTable* mem = nullptr;                // memtable source
     const std::vector<FilePtr>* level = nullptr;  // sorted-level source
     size_t idx = 0;                  // level: index of `file`
     const FileMeta* file = nullptr;  // L0 or level: the file positioned
@@ -2194,7 +2183,7 @@ void Db::SeekLoop(const ReadView& view, const ReadOptions& ro,
   sources->n = 0;
   const size_t most = 1 + v.imm.size() + v.levels[0].size() + v.levels.size();
   if (sources->list.size() < most) sources->list.resize(most);
-  auto add = [&](const MemTableSet* mem) -> Source& {
+  auto add = [&](const MemTable* mem) -> Source& {
     Source& s = sources->list[sources->n++];
     s.mem = mem;
     s.level = nullptr;
@@ -2410,10 +2399,6 @@ Status Db::VerifyChecksums() const {
 
 DbStats Db::stats() const {
   DbStats out = stats_->Snapshot();
-  out.shard_applies.reserve(shard_applies_.size());
-  for (const auto& c : shard_applies_) {
-    out.shard_applies.push_back(c.load(std::memory_order_relaxed));
-  }
   {
     std::lock_guard<std::mutex> vl(view_mu_);
     out.memtable_arena_bytes = mem_->ArenaBytes();
@@ -2424,10 +2409,7 @@ DbStats Db::stats() const {
   return out;
 }
 
-void Db::ResetStats() {
-  stats_->Reset();
-  for (auto& c : shard_applies_) c.store(0, std::memory_order_relaxed);
-}
+void Db::ResetStats() { stats_->Reset(); }
 
 WalWriter::Stats Db::wal_stats() const {
   return wal_ != nullptr ? wal_->stats() : WalWriter::Stats{};
@@ -2491,7 +2473,7 @@ void Db::TEST_CrashClose() {
   std::lock_guard<std::mutex> vl(view_mu_);
   wal_.reset();  // closes the fd; the file stays as-is on disk
   // kill -9 takes the memtables
-  mem_ = std::make_shared<MemTableSet>(options_.memtable_shards);
+  mem_ = std::make_shared<MemTable>();
   auto nv = std::make_shared<Version>(*version_);
   nv->imm.clear();
   version_ = std::move(nv);

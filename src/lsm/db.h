@@ -24,9 +24,8 @@
 //    sequence numbers and appends the whole batch to the WAL in one
 //    critical section — WAL order, seqno order, and crash-replay order
 //    are identical. The memtable APPLY is parallel: the active memtable
-//    is a MemTableSet of concurrent skiplist shards (key-hash routed,
-//    DbOptions::memtable_shards), and after the WAL append each batch
-//    follower inserts its own entry into its shard concurrently; the
+//    is one multi-writer concurrent skiplist, and after the WAL append
+//    each batch follower inserts its own entry into it concurrently; the
 //    leader publishes last_seqno_ only after every apply lands, so
 //    readers never see a committed horizon with holes.
 //  * Readers never take the writer path's locks: Seek/MultiSeek pin an
@@ -151,9 +150,6 @@ struct DbOptions {
   int l0_compaction_trigger = 4;
   uint64_t l1_size_bytes = 64u << 20;
   double level_size_multiplier = 10.0;
-  /// Levels >= this are compressed (the paper leaves L0/L1 raw and
-  /// compresses deeper levels; Section 6.1).
-  int compress_min_level = 2;
   /// Write-ahead logging. With use_wal off, durability regresses to the
   /// pre-WAL contract (clean close is lossless, kill -9 loses the
   /// memtable). wal_sync=false acknowledges after the OS write but
@@ -170,10 +166,6 @@ struct DbOptions {
   size_t max_immutable_memtables = 2;
   /// Threads in the background maintenance pool (flush + compaction).
   size_t background_threads = 2;
-  /// Concurrent skiplist shards per memtable (rounded up to a power of
-  /// two, max 256). Writes route by user-key hash; batch followers apply
-  /// to their shards in parallel. 1 = the single-skiplist layout.
-  size_t memtable_shards = 4;
   /// MANIFEST delta records appended since the last full snapshot before
   /// the log is compacted back into one snapshot record.
   size_t manifest_compact_threshold = 16;
@@ -221,10 +213,6 @@ struct DbStats {
   uint64_t drift_detected = 0;   // SSTs flagged by the drift detector
   uint64_t redesigns = 0;        // drift-triggered single-file rewrites
 
-  /// Entries applied per memtable shard (index = shard id, cumulative
-  /// across memtable rotations, including WAL replay). A flat histogram
-  /// means the key-hash routing is spreading the write load.
-  std::vector<uint64_t> shard_applies;
   /// Bytes reserved by the live memtables' arenas (active + immutable).
   uint64_t memtable_arena_bytes = 0;
 
@@ -264,9 +252,9 @@ using MultiSeekResult = SeekResult;
 class Db {
  public:
   /// Creates a FRESH database in `options.dir`, wiping any SST files,
-  /// manifest, and WAL segments left there. Use Open() to resume an
-  /// existing database. Returns {nullptr, error} when the directory or
-  /// WAL cannot be set up.
+  /// manifest, WAL segments and unnumbered `WAL` file left there. Use
+  /// Open() to resume an existing database. Returns {nullptr, error}
+  /// when the directory or WAL cannot be set up.
   static std::pair<std::unique_ptr<Db>, Status> Create(DbOptions options);
 
   /// Reopens a database previously closed (or killed) in `options.dir`:
@@ -446,7 +434,7 @@ class Db {
   };
   using FilePtr = std::shared_ptr<FileMeta>;
 
-  using MemPtr = std::shared_ptr<MemTableSet>;
+  using MemPtr = std::shared_ptr<MemTable>;
 
   /// An immutable picture of everything except the active memtable.
   /// Swapped atomically (under view_mu_); never mutated in place.
@@ -498,8 +486,8 @@ class Db {
   /// Leader body: stall, assign seqnos, WAL append, parallel memtable
   /// apply (followers insert their own entries), commit-point publish.
   Status CommitBatch(const std::vector<Writer*>& batch, bool* need_maintenance);
-  /// Inserts one writer's entry into `mem` and bumps its shard counter.
-  void ApplyWriter(MemTableSet* mem, const Writer& w);
+  /// Inserts one writer's entry into `mem` and counts it.
+  void ApplyWriter(MemTable* mem, const Writer& w);
 
   ReadView AcquireReadView(const ReadOptions& ro) const;
 
@@ -683,10 +671,6 @@ class Db {
   std::atomic<bool> maint_scheduled_{false};
   std::atomic<bool> crashed_{false};
   std::atomic<bool> closing_{false};
-
-  // Per-shard apply counters (sized to the rounded shard count at
-  // construction; memtable rotations reuse the same shard count).
-  std::vector<std::atomic<uint64_t>> shard_applies_;
 
   uint64_t next_file_id_ = 1;           // maint_mu_ / recovery
   // Stamped into every built filter's provenance; bumped by each

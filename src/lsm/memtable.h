@@ -1,23 +1,15 @@
-// MemTableSet — the active write buffer, sharded by user-key hash.
+// MemTable — the active write buffer: one concurrent skiplist.
 //
-// One MemTableSet is N concurrent skiplists (N a fixed power of two from
-// DbOptions::memtable_shards) carved from ONE shared arena. A key's
-// shard is a hash of the FULL user key, so every version of a key lands
-// in the same shard — point reads and visibility walks stay single-shard
-// — while the group-commit batch's entries spread across shards and can
-// be applied by the batch's own writer threads in parallel (db.cc's
-// ApplyGroup). Routing does not need to be stable across restarts: WAL
-// replay re-routes every record through the same hash.
-//
-// Reads merge across shards: SeekGeq takes the minimum candidate over
-// all shards (each shard is internally sorted, the set as a whole is
-// not). Flush merges the shards back into one globally sorted stream
-// through db.cc's merging EntrySource, producing byte-identical SSTs
-// regardless of shard count.
+// A MemTable is one multi-version SkipList whose nodes are carved from
+// the memtable's own arena. SkipList::Add is multi-writer safe, so the
+// group-commit batch's followers apply their entries in parallel, all
+// into the one list (db.cc's ApplyGroup). A Seek makes one descent;
+// flush streams the list's (key asc, seqno desc) order through db.cc's
+// MemTableMergeSource, one iterator per immutable memtable.
 //
 // Thread safety: Add is safe from any number of threads (skiplist CAS
 // inserts + arena bump allocation); readers are wait-free against
-// writers. wal_segment is set once at rotation before the set is
+// writers. wal_segment is set once at rotation before the memtable is
 // published.
 
 #ifndef PROTEUS_LSM_MEMTABLE_H_
@@ -25,87 +17,33 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string_view>
-#include <vector>
 
-#include "hash/murmur3.h"
-#include "lsm/ikey.h"
 #include "lsm/skiplist.h"
 #include "util/arena.h"
 
 namespace proteus {
 
-class MemTableSet {
+class MemTable {
  public:
-  static constexpr size_t kMaxShards = 256;
-
-  /// `shards` is rounded up to a power of two and clamped to
-  /// [1, kMaxShards]; 0 means 1.
-  explicit MemTableSet(size_t shards) {
-    size_t n = 1;
-    while (n < shards && n < kMaxShards) n <<= 1;
-    mask_ = n - 1;
-    shards_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      shards_.push_back(std::make_unique<SkipList>(&arena_));
-    }
-  }
-
-  size_t shard_count() const { return shards_.size(); }
-
-  /// Which shard `key` routes to. All versions of one key share a shard.
-  size_t ShardOf(std::string_view key) const {
-    return static_cast<size_t>(
-               Murmur3Bytes64(key.data(), key.size(), /*seed=*/0x9E3779B9u)) &
-           mask_;
-  }
-
   /// Inserts one version: the stored internal value is `tag | user value`
   /// (written straight into the arena node, no intermediate string).
-  /// Thread-safe; returns the shard applied to (per-shard stats).
-  size_t Add(std::string_view key, uint64_t seqno, uint8_t tag,
-             std::string_view user_value) {
-    const size_t shard = ShardOf(key);
+  /// Thread-safe.
+  void Add(std::string_view key, uint64_t seqno, uint8_t tag,
+           std::string_view user_value) {
     const char tag_byte = static_cast<char>(tag);
-    const int64_t cost =
-        shards_[shard]->Add(key, seqno, {&tag_byte, 1}, user_value);
-    bytes_.fetch_add(cost, std::memory_order_relaxed);
-    return shard;
+    bytes_.fetch_add(list_.Add(key, seqno, {&tag_byte, 1}, user_value),
+                     std::memory_order_relaxed);
   }
 
-  /// Newest version of exactly `key` visible at `snapshot` — single-shard.
-  bool Get(std::string_view key, uint64_t snapshot,
-           SkipList::Entry* out) const {
-    return shards_[ShardOf(key)]->Get(key, snapshot, out);
-  }
-
-  /// Smallest key >= `key` with a version visible at `snapshot`, across
-  /// ALL shards (each shard contributes its own candidate; the minimum
-  /// wins, ties broken toward the newer version — but ties cannot happen:
-  /// one key lives in one shard).
+  /// Smallest key >= `key` with a version visible at `snapshot`.
   bool SeekGeq(std::string_view key, uint64_t snapshot,
                SkipList::Entry* out) const {
-    bool found = false;
-    SkipList::Entry best;
-    for (const auto& shard : shards_) {
-      SkipList::Entry e;
-      if (!shard->SeekGeq(key, snapshot, &e)) continue;
-      if (!found || e.key < best.key) {
-        best = e;
-        found = true;
-      }
-    }
-    if (found) *out = best;
-    return found;
+    return list_.SeekGeq(key, snapshot, out);
   }
 
-  /// Entry versions across all shards.
-  uint64_t size() const {
-    uint64_t n = 0;
-    for (const auto& shard : shards_) n += shard->size();
-    return n;
-  }
+  /// Entry versions stored.
+  uint64_t size() const { return list_.size(); }
 
   /// Logical byte cost of the stored entries (flush-trigger accounting).
   int64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
@@ -113,19 +51,18 @@ class MemTableSet {
   /// Bytes reserved by the backing arena (DbStats observability).
   size_t ArenaBytes() const { return arena_.MemoryUsage(); }
 
-  /// Direct shard access — the flush path's merge source reads each
-  /// shard's sorted stream through SkipList::Iterator.
-  const SkipList& shard(size_t i) const { return *shards_[i]; }
+  /// The flush path's merge source reads the sorted stream through
+  /// SkipList::Iterator.
+  const SkipList& list() const { return list_; }
 
-  /// Oldest WAL segment holding this set's writes; segments below the
-  /// minimum across live memtables are obsolete after a flush. Set once
-  /// before the set is published (db.cc's rotation).
+  /// Oldest WAL segment holding this memtable's writes; segments below
+  /// the minimum across live memtables are obsolete after a flush. Set
+  /// once before the memtable is published (db.cc's rotation).
   uint64_t wal_segment = 0;
 
  private:
-  Arena arena_;
-  size_t mask_ = 0;
-  std::vector<std::unique_ptr<SkipList>> shards_;
+  Arena arena_;  // declared before list_: the list's nodes live here
+  SkipList list_{&arena_};
   std::atomic<int64_t> bytes_{0};
 };
 

@@ -138,7 +138,7 @@ class SkipList {
   }
 
   /// Streaming cursor in internal order (key asc, seqno desc) — the
-  /// flush path's shard-merge input. Safe against concurrent writers.
+  /// flush path's merge input. Safe against concurrent writers.
   class Iterator {
    public:
     explicit Iterator(const SkipList* list)

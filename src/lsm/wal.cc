@@ -126,28 +126,47 @@ Status WalReplay(
     if (offset + 8 + length > content.size()) return torn();
     std::string_view payload(content.data() + offset + 8, length);
     if (Crc32c(payload) != crc) return torn();
+    // Eight zero bytes frame an empty payload whose CRC is 0: zeros from
+    // here to EOF are fill a crash left past the last write, not a frame.
+    if (payload.empty() &&
+        content.find_first_not_of('\0', offset) == std::string::npos) {
+      return torn();
+    }
 
+    // A whole frame that passed its CRC is not crash debris: it was
+    // written, so a payload that does not parse is damage, and cutting
+    // the log there would drop it and every record after it.
+    auto damaged = [&](const char* what) {
+      return Status::Corruption("WAL record at offset " +
+                                std::to_string(offset) + " " + what + ": " +
+                                path);
+    };
     std::string_view cursor = payload;
-    uint32_t klen, vlen;
-    uint64_t seqno = 0;
-    if (cursor.empty()) return torn();
+    if (cursor.empty()) return damaged("has an empty payload");
     const uint8_t op = static_cast<uint8_t>(cursor.front());
     cursor.remove_prefix(1);
     if (op != kWalOpPutSeq && op != kWalOpDeleteSeq) {
-      // A whole frame that passed its CRC is not crash debris: it was
-      // written by a log format this build does not read.
+      // Written by a log format this build does not read.
       return Status::NotSupported("WAL record op " + std::to_string(op) +
                                   " at offset " + std::to_string(offset) +
                                   " (this build reads only ops 3 and 4): " +
                                   path);
     }
-    if (!GetFixed64(&cursor, &seqno)) return torn();
-    if (!GetFixed32(&cursor, &klen) || cursor.size() < klen) return torn();
+    uint64_t seqno = 0;
+    uint32_t klen, vlen;
+    if (!GetFixed64(&cursor, &seqno)) return damaged("ends inside its seqno");
+    if (!GetFixed32(&cursor, &klen) || cursor.size() < klen) {
+      return damaged("has a key length past its payload");
+    }
     std::string_view key = cursor.substr(0, klen);
     cursor.remove_prefix(klen);
-    if (!GetFixed32(&cursor, &vlen) || cursor.size() != vlen) return torn();
+    if (!GetFixed32(&cursor, &vlen) || cursor.size() != vlen) {
+      return damaged("has a value length that does not end its payload");
+    }
     std::string_view value = cursor.substr(0, vlen);
-    if (op == kWalOpDeleteSeq && vlen != 0) return torn();
+    if (op == kWalOpDeleteSeq && vlen != 0) {
+      return damaged("is a Delete carrying a value");
+    }
 
     apply(op, seqno, key, value);
     offset += 8 + length;

@@ -33,9 +33,10 @@
 // truncates to before appending again. A torn record was never
 // acknowledged (writes are acknowledged only after the fdatasync), so
 // dropping it loses nothing the client was promised. A complete,
-// CRC-valid record with an op other than 3/4 is not crash debris but a
-// log this build cannot read: replay stops with NotSupported and the
-// file is left as it is.
+// CRC-valid frame is not crash debris: an op other than 3/4 is a log
+// this build cannot read (NotSupported), and a payload that does not
+// parse is damage (Corruption). Either way replay stops and the file is
+// left as it is.
 
 #ifndef PROTEUS_LSM_WAL_H_
 #define PROTEUS_LSM_WAL_H_
@@ -130,9 +131,11 @@ class WalWriter {
 /// stops the replay: `*valid_bytes` is set to the clean-prefix length
 /// (truncate to it before reusing the file) and `*torn_tail` reports
 /// whether anything was cut. A missing file replays as empty. Returns
-/// NotSupported for a CRC-valid record whose op is not 3 or 4 (the file
-/// must then not be truncated), and IOError when reading the file fails —
-/// torn frames are expected crash debris, not corruption.
+/// NotSupported for a CRC-valid record whose op is not 3 or 4, Corruption
+/// naming the offset for a CRC-valid record whose payload does not parse
+/// (in both cases the file must not be truncated), and IOError when
+/// reading the file fails — torn frames and trailing zero fill are
+/// expected crash debris, not corruption.
 Status WalReplay(
     const std::string& path,
     const std::function<void(uint8_t op, uint64_t seqno, std::string_view key,

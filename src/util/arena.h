@@ -7,7 +7,7 @@
 // memory is returned in one sweep when the arena is destroyed.
 //
 // Concurrency: Allocate() is safe from any number of threads (the Db's
-// batch followers apply their writes to memtable shards in parallel).
+// batch followers apply their writes to the memtable in parallel).
 // The fast path is a single fetch_add into the current block; only
 // minting a fresh block takes a mutex. A thread that overshoots a block's
 // capacity leaves the overshot gap unused — bounded waste (< one

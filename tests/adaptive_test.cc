@@ -142,7 +142,7 @@ class Differential {
   uint64_t op_ = 0;
 };
 
-DbOptions AdaptiveOptions(const std::string& dir, size_t shards) {
+DbOptions AdaptiveOptions(const std::string& dir) {
   DbOptions options;
   options.dir = dir;
   options.memtable_bytes = 16 << 10;  // frequent flushes
@@ -150,7 +150,6 @@ DbOptions AdaptiveOptions(const std::string& dir, size_t shards) {
   options.l0_compaction_trigger = 2;
   options.l1_size_bytes = 64 << 10;
   options.level_size_multiplier = 4.0;
-  options.memtable_shards = shards;
   options.wal_sync = false;  // group commit still orders the writes
   options.filter_policy = MakeFilterPolicy("proteus:bpk=12");
   options.queue_options = {.capacity = 2000, .sample_rate = 1};
@@ -161,11 +160,9 @@ DbOptions AdaptiveOptions(const std::string& dir, size_t shards) {
   return options;
 }
 
-void RunDifferential(size_t shards, uint64_t seed) {
-  const std::string dir =
-      "/tmp/proteus_adaptive_" + std::to_string(shards) + "_" +
-      std::to_string(seed);
-  DbOptions options = AdaptiveOptions(dir, shards);
+void RunDifferential(uint64_t seed) {
+  const std::string dir = "/tmp/proteus_adaptive_" + std::to_string(seed);
+  DbOptions options = AdaptiveOptions(dir);
 
   auto [db, create_status] = Db::Create(options);
   ASSERT_TRUE(create_status.ok()) << create_status.ToString();
@@ -245,9 +242,9 @@ void RunDifferential(size_t shards, uint64_t seed) {
   ASSERT_TRUE(db->background_error().ok());
 }
 
-TEST(AdaptiveDifferentialTest, SingleShard) { RunDifferential(1, 0xA11CE); }
+TEST(AdaptiveDifferentialTest, SeedA11ce) { RunDifferential(0xA11CE); }
 
-TEST(AdaptiveDifferentialTest, EightShards) { RunDifferential(8, 0xB0B); }
+TEST(AdaptiveDifferentialTest, SeedB0b) { RunDifferential(0xB0B); }
 
 // ---------------------------------------------------------------------------
 // Redesigned filters round-trip their serialized form bit-identically
@@ -382,7 +379,7 @@ std::string DowngradeManifest(const std::string& manifest,
 
 TEST(AdaptiveManifestTest, OlderManifestVersionIsNotSupported) {
   const std::string dir = "/tmp/proteus_adaptive_old_manifest";
-  DbOptions options = AdaptiveOptions(dir, 1);
+  DbOptions options = AdaptiveOptions(dir);
   {
     auto [db, status] = Db::Create(options);
     ASSERT_TRUE(status.ok()) << status.ToString();

@@ -27,7 +27,6 @@ DbOptions SmallDbOptions(const std::string& name) {
   options.l0_compaction_trigger = 3;
   options.l1_size_bytes = 256 << 10;
   options.level_size_multiplier = 4.0;
-  options.compress_min_level = 2;
   return options;
 }
 

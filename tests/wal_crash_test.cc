@@ -69,6 +69,34 @@ std::string SeqnolessPutRecord(std::string_view key, std::string_view value) {
   return record;
 }
 
+// A CRC-valid frame around `payload`, however malformed the payload is.
+std::string Frame(const std::string& payload) {
+  std::string record;
+  AppendCrcFrame(&record, payload);
+  return record;
+}
+
+// Complete, CRC-valid op-3/4 frames whose payload does not parse.
+std::vector<std::pair<std::string, std::string>> UndecodableFrames() {
+  const std::string put = EncodeWalRecord(kWalOpPutSeq, 7, "key", "value");
+  const std::string payload = put.substr(8);  // op | seqno | klen | ...
+  std::string key_past_end = payload.substr(0, 9);
+  PutFixed32(&key_past_end, 100);  // klen 100, 3 key bytes follow
+  key_past_end += "key";
+  std::string value_past_end = payload.substr(0, payload.size() - 9);
+  PutFixed32(&value_past_end, 100);  // vlen 100, no value bytes follow
+  std::string delete_with_value = payload;
+  delete_with_value[0] = static_cast<char>(kWalOpDeleteSeq);
+  return {
+      {"empty payload", Frame("")},
+      {"seqno cut short", Frame(payload.substr(0, 5))},
+      {"key length past the payload", Frame(key_past_end)},
+      {"value length past the payload", Frame(value_past_end)},
+      {"value shorter than the payload", Frame(payload + "x")},
+      {"Delete carrying a value", Frame(delete_with_value)},
+  };
+}
+
 DbOptions CrashDbOptions(const std::string& name) {
   DbOptions options;
   options.dir = "/tmp/proteus_wal_crash_" + name;
@@ -230,6 +258,53 @@ TEST(WalReplayUnit, RecordOfAnOlderLayoutIsNotSupported) {
   EXPECT_NE(s.ToString().find("op 1"), std::string::npos) << s.ToString();
   EXPECT_EQ(applied, 1u);
   EXPECT_FALSE(torn);
+  ::unlink(path.c_str());
+}
+
+TEST(WalReplayUnit, UndecodableCompleteFrameIsCorruption) {
+  const std::string path = "/tmp/proteus_wal_undecodable.log";
+  const std::string first = EncodeWalRecord(kWalOpPutSeq, 1, "a", "x");
+  const std::string last = EncodeWalRecord(kWalOpPutSeq, 3, "c", "z");
+  for (const auto& [name, frame] : UndecodableFrames()) {
+    WriteFile(path, first + frame + last);
+    size_t applied = 0;
+    uint64_t valid_bytes = 0;
+    bool torn = false;
+    Status s = WalReplay(
+        path,
+        [&](uint8_t, uint64_t, std::string_view, std::string_view) {
+          ++applied;
+        },
+        &valid_bytes, &torn);
+    EXPECT_TRUE(s.IsCorruption()) << name << ": " << s.ToString();
+    EXPECT_NE(s.ToString().find("offset " + std::to_string(first.size())),
+              std::string::npos)
+        << name << ": " << s.ToString();
+    EXPECT_EQ(applied, 1u) << name;
+    EXPECT_FALSE(torn) << name;
+  }
+  ::unlink(path.c_str());
+}
+
+TEST(WalReplayUnit, TrailingZeroFillIsATornTail) {
+  // Eight zero bytes frame an empty payload whose CRC is 0; zeros to EOF
+  // are what a crash can leave past the last write, not a record.
+  const std::string path = "/tmp/proteus_wal_zero_fill.log";
+  const std::string record = EncodeWalRecord(kWalOpPutSeq, 1, "a", "x");
+  WriteFile(path, record + std::string(64, '\0'));
+  size_t applied = 0;
+  uint64_t valid_bytes = 0;
+  bool torn = false;
+  Status s = WalReplay(
+      path,
+      [&](uint8_t, uint64_t, std::string_view, std::string_view) {
+        ++applied;
+      },
+      &valid_bytes, &torn);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(applied, 1u);
+  EXPECT_TRUE(torn);
+  EXPECT_EQ(valid_bytes, record.size());
   ::unlink(path.c_str());
 }
 
@@ -643,6 +718,48 @@ TEST(DbCrashRecovery, OlderWalRecordFailsOpenAndLeavesTheLogIntact) {
       << status.ToString();
   // A complete frame is not a torn tail: nothing was truncated.
   EXPECT_EQ(ReadFile(segment), log);
+}
+
+TEST(DbCrashRecovery, UndecodableWalFrameFailsOpenAndLeavesTheLogIntact) {
+  auto options = CrashDbOptions("undecodable");
+  for (const auto& [name, frame] : UndecodableFrames()) {
+    {
+      auto [db, st] = Db::Create(options);
+      ASSERT_TRUE(st.ok());
+      for (uint64_t i = 0; i < 50; ++i) {
+        ASSERT_TRUE(db->Put(EncodeKeyBE(i), "v").ok());
+      }
+      db->TEST_CrashClose();  // every write lives in WAL-1
+    }
+    // The damaged frame sits mid-log: a record follows it.
+    const std::string segment = options.dir + "/WAL-1";
+    const std::string log = ReadFile(segment) + frame +
+                            EncodeWalRecord(kWalOpPutSeq, 1000, "k", "v");
+    WriteFile(segment, log);
+
+    auto [db, status] = Db::Open(options);
+    EXPECT_EQ(db, nullptr) << name;
+    EXPECT_TRUE(status.IsCorruption()) << name << ": " << status.ToString();
+    EXPECT_EQ(ReadFile(segment), log) << name << ": the log was cut";
+  }
+}
+
+TEST(DbCrashRecovery, CreateRemovesAnUnnumberedWalFile) {
+  auto options = CrashDbOptions("create_over_wal");
+  {
+    auto [db, st] = Db::Create(options);
+    ASSERT_TRUE(st.ok());
+  }
+  WriteFile(options.dir + "/WAL", SeqnolessPutRecord("k", "v"));
+  {
+    auto [db, st] = Db::Create(options);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_TRUE(db->Put(EncodeKeyBE(1), "v").ok());
+  }
+  EXPECT_NE(::access((options.dir + "/WAL").c_str(), F_OK), 0);
+  auto [db, status] = Db::Open(options);
+  ASSERT_NE(db, nullptr) << status.ToString();
+  EXPECT_TRUE(db->Seek(EncodeKeyBE(1), EncodeKeyBE(1)).found);
 }
 
 TEST(DbCrashRecovery, UnnumberedWalFileIsNotSupported) {
