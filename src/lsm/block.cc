@@ -64,32 +64,46 @@ std::string BlockBuilder::Finish() {
   return out;
 }
 
-bool BlockReader::Init(std::string payload) {
-  payload_ = std::move(payload);
-  if (payload_.size() < 8) return false;
-  uint32_t stored_checksum = GetFixed32(payload_.data() + payload_.size() - 4);
-  n_ = GetFixed32(payload_.data() + payload_.size() - 8);
-  size_t trailer = 8 + n_ * 4;
-  if (payload_.size() < trailer) return false;
-  size_t entries_size = payload_.size() - trailer;
-  if (Checksum(std::string_view(payload_.data(), entries_size)) !=
-      stored_checksum) {
+bool BlockReader::ParseTrailer() {
+  const std::string& p = *payload_;
+  if (p.size() < 8) return false;
+  n_ = GetFixed32(p.data() + p.size() - 8);
+  const size_t trailer = 8 + n_ * 4;
+  if (p.size() < trailer) return false;
+  offsets_base_ = p.data() + p.size() - trailer;
+  return true;
+}
+
+bool BlockReader::Verify() const {
+  const std::string& p = *payload_;
+  const size_t entries_size = static_cast<size_t>(offsets_base_ - p.data());
+  if (Checksum(std::string_view(p.data(), entries_size)) !=
+      GetFixed32(p.data() + p.size() - 4)) {
     return false;
   }
-  offsets_base_ = payload_.data() + entries_size;
   // Validate offsets are in bounds and parseable.
   for (size_t i = 0; i < n_; ++i) {
-    if (GetFixed32(offsets_base_ + i * 4) >= entries_size && n_ > 0) {
-      return false;
-    }
+    if (GetFixed32(offsets_base_ + i * 4) >= entries_size) return false;
   }
   return true;
+}
+
+bool BlockReader::Init(std::shared_ptr<const std::string> payload) {
+  payload_ = std::move(payload);
+  if (ParseTrailer() && Verify()) return true;
+  *this = BlockReader();
+  return false;
+}
+
+void BlockReader::Attach(std::shared_ptr<const std::string> verified) {
+  payload_ = std::move(verified);
+  ParseTrailer();  // cannot fail: the payload passed Init
 }
 
 void BlockReader::Entry(size_t i, std::string_view* key,
                         std::string_view* value) const {
   uint32_t off = GetFixed32(offsets_base_ + i * 4);
-  const char* p = payload_.data() + off;
+  const char* p = payload_->data() + off;
   const char* limit = offsets_base_;
   uint32_t klen, vlen;
   p = GetVarint32(p, limit, &klen);

@@ -9,11 +9,18 @@
 // Blocks are compressed with the RLE codec before hitting disk; the
 // checksum covers the uncompressed payload (corruption is detected after
 // decompression).
+//
+// A BlockReader does not own its bytes: it shares an immutable payload
+// (shared_ptr<const string>) with the block cache. Init verifies a
+// payload once, when it is decoded from disk; Attach parses a payload
+// that already passed Init (a block-cache hit) in O(1), without copying
+// or re-checksumming it.
 
 #ifndef PROTEUS_LSM_BLOCK_H_
 #define PROTEUS_LSM_BLOCK_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,9 +44,17 @@ class BlockBuilder {
 
 class BlockReader {
  public:
-  /// Parses an uncompressed block; verifies the checksum. Keeps a copy of
-  /// the payload.
-  bool Init(std::string payload);
+  /// Parses an uncompressed block and verifies it: the in-block checksum
+  /// and every entry offset. Shares `payload` (no copy). On false the
+  /// reader is left empty.
+  bool Init(std::shared_ptr<const std::string> payload);
+  bool Init(std::string payload) {
+    return Init(std::make_shared<const std::string>(std::move(payload)));
+  }
+
+  /// Shares a payload that already passed Init (a block-cache hit):
+  /// reads only the trailer, so the cost is a refcount bump.
+  void Attach(std::shared_ptr<const std::string> verified);
 
   size_t n_entries() const { return n_; }
   std::string_view KeyAt(size_t i) const;
@@ -51,7 +66,13 @@ class BlockReader {
  private:
   void Entry(size_t i, std::string_view* key, std::string_view* value) const;
 
-  std::string payload_;
+  /// Reads n and the offset array's position from the trailer; false when
+  /// the payload is too short to hold them.
+  bool ParseTrailer();
+  /// The in-block checksum and offset bounds; after ParseTrailer.
+  bool Verify() const;
+
+  std::shared_ptr<const std::string> payload_;
   size_t n_ = 0;
   const char* offsets_base_ = nullptr;
 };

@@ -6,6 +6,11 @@
 // eviction (readers on many threads share the cache once maintenance
 // runs in the background). Payloads are shared_ptr<const string>, so a
 // block handed out stays valid after eviction.
+//
+// Every cached payload is a verified block: SstReader inserts a block
+// only after it passed its checks on the way in from disk, and readers
+// share the immutable payload on a hit (BlockReader::Attach) instead of
+// copying and re-checking it.
 
 #ifndef PROTEUS_LSM_BLOCK_CACHE_H_
 #define PROTEUS_LSM_BLOCK_CACHE_H_

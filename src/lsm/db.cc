@@ -2034,14 +2034,35 @@ size_t EntryFile(const Files& files, std::string_view lo) {
       files.begin());
 }
 
+// MultiSeek's per-batch buffers. Like ReadSources, one set per thread,
+// refilled by every batch and never shrunk; the string_views point into
+// the last batch and are cleared before any use.
+struct BatchBuffers {
+  std::vector<uint32_t> order;
+  std::vector<uint8_t> seen;
+  std::vector<uint32_t> verdicts;
+  std::vector<uint32_t> group;
+  std::vector<std::string_view> clip_lo, clip_hi;
+  std::vector<uint8_t> pass;
+  std::vector<std::pair<uint32_t, uint32_t>> entries;
+};
+
 }  // namespace
 
 // One query's positioned sources, in recency order (memtables newest
 // first, then L0 newest first, then L1, L2, ...). Two candidates with
 // equal (key, seqno) are one write seen through two sources (crash-replay
-// overlap), so whichever comes first answers. `list` never shrinks, so a
-// batch's queries reuse its cursor buffers; the first `n` entries are the
-// current query's sources.
+// overlap), so whichever comes first answers. The first `n` entries are
+// the current query's sources.
+//
+// Each thread keeps one ReadSources (ThreadReadSources) that all its
+// Seek and MultiSeek calls reuse, so a steady-state read allocates
+// nothing: `list` never shrinks and its cursors keep their string
+// buffers. Between reads the set holds no lock and no Version; its
+// pointers are stale and are reset before any use. What it does keep is
+// at most one decoded data block per `list` slot (the cursor's shared
+// payload), alive until a later read on the same thread moves that
+// cursor to another block, or the thread exits.
 struct Db::ReadSources {
   struct Source {
     const MemTable* mem = nullptr;                // memtable source
@@ -2066,13 +2087,17 @@ struct Db::ReadSources {
   std::string cursor;
 };
 
+Db::ReadSources& Db::ThreadReadSources() {
+  static thread_local ReadSources sources;
+  return sources;
+}
+
 SeekResult Db::Seek(std::string_view lo, std::string_view hi,
                     const ReadOptions& options) {
   ++stats_->seeks;
-  ReadSources sources;
   SeekResult r;
-  SeekLoop(AcquireReadView(options), options, lo, hi, nullptr, &sources,
-           &r);
+  SeekLoop(AcquireReadView(options), options, lo, hi, nullptr,
+           &ThreadReadSources(), &r);
   if (!r.found) RecordEmptySeek(lo, hi);
   return r;
 }
@@ -2279,12 +2304,15 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
       context.file_boundaries.push_back(f->smallest);
     }
   }
-  std::vector<uint32_t> order;
+  static thread_local BatchBuffers buffers;
+  std::vector<uint32_t>& order = buffers.order;
+  order.clear();
   scheduler.Plan(batch, context, &order);
   // A scheduler must emit a permutation; a broken one must not lose or
   // duplicate queries, so fall back to arrival order if it didn't.
   {
-    std::vector<uint8_t> seen(n, 0);
+    std::vector<uint8_t>& seen = buffers.seen;
+    seen.assign(n, 0);
     bool valid = order.size() == n;
     for (size_t i = 0; valid && i < n; ++i) {
       valid = order[i] < n && !seen[order[i]];
@@ -2303,10 +2331,12 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
   // loop's `verdicts` argument for query qi: per L0 file the verdict,
   // per sorted level 2 * entry file + verdict.
   const size_t stride = v.levels[0].size() + v.levels.size() - 1;
-  std::vector<uint32_t> verdicts(n * stride, 0);
-  std::vector<uint32_t> group;
-  std::vector<std::string_view> clip_lo, clip_hi;
-  std::vector<uint8_t> pass;
+  std::vector<uint32_t>& verdicts = buffers.verdicts;
+  verdicts.assign(n * stride, 0);
+  std::vector<uint32_t>& group = buffers.group;
+  std::vector<std::string_view>& clip_lo = buffers.clip_lo;
+  std::vector<std::string_view>& clip_hi = buffers.clip_hi;
+  std::vector<uint8_t>& pass = buffers.pass;
   auto check_group = [&](const FileMeta& f, size_t slot) {
     clip_lo.clear();
     clip_hi.clear();
@@ -2346,7 +2376,7 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
   }
   // (entry file, position in `order`): sorting groups the queries of one
   // entry file and keeps them in scheduled order.
-  std::vector<std::pair<uint32_t, uint32_t>> entries;
+  std::vector<std::pair<uint32_t, uint32_t>>& entries = buffers.entries;
   for (size_t level = 1; level < v.levels.size(); ++level) {
     const auto& files = v.levels[level];
     const size_t slot = v.levels[0].size() + level - 1;
@@ -2372,7 +2402,7 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
 
   // The read loop once per query, in scheduled order. Empty results feed
   // the sample queue with their original bounds, in arrival order.
-  ReadSources sources;
+  ReadSources& sources = ThreadReadSources();
   for (uint32_t qi : order) {
     SeekLoop(view, options, batch[qi].lo, batch[qi].hi,
              verdicts.data() + qi * stride, &sources, &(*results)[qi]);

@@ -491,9 +491,11 @@ class Db {
 
   ReadView AcquireReadView(const ReadOptions& ro) const;
 
-  /// One query's positioned sources (defined in db.cc). MultiSeek reuses
-  /// one set across its batch, so the loop allocates little per query.
+  /// One query's positioned sources (defined in db.cc).
   struct ReadSources;
+  /// The calling thread's ReadSources, reused by every Seek and
+  /// MultiSeek on that thread so the read loop does not allocate.
+  static ReadSources& ThreadReadSources();
 
   /// The read loop, the only code that answers a range query: positions
   /// a source per memtable, overlapping L0 file and sorted level at `lo`,

@@ -1,5 +1,6 @@
 #include "lsm/filter_policy.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "core/filter_builder.h"
@@ -65,12 +66,17 @@ class IntFilterAdapter : public SstFilter {
   }
   void MultiMayContain(const std::string_view* lo, const std::string_view* hi,
                        size_t n, uint8_t* out) const override {
-    std::vector<uint64_t> los(n), his(n);
-    for (size_t i = 0; i < n; ++i) {
-      los[i] = DecodeKeyBE(lo[i]);
-      his[i] = DecodeKeyBE(hi[i]);
+    // Decoded in fixed stack chunks: a batched probe allocates nothing.
+    constexpr size_t kChunk = 64;
+    uint64_t los[kChunk], his[kChunk];
+    for (size_t start = 0; start < n; start += kChunk) {
+      const size_t m = std::min(kChunk, n - start);
+      for (size_t i = 0; i < m; ++i) {
+        los[i] = DecodeKeyBE(lo[start + i]);
+        his[i] = DecodeKeyBE(hi[start + i]);
+      }
+      filter_->MultiMayContain(los, his, m, out + start);
     }
-    filter_->MultiMayContain(los.data(), his.data(), n, out);
   }
   uint64_t SizeBits() const override { return filter_->SizeBits(); }
   std::optional<double> ModeledFpr() const override {

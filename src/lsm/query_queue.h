@@ -16,11 +16,14 @@
 // value captured at each filter's design time.
 //
 // Thread-safe: readers on many threads record empty queries while a
-// background flush snapshots the sample set; one mutex covers both.
+// background flush snapshots the sample set. The rate counter is atomic,
+// so only the sampled queries (one in `sample_rate`) take the mutex that
+// covers the window and its signature.
 
 #ifndef PROTEUS_LSM_QUERY_QUEUE_H_
 #define PROTEUS_LSM_QUERY_QUEUE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <random>
@@ -35,7 +38,7 @@ namespace proteus {
 
 struct SampleQueueOptions {
   size_t capacity = 20000;     // ~320 KB of queries (Section 6.1)
-  uint32_t sample_rate = 100;  // record every 100th empty query
+  uint32_t sample_rate = 100;  // record every 100th empty query; 0 = none
   /// EWMA history weight per sampled query for the range-shape signature
   /// (0.99 ~ the last ~100 samples dominate).
   double signature_decay = 0.99;
@@ -58,8 +61,12 @@ class SampleQueryQueue {
   /// Returns true when the query was actually recorded (for the DB's
   /// queue_sampled counter).
   bool OnEmptyQuery(std::string_view lo, std::string_view hi) {
+    const uint64_t seen =
+        counter_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (options_.sample_rate == 0 || seen % options_.sample_rate != 0) {
+      return false;
+    }
     std::lock_guard<std::mutex> lock(mu_);
-    if (++counter_ % options_.sample_rate != 0) return false;
     Record(lo, hi);
     return true;
   }
@@ -74,10 +81,7 @@ class SampleQueryQueue {
     std::lock_guard<std::mutex> lock(mu_);
     return window_.size();
   }
-  uint64_t seen() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return counter_;
-  }
+  uint64_t seen() const { return counter_.load(std::memory_order_relaxed); }
   /// Queries recorded into the window over the queue's lifetime
   /// (monotonic; eviction does not decrease it).
   uint64_t sampled() const {
@@ -111,7 +115,7 @@ class SampleQueryQueue {
   std::vector<std::pair<std::string, std::string>> window_;
   QuerySignature signature_;
   std::minstd_rand rng_{0x9e3779b9u};  // deterministic victim choice
-  uint64_t counter_ = 0;
+  std::atomic<uint64_t> counter_{0};  // empty queries offered
   uint64_t sampled_ = 0;
 };
 

@@ -234,18 +234,20 @@ Status SstReader::ReadDataBlock(size_t block_index, BlockReader* out,
   if (opts.use_cache && cache_ != nullptr) {
     auto cached = cache_->Get(file_id_, handle.offset);
     if (cached != nullptr) {
-      // Cached payloads passed the in-block checksum on insertion.
-      if (out->Init(*cached)) return Status::OK();
-      return Status::Corruption("cached block unparsable: " + path_);
+      // Only blocks that passed every check below are inserted, so a hit
+      // shares the verified payload as is: no copy, no second checksum.
+      out->Attach(std::move(cached));
+      return Status::OK();
     }
   }
   std::string disk;
   if (!ReadRaw(handle.offset, handle.size, &disk)) {
     return Status::IOError(Errno("cannot read data block: " + path_));
   }
-  // verify_checksums=false skips only this redundant handle CRC; the
-  // in-block checksum below still runs (Init cannot parse without it),
-  // so a cached block is never wholly unverified.
+  // Every block read from disk is verified here, once. With
+  // verify_checksums=false only the handle CRC over the on-disk bytes is
+  // skipped; the in-block checksum and offset checks in Init always run,
+  // so nothing unverified is used or cached.
   if (opts.verify_checksums && Crc32c(disk) != handle.crc) {
     return Status::Corruption("data block CRC mismatch: " + path_);
   }
@@ -253,11 +255,11 @@ Status SstReader::ReadDataBlock(size_t block_index, BlockReader* out,
   if (!RleDecompress(disk, payload.get())) {
     return Status::Corruption("data block undecodable: " + path_);
   }
-  if (!out->Init(*payload)) {
+  if (!out->Init(payload)) {
     return Status::Corruption("data block checksum mismatch: " + path_);
   }
   if (opts.use_cache && opts.fill_cache && cache_ != nullptr) {
-    cache_->Insert(file_id_, handle.offset, payload);
+    cache_->Insert(file_id_, handle.offset, std::move(payload));
   }
   return Status::OK();
 }

@@ -268,6 +268,9 @@ class SstReader {
     uint32_t crc = 0;
   };
   bool ParseHandle(size_t block_index, BlockHandle* out) const;
+  /// Points `out` at data block `block_index`. A cache hit shares the
+  /// cached, already verified payload; a miss reads the block, verifies
+  /// it and, if it passes and `opts` allow, caches it.
   Status ReadDataBlock(size_t block_index, BlockReader* out,
                        const BlockReadOptions& opts) const;
   bool ReadRaw(uint64_t offset, uint64_t size, std::string* out) const;

@@ -15,9 +15,11 @@
 #include "lsm/block_cache.h"
 #include "lsm/db.h"
 #include "lsm/filter_policy.h"
+#include "lsm/rle.h"
 #include "lsm/sst.h"
 #include "surf/surf.h"
 #include "util/random.h"
+#include "util/serial.h"
 
 namespace proteus {
 namespace {
@@ -276,6 +278,107 @@ TEST(FilterBlockFailure, TruncatedFilterBlockFallsBackToRebuild) {
   SeekResult r = db->Seek(EncodeKeyBE(60), EncodeKeyBE(60));
   ASSERT_TRUE(r.found);
   EXPECT_EQ(r.value, "value10");
+}
+
+// ---------------------------------------------------------------------------
+// Block cache: a data block is verified once, on its way in from disk,
+// and only a block that passes is cached and shared.
+// ---------------------------------------------------------------------------
+
+// The lowest-numbered SST in the database directory.
+std::string FirstSst(const DbOptions& options) {
+  for (uint64_t id = 1; id < 64; ++id) {
+    std::string path = options.dir + "/" + std::to_string(id) + ".sst";
+    if (::access(path.c_str(), F_OK) == 0) return path;
+  }
+  return "";
+}
+
+// The (offset, size) of a file's first data block, from its index block.
+std::pair<uint64_t, uint64_t> FirstDataBlock(const std::string& file) {
+  const char* footer = file.data() + file.size() - kFooterV2Size;
+  std::string index_payload;
+  EXPECT_TRUE(RleDecompress(std::string_view(file).substr(
+                                 LoadFixed64(footer), LoadFixed64(footer + 8)),
+                             &index_payload));
+  BlockReader index;
+  EXPECT_TRUE(index.Init(std::move(index_payload)));
+  EXPECT_GT(index.n_entries(), 0u);
+  const char* handle = index.ValueAt(0).data();
+  return {LoadFixed64(handle), LoadFixed64(handle + 8)};
+}
+
+TEST(BlockCacheVerifyOnce, BlockFailingItsChecksumIsNeverCached) {
+  auto options = FailDbOptions("verify_once_bad");
+  FillAndClose(options);
+  const std::string path = FirstSst(options);
+  ASSERT_FALSE(path.empty());
+  std::string content = ReadFile(path);
+  const auto [offset, size] = FirstDataBlock(content);
+  std::string payload;
+  ASSERT_TRUE(RleDecompress(content.substr(offset, size), &payload));
+  BlockReader good;
+  ASSERT_TRUE(good.Init(payload));
+  const std::string key(good.KeyAt(0));
+  // The in-block checksum is the payload's last four bytes. Swapping one
+  // non-zero byte for another keeps the RLE encoding the same length.
+  payload.back() = payload.back() == 'x' ? 'y' : 'x';
+  const std::string disk = RleCompress(payload);
+  ASSERT_EQ(disk.size(), size);
+  content.replace(offset, size, disk);
+  WriteFile(path, content);
+
+  auto [db, status] = Db::Open(options);
+  ASSERT_NE(db, nullptr) << status.ToString();
+  ReadOptions ro;
+  ro.verify_checksums = false;  // skip the handle CRC; the block still fails
+  const uint64_t inserts = db->cache().stats().inserts;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    SeekResult r = db->Seek(key, key, ro);
+    EXPECT_TRUE(r.status.IsCorruption()) << attempt << r.status.ToString();
+    EXPECT_NE(r.status.message().find("checksum mismatch"), std::string::npos)
+        << r.status.ToString();
+    EXPECT_EQ(db->cache().stats().inserts, inserts) << attempt;
+  }
+  EXPECT_EQ(db->stats().read_errors, 2u);
+}
+
+TEST(BlockCacheVerifyOnce, RepeatSeekSharesTheVerifiedBlock) {
+  auto options = FailDbOptions("verify_once_hit");
+  FillAndClose(options);
+  auto [db, status] = Db::Open(options);
+  ASSERT_NE(db, nullptr) << status.ToString();
+  const std::string key = EncodeKeyBE(600);
+  ASSERT_TRUE(db->Seek(key, key).found);  // a miss that fills the cache
+  const BlockCache::Stats before = db->cache().stats();
+  SeekResult r = db->Seek(key, key);
+  const BlockCache::Stats after = db->cache().stats();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  ASSERT_TRUE(r.found);
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.inserts, before.inserts);
+
+  // The same entry read straight from disk, bypassing the cache.
+  constexpr BlockReadOptions kDiskRead{/*verify_checksums=*/true,
+                                       /*fill_cache=*/false,
+                                       /*use_cache=*/false};
+  int files_with_key = 0;
+  for (uint64_t id = 1; id < 64; ++id) {
+    const std::string path = options.dir + "/" + std::to_string(id) + ".sst";
+    if (::access(path.c_str(), F_OK) != 0) continue;
+    SstReader reader;
+    ASSERT_TRUE(reader.Open(path, id, nullptr).ok()) << path;
+    SstReader::SeekEntry se;
+    if (SeekInRange(reader, key, key, kMaxSequence, kDiskRead, &se) != 0) {
+      continue;
+    }
+    ++files_with_key;
+    EXPECT_EQ(se.key, r.key);
+    EXPECT_EQ(se.value, r.value);
+  }
+  EXPECT_EQ(files_with_key, 1);
+  EXPECT_EQ(r.value, "value100");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lsm/block.h"
@@ -374,6 +375,47 @@ TEST(QueryQueueTest, ZeroCapacityNeverGrows) {
   EXPECT_EQ(queue.size(), 0u);
   EXPECT_EQ(queue.sampled(), 100u);  // signature still tracks the stream
   EXPECT_GE(queue.Signature(), 0.0);
+}
+
+TEST(QueryQueueTest, OneThreadSamplesEveryRateThQueryInOrder) {
+  SampleQueryQueue::Options opts;
+  opts.capacity = 1000;
+  opts.sample_rate = 7;
+  SampleQueryQueue queue(opts);
+  for (int i = 1; i <= 700; ++i) {
+    EXPECT_EQ(queue.OnEmptyQuery(std::to_string(i), "z"), i % 7 == 0) << i;
+  }
+  const auto window = queue.Snapshot();
+  ASSERT_EQ(window.size(), 100u);
+  for (size_t j = 0; j < window.size(); ++j) {
+    EXPECT_EQ(window[j].first, std::to_string(7 * (j + 1)));
+  }
+}
+
+TEST(QueryQueueTest, ConcurrentCallersAreEachCountedOnce) {
+  SampleQueryQueue::Options opts;
+  opts.sample_rate = 100;
+  SampleQueryQueue queue(opts);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&queue, t] {
+      const std::string lo = "lo" + std::to_string(t);
+      for (int i = 0; i < 25000; ++i) queue.OnEmptyQuery(lo, "hi");
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(queue.seen(), 100000u);
+  EXPECT_EQ(queue.sampled(), 1000u);
+  EXPECT_EQ(queue.size(), 1000u);
+}
+
+TEST(QueryQueueTest, ZeroRateSamplesNothing) {
+  SampleQueryQueue::Options opts;
+  opts.sample_rate = 0;
+  SampleQueryQueue queue(opts);
+  for (int i = 0; i < 10; ++i) EXPECT_FALSE(queue.OnEmptyQuery("a", "b"));
+  EXPECT_EQ(queue.seen(), 10u);
+  EXPECT_EQ(queue.sampled(), 0u);
 }
 
 TEST(QueryQueueTest, SeedBypassesSampling) {
