@@ -8,14 +8,14 @@
 //   open loop (--rate=QPS): requests arrive on a fixed schedule whether
 //     or not the engine has caught up, so latency includes queue delay —
 //     the tail a real server would show at that offered load.
-//   --server=HOST:PORT: drive a running example_server over the wire
+//   --server=HOST:PORT: drive a running server (examples/server.cc) over the wire
 //     protocol instead of the in-process engine (the DB flags are then
 //     ignored; make the server's --keys match for a meaningful found%).
 //
 // Extra flags beyond bench_common's: --batch=1,16,64,256 (comma list;
-// batch 1 runs the one-at-a-time Seek baseline), --scheduler=SPEC,
-// --rate=QPS, --cache-mb=N. --json=PATH dumps one record per (mode,
-// batch) pair.
+// batch 1 runs the one-at-a-time Seek baseline), --rate=QPS,
+// --cache-mb=N. --json=PATH dumps one record per (mode, batch) pair.
+// MultiSeek runs every batch in key order.
 
 #include <algorithm>
 #include <cstdint>
@@ -108,7 +108,6 @@ bool ServerRoundTrip(int fd, const QueryBatch& batch,
 
 struct QpsArgs {
   std::vector<uint64_t> batches = {1, 16, 64, 256};
-  std::string scheduler = "sorted";
   double rate = 0.0;  // open-loop offered load in queries/sec; 0 = closed
   uint64_t cache_mb = 2;
   std::string server_host;
@@ -125,8 +124,6 @@ QpsArgs ParseQpsArgs(int argc, char** argv) {
         args.batches.push_back(std::strtoull(p, const_cast<char**>(&p), 10));
         if (*p == ',') ++p;
       }
-    } else if (std::strncmp(a, "--scheduler=", 12) == 0) {
-      args.scheduler = a + 12;
     } else if (std::strncmp(a, "--rate=", 7) == 0) {
       args.rate = std::strtod(a + 7, nullptr);
     } else if (std::strncmp(a, "--cache-mb=", 11) == 0) {
@@ -234,7 +231,6 @@ int main(int argc, char** argv) {
     sink.Add()
         .Str("bench", "qps")
         .Str("mode", mode)
-        .Str("scheduler", qps.scheduler)
         .Num("batch", static_cast<double>(batch))
         .Num("queries", static_cast<double>(queries.size()))
         .Num("rate", qps.rate)
@@ -310,13 +306,7 @@ int main(int argc, char** argv) {
       if (slice < 2) db.Flush();
     }
 
-    Status status;
-    auto engine = QueryEngine::Create(db_ptr.get(), qps.scheduler, &status);
-    if (engine == nullptr) {
-      std::fprintf(stderr, "scheduler \"%s\": %s\n", qps.scheduler.c_str(),
-                   status.ToString().c_str());
-      return 1;
-    }
+    QueryEngine engine(db_ptr.get());
 
     bench::PrintHeader("qps: sequential Seek vs batched MultiSeek");
     std::vector<MultiSeekResult> results;
@@ -346,7 +336,7 @@ int main(int argc, char** argv) {
         });
       } else {
         run_mode("multiseek", batch, [&](const QueryBatch& b) {
-          engine->Run(b, &results);
+          engine.Run(b, &results);
           uint64_t found = 0;
           for (const auto& res : results) found += res.found;
           return found;

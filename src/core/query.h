@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace proteus {
 
@@ -18,6 +19,10 @@ struct StrRangeQuery {
   std::string lo;
   std::string hi;
 };
+
+/// A batch of inclusive range queries over encoded (byte-string) keys:
+/// the unit of Db::MultiSeek and of the query engine.
+using QueryBatch = std::vector<StrRangeQuery>;
 
 }  // namespace proteus
 

@@ -18,20 +18,19 @@ void BatchStats::Accumulate(const BatchStats& other) {
 }
 
 std::unique_ptr<QueryEngine> QueryEngine::Create(Db* db,
-                                                const std::string& spec,
+                                                const std::string& order,
                                                 Status* status) {
-  std::string error;
-  auto scheduler = SchedulerRegistry::Global().Create(spec, &error);
-  if (scheduler == nullptr) {
-    if (status != nullptr) *status = Status::InvalidArgument(error);
+  if (order != "sorted") {
+    if (status != nullptr) {
+      *status = Status::InvalidArgument(
+          "unknown batch order \"" + order +
+          "\"; MultiSeek runs queries sorted by key (\"sorted\")");
+    }
     return nullptr;
   }
   if (status != nullptr) *status = Status::OK();
-  return std::make_unique<QueryEngine>(db, std::move(scheduler));
+  return std::make_unique<QueryEngine>(db);
 }
-
-QueryEngine::QueryEngine(Db* db, std::unique_ptr<Scheduler> scheduler)
-    : db_(db), scheduler_(std::move(scheduler)) {}
 
 void QueryEngine::Run(const QueryBatch& batch,
                       std::vector<MultiSeekResult>* results,
@@ -39,7 +38,7 @@ void QueryEngine::Run(const QueryBatch& batch,
   const DbStats before = db_->stats();
   const BlockCache::Stats cache_before = db_->cache().stats();
   Stopwatch timer;
-  db_->MultiSeek(batch, *scheduler_, results, options);
+  db_->MultiSeek(batch, results, options);
   BatchStats delta;
   delta.wall_ns = timer.ElapsedNanos();
   delta.queries = batch.size();

@@ -1,8 +1,7 @@
-// QueryEngine: the batched front door to a Db. It owns the scheduler
-// (resolved from a spec string through SchedulerRegistry), drives
-// Db::MultiSeek, and measures what each batch cost — filter negatives,
-// data blocks touched, wall time — as the per-batch stats the server and
-// the load generator report.
+// QueryEngine: the batched front door to a Db. It drives Db::MultiSeek,
+// which runs every batch in key order, and measures what each batch
+// cost — filter negatives, data blocks touched, wall time — as the
+// per-batch stats the server and the load generator report.
 
 #ifndef PROTEUS_ENGINE_QUERY_ENGINE_H_
 #define PROTEUS_ENGINE_QUERY_ENGINE_H_
@@ -12,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/scheduler.h"
+#include "core/query.h"
 #include "lsm/db.h"
 #include "util/status.h"
 
@@ -43,23 +42,24 @@ struct BatchStats {
 
 class QueryEngine {
  public:
-  /// Builds an engine over `db` with the scheduler named by `spec`
-  /// (e.g. "fifo", "sorted", "grouped"). Returns null and fills
-  /// `status` (InvalidArgument) on an unknown or malformed spec. The
-  /// caller keeps `db` alive for the engine's lifetime.
-  static std::unique_ptr<QueryEngine> Create(Db* db, const std::string& spec,
+  /// Builds an engine over `db`. `order` must be "sorted", the key order
+  /// Db::MultiSeek always runs. The parameter remains so that a caller
+  /// naming another order (say "fifo" or "grouped") learns that it is
+  /// not available, with null and InvalidArgument in `status`, instead
+  /// of silently getting key order. The caller keeps `db` alive for the
+  /// engine's lifetime.
+  static std::unique_ptr<QueryEngine> Create(Db* db, const std::string& order,
                                              Status* status = nullptr);
 
-  QueryEngine(Db* db, std::unique_ptr<Scheduler> scheduler);
+  explicit QueryEngine(Db* db) : db_(db) {}
 
-  /// Runs one batch through Db::MultiSeek under the engine's scheduler.
-  /// Fills `stats` (when non-null) with the batch's cost and folds it
-  /// into totals(). `options` (snapshot, checksum/cache knobs) applies
-  /// to the whole batch — one pinned view, one sequence horizon.
+  /// Runs one batch through Db::MultiSeek. Fills `stats` (when non-null)
+  /// with the batch's cost and folds it into totals(). `options`
+  /// (snapshot, checksum/cache knobs) applies to the whole batch — one
+  /// pinned view, one sequence horizon.
   void Run(const QueryBatch& batch, std::vector<MultiSeekResult>* results,
            BatchStats* stats = nullptr, const ReadOptions& options = {});
 
-  const Scheduler& scheduler() const { return *scheduler_; }
   Db& db() { return *db_; }
 
   /// Accumulated stats across every Run since construction.
@@ -67,7 +67,6 @@ class QueryEngine {
 
  private:
   Db* db_;
-  std::unique_ptr<Scheduler> scheduler_;
   BatchStats totals_;
 };
 

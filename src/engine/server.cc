@@ -28,7 +28,7 @@ bool SetNonBlocking(int fd) {
 }  // namespace
 
 BatchServer::BatchServer(Db* db, ServerOptions options)
-    : db_(db), options_(std::move(options)) {}
+    : options_(std::move(options)), engine_(db) {}
 
 BatchServer::~BatchServer() {
   CloseAll();
@@ -39,10 +39,6 @@ BatchServer::~BatchServer() {
 }
 
 Status BatchServer::Start() {
-  Status status;
-  engine_ = QueryEngine::Create(db_, options_.scheduler, &status);
-  if (engine_ == nullptr) return status;
-
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return Errno("socket");
   int one = 1;
@@ -157,10 +153,11 @@ void BatchServer::AcceptPending() {
 
 bool BatchServer::HandleReadable(Connection* conn) {
   char buf[64 << 10];
-  for (;;) {
+  while (!conn->close_after_write) {
     ssize_t r = ::read(conn->fd, buf, sizeof(buf));
     if (r > 0) {
       conn->in.append(buf, static_cast<size_t>(r));
+      HandleFrames(conn);
       continue;
     }
     if (r == 0) return false;  // peer closed
@@ -168,35 +165,37 @@ bool BatchServer::HandleReadable(Connection* conn) {
     if (errno == EINTR) continue;
     return false;
   }
-  std::string payload;
-  for (;;) {
-    switch (WireExtractFrame(&conn->in, &payload)) {
-      case WireFrameStatus::kNeedMore:
-        return true;
-      case WireFrameStatus::kTooLarge:
-        ++stats_.protocol_errors;
-        WireEncodeErrorResponse("frame too large", &conn->out);
-        conn->close_after_write = true;
-        return true;
-      case WireFrameStatus::kFrame:
-        if (!HandleFrame(conn, payload)) {
-          ++stats_.protocol_errors;
-          WireEncodeErrorResponse("malformed request", &conn->out);
-          conn->close_after_write = true;
-          return true;
-        }
-        break;
-    }
-  }
+  return true;
 }
 
-bool BatchServer::HandleFrame(Connection* conn, const std::string& payload) {
+void BatchServer::HandleFrames(Connection* conn) {
+  std::string_view rest = conn->in;
+  std::string_view payload;
+  while (!conn->close_after_write) {
+    const WireFrameStatus status = WireExtractFrame(&rest, &payload);
+    if (status == WireFrameStatus::kNeedMore) break;
+    const char* error = nullptr;
+    if (status == WireFrameStatus::kTooLarge) {
+      error = "frame too large";
+    } else if (!HandleFrame(conn, payload)) {
+      error = "malformed request";
+    }
+    if (error != nullptr) {
+      ++stats_.protocol_errors;
+      WireEncodeErrorResponse(error, &conn->out);
+      conn->close_after_write = true;
+    }
+  }
+  conn->in.erase(0, conn->in.size() - rest.size());
+}
+
+bool BatchServer::HandleFrame(Connection* conn, std::string_view payload) {
   switch (WirePeekOp(payload)) {
     case kWireOpMultiSeek: {
       QueryBatch batch;
       if (!WireDecodeMultiSeekRequest(payload, &batch)) return false;
       std::vector<MultiSeekResult> results;
-      engine_->Run(batch, &results);
+      engine_.Run(batch, &results);
       ++stats_.batches_served;
       stats_.queries_served += batch.size();
       WireEncodeResultsResponse(results, &conn->out);
@@ -211,10 +210,11 @@ bool BatchServer::HandleFrame(Connection* conn, const std::string& payload) {
 }
 
 bool BatchServer::HandleWritable(Connection* conn) {
-  while (!conn->out.empty()) {
-    ssize_t w = ::write(conn->fd, conn->out.data(), conn->out.size());
+  while (conn->out_done < conn->out.size()) {
+    ssize_t w = ::write(conn->fd, conn->out.data() + conn->out_done,
+                        conn->out.size() - conn->out_done);
     if (w > 0) {
-      conn->out.erase(0, static_cast<size_t>(w));
+      conn->out_done += static_cast<size_t>(w);
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
@@ -226,18 +226,17 @@ bool BatchServer::HandleWritable(Connection* conn) {
 
 void BatchServer::UpdateEpoll(Connection* conn) {
   // Flush inline first: most responses fit the socket buffer, so the
-  // common case never registers EPOLLOUT.
-  if (!conn->out.empty()) {
-    if (!HandleWritable(conn)) {
-      CloseConnection(conn->fd);
-      return;
-    }
-  } else if (conn->close_after_write) {
+  // common case never registers EPOLLOUT. Then drop what was written,
+  // once per event.
+  if (!HandleWritable(conn)) {
     CloseConnection(conn->fd);
     return;
   }
+  conn->out.erase(0, conn->out_done);
+  conn->out_done = 0;
+  // After a protocol error only the error frame is left to send.
   epoll_event ev{};
-  ev.events = EPOLLIN;
+  ev.events = conn->close_after_write ? 0u : uint32_t{EPOLLIN};
   if (!conn->out.empty()) ev.events |= EPOLLOUT;
   ev.data.fd = conn->fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);

@@ -8,19 +8,26 @@
 // port, a background thread calls Serve(), clients connect over
 // loopback, Stop() shuts the loop down from any thread.
 //
-// One event-loop thread issues every MultiSeek; concurrency across
-// connections comes from interleaving batches, not from parallel query
-// execution. (The Db itself is fully concurrent — writers and background
-// maintenance may run alongside the serving thread; each batch resolves
-// against one pinned MVCC view.)
+// One event-loop thread issues every MultiSeek, and MultiSeek runs each
+// batch in key order; concurrency across connections comes from
+// interleaving batches, not from parallel query execution. (The Db
+// itself is fully concurrent — writers and background maintenance may
+// run alongside the serving thread; each batch resolves against one
+// pinned MVCC view.)
+//
+// A connection's frames are handled after every read(), so its input
+// buffer holds at most one partial frame plus one read even while a
+// client pipelines requests; consumed input and written output are
+// tracked by offset and dropped once per read and once per event, never
+// per frame.
 
 #ifndef PROTEUS_ENGINE_SERVER_H_
 #define PROTEUS_ENGINE_SERVER_H_
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
+#include <string_view>
 
 #include "engine/query_engine.h"
 #include "lsm/db.h"
@@ -32,7 +39,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = pick an ephemeral port (see port())
   int backlog = 128;
-  std::string scheduler = "sorted";
 };
 
 class BatchServer {
@@ -72,25 +78,28 @@ class BatchServer {
  private:
   struct Connection {
     int fd = -1;
-    std::string in;   // bytes read, not yet framed
-    std::string out;  // encoded responses awaiting write
+    std::string in;        // bytes read, not yet framed
+    std::string out;       // encoded responses; the first out_done are sent
+    size_t out_done = 0;
     bool close_after_write = false;  // protocol error: flush error frame, close
   };
 
   void AcceptPending();
-  /// Reads until EAGAIN, handles complete frames. False = close the conn.
+  /// Reads until EAGAIN, handling the complete frames after each read.
+  /// False = close the conn.
   bool HandleReadable(Connection* conn);
+  /// Handles every complete frame in `in`, then drops their bytes.
+  void HandleFrames(Connection* conn);
   /// Runs one request frame through the engine, appends the response.
-  bool HandleFrame(Connection* conn, const std::string& payload);
+  bool HandleFrame(Connection* conn, std::string_view payload);
   /// Writes until EAGAIN or drained. False = close the conn.
   bool HandleWritable(Connection* conn);
   void UpdateEpoll(Connection* conn);
   void CloseConnection(int fd);
   void CloseAll();
 
-  Db* db_;
   ServerOptions options_;
-  std::unique_ptr<QueryEngine> engine_;
+  QueryEngine engine_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  // self-pipe: Stop() -> event loop wakeup

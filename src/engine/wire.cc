@@ -36,15 +36,16 @@ void WireAppendFrame(std::string* out, std::string_view payload) {
   out->append(payload.data(), payload.size());
 }
 
-WireFrameStatus WireExtractFrame(std::string* buffer, std::string* payload) {
+WireFrameStatus WireExtractFrame(std::string_view* buffer,
+                                 std::string_view* payload) {
   if (buffer->size() < 4) return WireFrameStatus::kNeedMore;
   const uint32_t length = LoadFixed32(buffer->data());
   if (length > kWireMaxFrameBytes) return WireFrameStatus::kTooLarge;
   if (buffer->size() < 4 + static_cast<size_t>(length)) {
     return WireFrameStatus::kNeedMore;
   }
-  payload->assign(buffer->data() + 4, length);
-  buffer->erase(0, 4 + static_cast<size_t>(length));
+  *payload = buffer->substr(4, length);
+  buffer->remove_prefix(4 + static_cast<size_t>(length));
   return WireFrameStatus::kFrame;
 }
 

@@ -52,9 +52,12 @@ enum class WireFrameStatus {
   kTooLarge,  // declared length exceeds kWireMaxFrameBytes: protocol error
 };
 
-/// Splits the first complete frame off the front of `buffer` into
-/// `payload`. Call in a loop until kNeedMore.
-WireFrameStatus WireExtractFrame(std::string* buffer, std::string* payload);
+/// Splits the first complete frame off the front of `buffer`: `payload`
+/// views its bytes (valid while the buffer's are) and `buffer` advances
+/// past it, so a loop until kNeedMore consumes every complete frame
+/// without moving any bytes.
+WireFrameStatus WireExtractFrame(std::string_view* buffer,
+                                 std::string_view* payload);
 
 // --- Requests ---
 

@@ -2039,7 +2039,6 @@ size_t EntryFile(const Files& files, std::string_view lo) {
 // the last batch and are cleared before any use.
 struct BatchBuffers {
   std::vector<uint32_t> order;
-  std::vector<uint8_t> seen;
   std::vector<uint32_t> verdicts;
   std::vector<uint32_t> group;
   std::vector<std::string_view> clip_lo, clip_hi;
@@ -2275,7 +2274,7 @@ void Db::SeekLoop(const ReadView& view, const ReadOptions& ro,
   }
 }
 
-void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
+void Db::MultiSeek(const QueryBatch& batch,
                    std::vector<MultiSeekResult>* results,
                    const ReadOptions& options) {
   const size_t n = batch.size();
@@ -2288,45 +2287,21 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
   const ReadView view = AcquireReadView(options);
   const Version& v = *view.version;
 
-  // Layout hints for layout-aware schedulers: the boundaries of the
-  // largest sorted level (the one most batches fan out over).
-  ScheduleContext context;
-  size_t widest = 0;  // 0 = no sorted level yet (L0 has no boundaries)
-  for (size_t level = 1; level < v.levels.size(); ++level) {
-    if (v.levels[level].size() >
-        (widest == 0 ? size_t{0} : v.levels[widest].size())) {
-      widest = level;
-    }
-  }
-  if (widest != 0) {
-    context.file_boundaries.reserve(v.levels[widest].size());
-    for (const auto& f : v.levels[widest]) {
-      context.file_boundaries.push_back(f->smallest);
-    }
-  }
+  // Key order: ascending lo, ties in arrival order. Sorting on the pair
+  // (lo, index) gives the stable permutation without a stable sort's
+  // temporary buffer.
   static thread_local BatchBuffers buffers;
   std::vector<uint32_t>& order = buffers.order;
-  order.clear();
-  scheduler.Plan(batch, context, &order);
-  // A scheduler must emit a permutation; a broken one must not lose or
-  // duplicate queries, so fall back to arrival order if it didn't.
-  {
-    std::vector<uint8_t>& seen = buffers.seen;
-    seen.assign(n, 0);
-    bool valid = order.size() == n;
-    for (size_t i = 0; valid && i < n; ++i) {
-      valid = order[i] < n && !seen[order[i]];
-      if (valid) seen[order[i]] = 1;
-    }
-    if (!valid) {
-      order.resize(n);
-      for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
-    }
-  }
+  order.resize(n);
+  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
+  std::sort(order.begin(), order.end(), [&batch](uint32_t a, uint32_t b) {
+    const int c = batch[a].lo.compare(batch[b].lo);
+    return c < 0 || (c == 0 && a < b);
+  });
 
   // The batched filter pass: exactly the verdicts the read loop takes
   // while priming its sources (each overlapping L0 file, each sorted
-  // level's entry file), grouped per file in scheduled order into one
+  // level's entry file), grouped per file in key order into one
   // MultiMayContain call and booked here. Row qi of `verdicts` is the
   // loop's `verdicts` argument for query qi: per L0 file the verdict,
   // per sorted level 2 * entry file + verdict.
@@ -2375,7 +2350,7 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
     if (!group.empty()) check_group(f, i);
   }
   // (entry file, position in `order`): sorting groups the queries of one
-  // entry file and keeps them in scheduled order.
+  // entry file and keeps them in key order.
   std::vector<std::pair<uint32_t, uint32_t>>& entries = buffers.entries;
   for (size_t level = 1; level < v.levels.size(); ++level) {
     const auto& files = v.levels[level];
@@ -2400,7 +2375,7 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
     }
   }
 
-  // The read loop once per query, in scheduled order. Empty results feed
+  // The read loop once per query, in key order. Empty results feed
   // the sample queue with their original bounds, in arrival order.
   ReadSources& sources = ThreadReadSources();
   for (uint32_t qi : order) {

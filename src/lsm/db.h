@@ -72,7 +72,7 @@
 #include <utility>
 #include <vector>
 
-#include "engine/scheduler.h"
+#include "core/query.h"
 #include "lsm/block_cache.h"
 #include "lsm/drift.h"
 #include "lsm/filter_policy.h"
@@ -307,16 +307,18 @@ class Db {
                   const ReadOptions& options = {});
 
   /// Batched Seek: answers every query in `batch` with exactly the
-  /// Seek() results and the same cost counters. The scheduler fixes the
-  /// execution order (see engine/scheduler.h). A batched filter pass then
-  /// takes every verdict the read loop would take while priming its
-  /// sources (each overlapping L0 file, each sorted level's entry file)
-  /// in one MultiMayContain call per file, and the read loop runs once
-  /// per query in scheduled order, primed with that query's verdicts.
-  /// The whole batch resolves against ONE pinned view and one snapshot
+  /// Seek() results and the same cost counters. Queries run in key order
+  /// (ascending `lo`, ties in arrival order), so one file's filter
+  /// regions and data blocks are visited in ascending order. A batched
+  /// filter pass takes every verdict the read loop would take while
+  /// priming its sources (each overlapping L0 file, each sorted level's
+  /// entry file) in one MultiMayContain call per file, and the read loop
+  /// then runs once per query, primed with that query's verdicts. The
+  /// whole batch resolves against ONE pinned view and one snapshot
   /// horizon, so its answers are mutually consistent even while writers
-  /// commit concurrently.
-  void MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
+  /// commit concurrently. `results[i]` answers `batch[i]` whatever the
+  /// arrival order.
+  void MultiSeek(const QueryBatch& batch,
                  std::vector<MultiSeekResult>* results,
                  const ReadOptions& options = {});
 

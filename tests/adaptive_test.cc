@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/scheduler.h"
 #include "lsm/db.h"
 #include "lsm/filter_policy.h"
 #include "surf/surf.h"
@@ -79,7 +78,7 @@ class Differential {
     ++op_;
   }
 
-  void MultiSeek(const Phase& p, const Scheduler& scheduler) {
+  void MultiSeek(const Phase& p) {
     QueryBatch batch;
     std::vector<std::pair<uint64_t, uint64_t>> ranges;
     for (int i = 0; i < 16; ++i) {
@@ -88,7 +87,7 @@ class Differential {
       ranges.emplace_back(lo, hi);
     }
     std::vector<MultiSeekResult> results;
-    db_->MultiSeek(batch, scheduler, &results);
+    db_->MultiSeek(batch, &results);
     ASSERT_EQ(results.size(), batch.size());
     for (size_t i = 0; i < results.size(); ++i) {
       Check(results[i], ranges[i].first, ranges[i].second);
@@ -169,8 +168,6 @@ void RunDifferential(uint64_t seed) {
 
   std::mt19937_64 rng(seed);
   Differential diff(db.get(), &rng);
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
-  ASSERT_NE(scheduler, nullptr);
 
   // Phase A: uniform keys, wide scans. Phase B (the shift): clustered
   // keys, point-ish lookups. A close/reopen sits between them, so phase
@@ -194,7 +191,7 @@ void RunDifferential(uint64_t seed) {
       } else if (dice < 90) {
         diff.Seek(p);
       } else {
-        diff.MultiSeek(p, *scheduler);
+        diff.MultiSeek(p);
       }
       if (testing::Test::HasFatalFailure()) return;
     }

@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "engine/scheduler.h"
 #include "lsm/db.h"
 #include "surf/surf.h"
 #include "util/random.h"
@@ -156,26 +155,22 @@ TEST(Mvcc, MultiSeekMatchesSeekAtFixedSnapshotUnderConcurrentWriter) {
   });
 
   Rng rng(83);
-  for (const char* spec : {"fifo", "sorted", "grouped"}) {
-    auto scheduler = SchedulerRegistry::Global().Create(spec);
-    ASSERT_NE(scheduler, nullptr) << spec;
-    QueryBatch batch;
-    for (int i = 0; i < 300; ++i) {
-      uint64_t k = rng.NextBelow(5000) * 1000;
-      uint64_t span = rng.NextBelow(8000);
-      batch.push_back({EncodeKeyBE(k > span ? k - span : 0),
-                       EncodeKeyBE(k + span)});
-    }
-    std::vector<MultiSeekResult> results;
-    db->MultiSeek(batch, *scheduler, &results, at_snap);
-    ASSERT_EQ(results.size(), batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      SeekResult seq = db->Seek(batch[i].lo, batch[i].hi, at_snap);
-      ASSERT_EQ(results[i].found, seq.found) << spec << " query " << i;
-      if (seq.found) {
-        ASSERT_EQ(results[i].key, seq.key) << spec << " query " << i;
-        ASSERT_EQ(results[i].value, seq.value) << spec << " query " << i;
-      }
+  QueryBatch batch;
+  for (int i = 0; i < 300; ++i) {
+    uint64_t k = rng.NextBelow(5000) * 1000;
+    uint64_t span = rng.NextBelow(8000);
+    batch.push_back({EncodeKeyBE(k > span ? k - span : 0),
+                     EncodeKeyBE(k + span)});
+  }
+  std::vector<MultiSeekResult> results;
+  db->MultiSeek(batch, &results, at_snap);
+  ASSERT_EQ(results.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    SeekResult seq = db->Seek(batch[i].lo, batch[i].hi, at_snap);
+    ASSERT_EQ(results[i].found, seq.found) << "query " << i;
+    if (seq.found) {
+      ASSERT_EQ(results[i].key, seq.key) << "query " << i;
+      ASSERT_EQ(results[i].value, seq.value) << "query " << i;
     }
   }
   stop.store(true);

@@ -1,6 +1,7 @@
-// The batched query engine: scheduler registry + plan properties,
-// randomized MultiSeek ≡ sequential-Seek equivalence (tombstones,
-// filters, across reopen), per-batch stats, and the sample-queue feed.
+// The batched query engine: randomized MultiSeek ≡ sequential-Seek
+// equivalence (tombstones, filters, across reopen), cost parity and
+// independence from arrival order, per-batch stats, and the sample-queue
+// feed.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "engine/query_engine.h"
-#include "engine/scheduler.h"
 #include "lsm/db.h"
 #include "surf/surf.h"
 #include "util/random.h"
@@ -43,124 +43,24 @@ QueryBatch RandomBatch(Rng& rng, size_t n) {
   return batch;
 }
 
-// --- scheduler registry + plan properties ---
-
-TEST(SchedulerTest, RegistryResolvesFamiliesAndAliases) {
-  auto& registry = SchedulerRegistry::Global();
-  for (const char* spec : {"fifo", "sorted", "key-sorted", "grouped",
-                           "per-sst"}) {
-    std::string error;
-    auto scheduler = registry.Create(spec, &error);
-    ASSERT_NE(scheduler, nullptr) << spec << ": " << error;
-  }
-  std::string error;
-  EXPECT_EQ(registry.Create("no-such-scheduler", &error), nullptr);
-  EXPECT_NE(error.find("unknown scheduler"), std::string::npos) << error;
-  // The builtins take no parameters.
-  EXPECT_EQ(registry.Create("sorted:foo=1", &error), nullptr);
-}
-
-TEST(SchedulerTest, PlansArePermutations) {
-  Rng rng(17);
-  QueryBatch batch = RandomBatch(rng, 100);
-  ScheduleContext context;
-  for (int i = 0; i < 8; ++i) {
-    context.file_boundaries.push_back(EncodeKeyBE(i * 600000));
-  }
-  for (const char* spec : {"fifo", "sorted", "grouped"}) {
-    auto scheduler = SchedulerRegistry::Global().Create(spec);
-    ASSERT_NE(scheduler, nullptr);
-    std::vector<uint32_t> order;
-    scheduler->Plan(batch, context, &order);
-    ASSERT_EQ(order.size(), batch.size()) << spec;
-    std::vector<uint32_t> sorted_order = order;
-    std::sort(sorted_order.begin(), sorted_order.end());
-    for (uint32_t i = 0; i < sorted_order.size(); ++i) {
-      ASSERT_EQ(sorted_order[i], i) << spec << " is not a permutation";
-    }
-  }
-}
-
-TEST(SchedulerTest, FifoKeepsArrivalOrder) {
-  Rng rng(18);
-  QueryBatch batch = RandomBatch(rng, 50);
-  auto scheduler = SchedulerRegistry::Global().Create("fifo");
-  std::vector<uint32_t> order;
-  scheduler->Plan(batch, ScheduleContext(), &order);
-  for (uint32_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(SchedulerTest, SortedOrdersByLowerBound) {
-  Rng rng(19);
-  QueryBatch batch = RandomBatch(rng, 200);
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
-  std::vector<uint32_t> order;
-  scheduler->Plan(batch, ScheduleContext(), &order);
-  ASSERT_EQ(order.size(), batch.size());
-  for (size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LE(batch[order[i - 1]].lo, batch[order[i]].lo);
-  }
-}
-
-TEST(SchedulerTest, GroupedClustersByFileThenSortsByKey) {
-  Rng rng(20);
-  QueryBatch batch = RandomBatch(rng, 200);
-  ScheduleContext context;
-  for (int i = 0; i < 10; ++i) {
-    context.file_boundaries.push_back(EncodeKeyBE(i * 500000));
-  }
-  auto bucket_of = [&](const StrRangeQuery& q) {
-    auto it = std::upper_bound(context.file_boundaries.begin(),
-                               context.file_boundaries.end(), q.lo);
-    return it == context.file_boundaries.begin()
-               ? 0
-               : static_cast<int>(it - context.file_boundaries.begin()) - 1;
-  };
-  auto scheduler = SchedulerRegistry::Global().Create("grouped");
-  std::vector<uint32_t> order;
-  scheduler->Plan(batch, context, &order);
-  ASSERT_EQ(order.size(), batch.size());
-  for (size_t i = 1; i < order.size(); ++i) {
-    const auto& prev = batch[order[i - 1]];
-    const auto& cur = batch[order[i]];
-    ASSERT_LE(bucket_of(prev), bucket_of(cur)) << "buckets out of order";
-    if (bucket_of(prev) == bucket_of(cur)) {
-      EXPECT_LE(prev.lo, cur.lo) << "keys out of order within a bucket";
-    }
-  }
-  // Without layout hints, grouped degrades to key order.
-  scheduler->Plan(batch, ScheduleContext(), &order);
-  for (size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LE(batch[order[i - 1]].lo, batch[order[i]].lo);
-  }
-}
-
 // --- MultiSeek ≡ Seek ---
 
 // Runs random batches against a DB and asserts MultiSeek's results equal
-// a sequential Seek loop's, for every builtin scheduler.
+// a sequential Seek loop's.
 void CheckEquivalence(Db& db, Rng& rng, int batches, size_t batch_size) {
-  std::vector<std::string> specs = {"fifo", "sorted", "grouped"};
   for (int round = 0; round < batches; ++round) {
     QueryBatch batch = RandomBatch(rng, batch_size);
-    std::vector<std::vector<MultiSeekResult>> all(specs.size());
-    for (size_t s = 0; s < specs.size(); ++s) {
-      auto scheduler = SchedulerRegistry::Global().Create(specs[s]);
-      ASSERT_NE(scheduler, nullptr);
-      db.MultiSeek(batch, *scheduler, &all[s]);
-      ASSERT_EQ(all[s].size(), batch.size());
-    }
+    std::vector<MultiSeekResult> results;
+    db.MultiSeek(batch, &results);
+    ASSERT_EQ(results.size(), batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       SeekResult seq = db.Seek(batch[i].lo, batch[i].hi);
-      for (size_t s = 0; s < specs.size(); ++s) {
-        const MultiSeekResult& r = all[s][i];
-        ASSERT_EQ(r.found, seq.found)
-            << specs[s] << " round " << round << " query " << i;
-        ASSERT_EQ(r.status.ok(), seq.status.ok()) << specs[s];
-        if (seq.found) {
-          ASSERT_EQ(r.key, seq.key) << specs[s] << " query " << i;
-          ASSERT_EQ(r.value, seq.value) << specs[s] << " query " << i;
-        }
+      const MultiSeekResult& r = results[i];
+      ASSERT_EQ(r.found, seq.found) << "round " << round << " query " << i;
+      ASSERT_EQ(r.status.ok(), seq.status.ok());
+      if (seq.found) {
+        ASSERT_EQ(r.key, seq.key) << "query " << i;
+        ASSERT_EQ(r.value, seq.value) << "query " << i;
       }
     }
   }
@@ -238,11 +138,10 @@ TEST(MultiSeekTest, MatchesSeekAgainstReferenceMap) {
       ref[key] = value;
     }
   }
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
   for (int round = 0; round < 20; ++round) {
     QueryBatch batch = RandomBatch(rng, 64);
     std::vector<MultiSeekResult> results;
-    db->MultiSeek(batch, *scheduler, &results);
+    db->MultiSeek(batch, &results);
     for (size_t i = 0; i < batch.size(); ++i) {
       auto it = ref.lower_bound(batch[i].lo);
       bool ref_found = it != ref.end() && it->first <= batch[i].hi;
@@ -259,18 +158,19 @@ TEST(MultiSeekTest, EmptyAndSingletonBatches) {
   auto [db, st] = Db::Create(SmallDbOptions("edge"));
   ASSERT_TRUE(st.ok());
   ASSERT_TRUE(db->Put(EncodeKeyBE(100), "x").ok());
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
   std::vector<MultiSeekResult> results;
-  db->MultiSeek({}, *scheduler, &results);
+  db->MultiSeek({}, &results);
   EXPECT_TRUE(results.empty());
-  db->MultiSeek({{EncodeKeyBE(50), EncodeKeyBE(150)}}, *scheduler, &results);
+  db->MultiSeek({{EncodeKeyBE(50), EncodeKeyBE(150)}}, &results);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].found);
   EXPECT_EQ(results[0].key, EncodeKeyBE(100));
   EXPECT_EQ(results[0].value, "x");
 }
 
-// --- MultiSeek books exactly Seek's costs ---
+// --- MultiSeek books exactly Seek's costs, in any arrival order ---
+
+constexpr uint64_t kTreeKeys = 6000;
 
 struct ReadCosts {
   uint64_t filter_checks, filter_negatives, sst_seeks, false_positive_files;
@@ -303,72 +203,141 @@ ReadCosts CostDelta(const ReadCosts& before, const ReadCosts& after) {
   return d;
 }
 
-TEST(MultiSeekTest, BooksTheSameCostsAsSeekAcrossTombstoneRuns) {
-  // Values in sorted levels and in an older L0 file, tombstone runs in a
-  // newer L0 file: the answers walk past deleted keys, and a batch must
-  // consult every filter, probe every SST and charge every false
-  // positive exactly as often as the same queries issued one by one.
-  auto options = SmallDbOptions("parity");
+// Values in sorted levels and in an older L0 file, tombstone runs in a
+// newer L0 file, adaptive redesign off so the file set stays fixed.
+std::unique_ptr<Db> BuildTombstoneTree(const std::string& name) {
+  auto options = SmallDbOptions(name);
   options.filter_policy = MakeFilterPolicy("proteus:bpk=14");
   options.memtable_bytes = 1 << 20;
   options.sst_target_bytes = 32 << 10;
   options.adaptive_redesign = false;
   auto [db, st] = Db::Create(options);
-  ASSERT_TRUE(st.ok());
-  const uint64_t kKeys = 6000;
-  for (uint64_t k = 0; k < kKeys; ++k) {
-    ASSERT_TRUE(db->Put(EncodeKeyBE(k * 1000), "base" + std::to_string(k)).ok());
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  if (db == nullptr) return nullptr;
+  for (uint64_t k = 0; k < kTreeKeys; ++k) {
+    EXPECT_TRUE(db->Put(EncodeKeyBE(k * 1000), "base" + std::to_string(k)).ok());
   }
-  ASSERT_TRUE(db->CompactAll().ok());
-  for (uint64_t k = 0; k < kKeys; k += 3) {
-    ASSERT_TRUE(db->Put(EncodeKeyBE(k * 1000), "l0-" + std::to_string(k)).ok());
+  EXPECT_TRUE(db->CompactAll().ok());
+  for (uint64_t k = 0; k < kTreeKeys; k += 3) {
+    EXPECT_TRUE(db->Put(EncodeKeyBE(k * 1000), "l0-" + std::to_string(k)).ok());
   }
-  ASSERT_TRUE(db->Flush().ok());
-  for (uint64_t k = 0; k < kKeys; ++k) {
+  EXPECT_TRUE(db->Flush().ok());
+  for (uint64_t k = 0; k < kTreeKeys; ++k) {
     if ((k / 8) % 4 == 0) {
-      ASSERT_TRUE(db->Delete(EncodeKeyBE(k * 1000)).ok());
+      EXPECT_TRUE(db->Delete(EncodeKeyBE(k * 1000)).ok());
     }
   }
-  ASSERT_TRUE(db->Flush().ok());
+  EXPECT_TRUE(db->Flush().ok());
   db->WaitForBackground();
   size_t l0_files = 0, level_files = 0;
   for (const auto& info : db->DesignInfo()) {
     (info.level == 0 ? l0_files : level_files) += 1;
   }
-  ASSERT_EQ(l0_files, 2u) << "the tree must keep both L0 files";
-  ASSERT_GT(level_files, 2u);
+  EXPECT_EQ(l0_files, 2u) << "the tree must keep both L0 files";
+  EXPECT_GT(level_files, 2u);
+  return std::move(db);
+}
 
-  Rng rng(27);
+// Random ranges plus ranges that start on a tombstone run and find their
+// answer past its end.
+QueryBatch TombstoneBatch(Rng& rng) {
   QueryBatch batch = RandomBatch(rng, 96);
-  for (uint64_t run = 0; run < kKeys; run += 32 * 7) {
-    // Starts on a tombstone run; the answer lies past its end.
+  for (uint64_t run = 0; run < kTreeKeys; run += 32 * 7) {
     batch.push_back({EncodeKeyBE(run * 1000), EncodeKeyBE((run + 20) * 1000)});
   }
+  return batch;
+}
 
-  for (const char* spec : {"fifo", "sorted", "grouped"}) {
-    auto scheduler = SchedulerRegistry::Global().Create(spec);
-    ASSERT_NE(scheduler, nullptr);
-    const ReadCosts start = TakeReadCosts(*db);
+TEST(MultiSeekTest, BooksTheSameCostsAsSeekAcrossTombstoneRuns) {
+  // The answers walk past deleted keys, and a batch must consult every
+  // filter, probe every SST and charge every false positive exactly as
+  // often as the same queries issued one by one.
+  auto db = BuildTombstoneTree("parity");
+  ASSERT_NE(db, nullptr);
+  ASSERT_FALSE(testing::Test::HasFailure());
+  Rng rng(27);
+  const QueryBatch batch = TombstoneBatch(rng);
+
+  const ReadCosts start = TakeReadCosts(*db);
+  std::vector<MultiSeekResult> results;
+  db->MultiSeek(batch, &results);
+  const ReadCosts mid = TakeReadCosts(*db);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    SeekResult r = db->Seek(batch[i].lo, batch[i].hi);
+    ASSERT_EQ(results[i].found, r.found) << "query " << i;
+    ASSERT_EQ(results[i].key, r.key) << "query " << i;
+  }
+  const ReadCosts batched = CostDelta(start, mid);
+  const ReadCosts single = CostDelta(mid, TakeReadCosts(*db));
+  EXPECT_GT(single.false_positive_files + single.filter_negatives, 0u);
+  EXPECT_EQ(batched.filter_checks, single.filter_checks);
+  EXPECT_EQ(batched.filter_negatives, single.filter_negatives);
+  EXPECT_EQ(batched.sst_seeks, single.sst_seeks);
+  EXPECT_EQ(batched.false_positive_files, single.false_positive_files);
+  for (const auto& [id, counts] : single.per_file) {
+    EXPECT_EQ(batched.per_file.at(id), counts)
+        << "file " << id << " (checks, probes, false positives)";
+  }
+}
+
+TEST(MultiSeekTest, ArrivalOrderChangesNeitherAnswersNorCosts) {
+  // MultiSeek picks its own order, so a batch, its reverse and a shuffle
+  // of it (with repeated lo keys, to exercise ties) must give each query
+  // the same answer and the batch the same costs.
+  auto db = BuildTombstoneTree("arrival");
+  ASSERT_NE(db, nullptr);
+  ASSERT_FALSE(testing::Test::HasFailure());
+  Rng rng(28);
+  QueryBatch batch = TombstoneBatch(rng);
+  for (size_t i = 0; i < 8; ++i) {
+    batch.push_back({batch[i].lo, batch[(i + 1) % 8].hi});
+  }
+
+  // Arrangement a lists, for each arrival slot, the index of the query
+  // in `batch` it carries.
+  std::vector<std::vector<size_t>> arrangements(3);
+  for (size_t i = 0; i < batch.size(); ++i) arrangements[0].push_back(i);
+  arrangements[1].assign(arrangements[0].rbegin(), arrangements[0].rend());
+  arrangements[2] = arrangements[0];
+  for (size_t i = batch.size() - 1; i > 0; --i) {
+    std::swap(arrangements[2][i], arrangements[2][rng.NextBelow(i + 1)]);
+  }
+
+  std::vector<MultiSeekResult> expected;
+  ReadCosts expected_costs;
+  for (size_t a = 0; a < arrangements.size(); ++a) {
+    QueryBatch arrived;
+    for (size_t q : arrangements[a]) arrived.push_back(batch[q]);
+    const ReadCosts before = TakeReadCosts(*db);
     std::vector<MultiSeekResult> results;
-    db->MultiSeek(batch, *scheduler, &results);
-    const ReadCosts mid = TakeReadCosts(*db);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      SeekResult r = db->Seek(batch[i].lo, batch[i].hi);
-      ASSERT_EQ(results[i].found, r.found) << spec << " query " << i;
-      ASSERT_EQ(results[i].key, r.key) << spec << " query " << i;
+    db->MultiSeek(arrived, &results);
+    const ReadCosts costs = CostDelta(before, TakeReadCosts(*db));
+    ASSERT_EQ(results.size(), batch.size());
+    std::vector<MultiSeekResult> by_query(batch.size());
+    for (size_t slot = 0; slot < arrived.size(); ++slot) {
+      by_query[arrangements[a][slot]] = results[slot];
     }
-    const ReadCosts batched = CostDelta(start, mid);
-    const ReadCosts single = CostDelta(mid, TakeReadCosts(*db));
-    EXPECT_GT(single.false_positive_files + single.filter_negatives, 0u);
-    EXPECT_EQ(batched.filter_checks, single.filter_checks) << spec;
-    EXPECT_EQ(batched.filter_negatives, single.filter_negatives) << spec;
-    EXPECT_EQ(batched.sst_seeks, single.sst_seeks) << spec;
-    EXPECT_EQ(batched.false_positive_files, single.false_positive_files)
-        << spec;
-    for (const auto& [id, counts] : single.per_file) {
-      EXPECT_EQ(batched.per_file.at(id), counts)
-          << spec << " file " << id << " (checks, probes, false positives)";
+    if (a == 0) {
+      expected = by_query;
+      expected_costs = costs;
+      EXPECT_GT(costs.false_positive_files + costs.filter_negatives, 0u);
+      continue;
     }
+    for (size_t q = 0; q < batch.size(); ++q) {
+      ASSERT_EQ(by_query[q].found, expected[q].found)
+          << "arrangement " << a << " query " << q;
+      ASSERT_EQ(by_query[q].key, expected[q].key)
+          << "arrangement " << a << " query " << q;
+      ASSERT_EQ(by_query[q].value, expected[q].value)
+          << "arrangement " << a << " query " << q;
+    }
+    EXPECT_EQ(costs.filter_checks, expected_costs.filter_checks) << a;
+    EXPECT_EQ(costs.filter_negatives, expected_costs.filter_negatives) << a;
+    EXPECT_EQ(costs.sst_seeks, expected_costs.sst_seeks) << a;
+    EXPECT_EQ(costs.false_positive_files,
+              expected_costs.false_positive_files)
+        << a;
+    EXPECT_EQ(costs.per_file, expected_costs.per_file) << a;
   }
 }
 
@@ -382,14 +351,13 @@ TEST(MultiSeekTest, EmptyQueriesFeedTheSampleQueue) {
   for (uint64_t k = 0; k < 200; ++k) {
     ASSERT_TRUE(db->Put(EncodeKeyBE(k * 1000000), "v").ok());
   }
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
   QueryBatch batch;
   for (uint64_t i = 0; i < 100; ++i) {
     // Between keys: all empty.
     batch.push_back({EncodeKeyBE(i * 1000000 + 10), EncodeKeyBE(i * 1000000 + 20)});
   }
   std::vector<MultiSeekResult> results;
-  db->MultiSeek(batch, *scheduler, &results);
+  db->MultiSeek(batch, &results);
   for (const auto& r : results) ASSERT_FALSE(r.found);
   const DbStats s = db->stats();
   EXPECT_EQ(s.seeks, 100u);
@@ -414,9 +382,8 @@ TEST(QueryEngineTest, ReportsBatchStats) {
   ASSERT_TRUE(db->CompactAll().ok());
 
   Status status;
-  auto engine = QueryEngine::Create(db.get(), "grouped", &status);
+  auto engine = QueryEngine::Create(db.get(), "sorted", &status);
   ASSERT_NE(engine, nullptr) << status.ToString();
-  EXPECT_EQ(engine->scheduler().Name(), "grouped");
 
   QueryBatch batch = RandomBatch(rng, 128);
   std::vector<MultiSeekResult> results;
@@ -435,10 +402,14 @@ TEST(QueryEngineTest, ReportsBatchStats) {
   engine->Run(batch, &results);
   EXPECT_EQ(engine->totals().queries, 2 * batch.size());
 
-  // Bad spec surfaces as InvalidArgument, not a crash.
-  auto bad = QueryEngine::Create(db.get(), "warp-speed", &status);
-  EXPECT_EQ(bad, nullptr);
-  EXPECT_FALSE(status.ok());
+  // Any order but "sorted", the one MultiSeek runs, is InvalidArgument:
+  // not a crash, and not a silent substitute.
+  for (const char* order : {"fifo", "grouped", "warp-speed"}) {
+    auto bad = QueryEngine::Create(db.get(), order, &status);
+    EXPECT_EQ(bad, nullptr) << order;
+    EXPECT_TRUE(status.IsInvalidArgument()) << order << ": "
+                                            << status.ToString();
+  }
 }
 
 TEST(DbStatsTest, ObservedFileFprCountsFalsePositives) {

@@ -1,5 +1,6 @@
-// Steady-state reads must not touch the heap: a Seek reuses its thread's
-// read state, and a block-cache hit shares the cached block. This
+// Steady-state reads must not touch the heap: a Seek or a MultiSeek
+// batch reuses its thread's read state, and a block-cache hit shares the
+// cached block. This
 // binary replaces the global operator new with one that counts the
 // calling thread's allocations (background flush and compaction threads
 // allocate freely and are not counted).
@@ -12,6 +13,7 @@
 #include <limits>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "lsm/db.h"
 #include "surf/surf.h"
@@ -117,6 +119,44 @@ TEST(ReadAllocTest, EmptySeekAllocatesNothingOnceWarm) {
   }
   ASSERT_TRUE(CountingWorks());
   EXPECT_EQ(allocations, 0u);
+}
+
+TEST(ReadAllocTest, MultiSeekBatchAllocatesNothingOnceWarm) {
+  auto db = BuildDb("multiseek");
+  ASSERT_NE(db, nullptr);
+  ASSERT_GT(db->LevelFileCounts().size(), 1u);
+  // The empty ranges of the Seek case in batches of 64, each arriving in
+  // descending key order so that MultiSeek's sort has work to do. The
+  // batches are built before anything is counted.
+  std::vector<QueryBatch> batches;
+  for (uint64_t i = 0; i < kKeys + 50; i += 7) {
+    if (batches.empty() || batches.back().size() == 64) batches.emplace_back();
+    const uint64_t lo = i * kStride + 1 + (i % 5) * 3;
+    const uint64_t hi = lo + 100 + (i % 11) * 80;
+    batches.back().push_back({EncodeKeyBE(lo), EncodeKeyBE(hi)});
+  }
+  for (QueryBatch& batch : batches) std::reverse(batch.begin(), batch.end());
+  std::vector<MultiSeekResult> results;
+  auto run = [&] {
+    uint64_t found = 0;
+    for (const QueryBatch& batch : batches) {
+      db->MultiSeek(batch, &results);
+      for (const MultiSeekResult& r : results) found += r.found;
+    }
+    return found;
+  };
+  ASSERT_EQ(run(), 0u);  // warm-up: buffers grow, blocks get cached
+  const DbStats warm = db->stats();
+  const uint64_t before = t_allocations;
+  ASSERT_EQ(run(), 0u);
+  const uint64_t allocations = t_allocations - before;
+  EXPECT_GT(db->stats().sst_seeks, warm.sst_seeks);
+  EXPECT_EQ(db->stats().read_errors, 0u);
+  if (kSanitized && !CountingWorks()) {
+    GTEST_SKIP() << "sanitizer runtime owns operator new; count not checked";
+  }
+  ASSERT_TRUE(CountingWorks());
+  EXPECT_EQ(allocations, 0u) << "over " << batches.size() << " batches";
 }
 
 TEST(ReadAllocTest, FoundSeekAllocatesOnlyItsValue) {

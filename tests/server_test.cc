@@ -1,6 +1,8 @@
 // BatchServer smoke tests: concurrent loopback connections round-trip
 // MultiSeek batches through the wire protocol and match direct Seek
-// results; protocol errors get an error frame and a closed connection.
+// results; a client that pipelines hundreds of batches without waiting
+// gets every reply, in order; protocol errors get an error frame and a
+// closed connection.
 
 #include <gtest/gtest.h>
 
@@ -76,9 +78,27 @@ bool RecvFrame(int fd, std::string* payload) {
   return true;
 }
 
+// Batches of `batch_size` random ranges over the server's key space.
+std::vector<QueryBatch> MakePlan(uint64_t seed, int batches,
+                                 size_t batch_size) {
+  Rng rng(seed);
+  std::vector<QueryBatch> plan;
+  for (int b = 0; b < batches; ++b) {
+    QueryBatch batch;
+    for (size_t i = 0; i < batch_size; ++i) {
+      uint64_t k = rng.NextBelow(4000) * 1000;
+      uint64_t span = rng.NextBelow(5000);
+      batch.push_back({EncodeKeyBE(k > span ? k - span : 0),
+                       EncodeKeyBE(k + span)});
+    }
+    plan.push_back(std::move(batch));
+  }
+  return plan;
+}
+
 class ServerTest : public ::testing::Test {
  protected:
-  void StartServer(const std::string& scheduler = "sorted") {
+  void StartServer() {
     DbOptions options;
     options.dir = "/tmp/proteus_server_test";
     options.memtable_bytes = 64 << 10;
@@ -98,7 +118,6 @@ class ServerTest : public ::testing::Test {
 
     ServerOptions server_options;
     server_options.port = 0;  // ephemeral
-    server_options.scheduler = scheduler;
     server_ = std::make_unique<BatchServer>(db_.get(), server_options);
     Status status = server_->Start();
     ASSERT_TRUE(status.ok()) << status.ToString();
@@ -133,24 +152,14 @@ TEST_F(ServerTest, PingPong) {
 }
 
 TEST_F(ServerTest, EightConcurrentConnectionsMatchDirectSeek) {
-  StartServer("grouped");
+  StartServer();
   constexpr int kConnections = 8;
   constexpr int kBatchesPerConnection = 12;
   constexpr size_t kBatchSize = 48;
   std::atomic<int> failures{0};
   std::vector<std::vector<QueryBatch>> plans(kConnections);
   for (int c = 0; c < kConnections; ++c) {
-    Rng rng(100 + c);
-    for (int b = 0; b < kBatchesPerConnection; ++b) {
-      QueryBatch batch;
-      for (size_t i = 0; i < kBatchSize; ++i) {
-        uint64_t k = rng.NextBelow(4000) * 1000;
-        uint64_t span = rng.NextBelow(5000);
-        batch.push_back({EncodeKeyBE(k > span ? k - span : 0),
-                         EncodeKeyBE(k + span)});
-      }
-      plans[c].push_back(std::move(batch));
-    }
+    plans[c] = MakePlan(100 + c, kBatchesPerConnection, kBatchSize);
   }
 
   // All clients hold their connections open concurrently and stream
@@ -202,6 +211,65 @@ TEST_F(ServerTest, EightConcurrentConnectionsMatchDirectSeek) {
   EXPECT_EQ(server_->stats().queries_served,
             static_cast<uint64_t>(kConnections) * kBatchesPerConnection *
                 kBatchSize);
+  EXPECT_EQ(server_->stats().protocol_errors, 0u);
+}
+
+TEST_F(ServerTest, PipelinedBatchesAnswerInOrder) {
+  StartServer();
+  constexpr int kBatches = 500;
+  constexpr size_t kBatchSize = 48;
+  const std::vector<QueryBatch> plan = MakePlan(200, kBatches, kBatchSize);
+  int fd = ConnectLoopback(server_->port());
+  ASSERT_GE(fd, 0);
+
+  // The writer never waits for a reply, and cuts its stream into pieces
+  // that do not line up with frames, so the server sees many frames per
+  // read and frames split across reads.
+  std::atomic<bool> write_ok{true};
+  std::thread writer([&] {
+    std::string stream;
+    for (const QueryBatch& batch : plan) {
+      WireEncodeMultiSeekRequest(batch, &stream);
+    }
+    constexpr size_t kPiece = 1021;
+    for (size_t off = 0; off < stream.size(); off += kPiece) {
+      if (!SendAll(fd, std::string_view(stream).substr(off, kPiece))) {
+        write_ok = false;
+        return;
+      }
+    }
+  });
+  std::vector<std::vector<MultiSeekResult>> replies;
+  std::thread reader([&] {
+    std::string payload;
+    for (int b = 0; b < kBatches; ++b) {
+      std::vector<MultiSeekResult> results;
+      if (!RecvFrame(fd, &payload) ||
+          !WireDecodeResultsResponse(payload, &results)) {
+        return;
+      }
+      replies.push_back(std::move(results));
+    }
+  });
+  writer.join();
+  reader.join();
+  ::close(fd);
+  ASSERT_TRUE(write_ok.load());
+  ASSERT_EQ(replies.size(), plan.size());
+
+  for (size_t b = 0; b < plan.size(); ++b) {
+    ASSERT_EQ(replies[b].size(), plan[b].size()) << "batch " << b;
+    for (size_t i = 0; i < plan[b].size(); ++i) {
+      SeekResult direct = db_->Seek(plan[b][i].lo, plan[b][i].hi);
+      const MultiSeekResult& r = replies[b][i];
+      ASSERT_EQ(r.found, direct.found) << "batch " << b << " query " << i;
+      if (direct.found) {
+        ASSERT_EQ(r.key, direct.key) << "batch " << b << " query " << i;
+        ASSERT_EQ(r.value, direct.value) << "batch " << b << " query " << i;
+      }
+    }
+  }
+  EXPECT_EQ(server_->stats().batches_served, static_cast<uint64_t>(kBatches));
   EXPECT_EQ(server_->stats().protocol_errors, 0u);
 }
 
