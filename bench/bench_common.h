@@ -12,6 +12,10 @@
 //                          series as a JSON array — machine-readable for
 //                          the CI bench-smoke artifact)
 //
+// Any other flag is an error (exit 2) unless the harness names it as
+// one of its own, so a stale or misspelt flag cannot silently run a
+// different experiment than the command line says.
+//
 // Output is whitespace-aligned tables on stdout, one series per paper
 // line/panel, so EXPERIMENTS.md can quote them directly.
 
@@ -22,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,7 +65,10 @@ struct Args {
   }
 };
 
-inline Args ParseArgs(int argc, char** argv) {
+/// Parses the common flags. `own` lists the flags the harness parses
+/// itself: one ending in '=' matches as a prefix, any other exactly.
+inline Args ParseArgs(int argc, char** argv,
+                      std::initializer_list<const char*> own = {}) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -81,8 +89,21 @@ inline Args ParseArgs(int argc, char** argv) {
     } else if (std::strcmp(a, "--help") == 0) {
       std::printf(
           "flags: --scale=small|paper --keys=N --queries=N --samples=N "
-          "--seed=N --filter=SPEC --json=PATH\n");
+          "--seed=N --filter=SPEC --json=PATH");
+      for (const char* flag : own) std::printf(" %s", flag);
+      std::printf("\n");
       std::exit(0);
+    } else {
+      bool known = false;
+      for (const char* flag : own) {
+        const size_t n = std::strlen(flag);
+        known = known || (flag[n - 1] == '=' ? std::strncmp(a, flag, n) == 0
+                                             : std::strcmp(a, flag) == 0);
+      }
+      if (!known) {
+        std::fprintf(stderr, "unknown flag: %s (see --help)\n", a);
+        std::exit(2);
+      }
     }
   }
   return args;

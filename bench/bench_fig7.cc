@@ -168,7 +168,7 @@ void Run(const Args& args, bool instant) {
 }  // namespace proteus
 
 int main(int argc, char** argv) {
-  auto args = proteus::bench::ParseArgs(argc, argv);
+  auto args = proteus::bench::ParseArgs(argc, argv, {"--instant"});
   bool instant = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--instant") == 0) instant = true;

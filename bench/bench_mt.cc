@@ -173,7 +173,9 @@ int main(int argc, char** argv) {
   using namespace proteus;
   using bench::JsonSink;
 
-  bench::Args common = bench::ParseArgs(argc, argv);
+  bench::Args common = bench::ParseArgs(
+      argc, argv,
+      {"--writers=", "--readers=", "--duration-ms=", "--snapshot-reads"});
   MtArgs mt = ParseMtArgs(argc, argv);
   const uint64_t n_keys = common.KeysOr(100000, 2000000);
   const uint64_t n_queries = common.QueriesOr(20000, 200000);

@@ -198,7 +198,8 @@ int main(int argc, char** argv) {
   using namespace proteus;
   using bench::JsonSink;
 
-  bench::Args common = bench::ParseArgs(argc, argv);
+  bench::Args common = bench::ParseArgs(
+      argc, argv, {"--batch=", "--rate=", "--cache-mb=", "--server="});
   QpsArgs qps = ParseQpsArgs(argc, argv);
   const uint64_t n_keys = common.KeysOr(200000, 10000000);
   const uint64_t n_queries = common.QueriesOr(40000, 1000000);

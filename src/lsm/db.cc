@@ -465,15 +465,13 @@ Db::Db(DbOptions options, bool wipe_existing)
       std::max<size_t>(1, options_.background_threads));
   if (wipe_existing) {
     WipeDbFiles(options_.dir);
-    if (options_.use_wal) {
-      wal_ = std::make_unique<WalWriter>();
-      wal_number_ = 1;
-      mem_->wal_segment = 1;
-      Status s = wal_->Open(WalSegmentPath(1));
-      if (!s.ok()) {
-        wal_.reset();
-        wal_error_ = std::move(s);
-      }
+    wal_ = std::make_unique<WalWriter>();
+    wal_number_ = 1;
+    mem_->wal_segment = 1;
+    Status s = wal_->Open(WalSegmentPath(1));
+    if (!s.ok()) {
+      wal_.reset();
+      wal_error_ = std::move(s);
     }
   }
   // Open() (wipe_existing=false) builds the WAL writer in
@@ -666,7 +664,6 @@ Status Db::CommitBatch(const std::vector<Writer*>& batch,
   if (crashed_.load(std::memory_order_relaxed)) {
     return Status::IOError("database is closed");
   }
-  if (options_.use_wal && wal_ == nullptr) return wal_error_;
 
   // Assign seqnos and build the one WAL append for the whole batch.
   const uint64_t first_seqno = next_seqno_;
@@ -679,12 +676,10 @@ Status Db::CommitBatch(const std::vector<Writer*>& batch,
         w->tag == kTagValue ? kWalOpPutSeq : kWalOpDeleteSeq, w->seqno,
         w->key, w->value);
   }
-  if (options_.use_wal) {
-    Status s = wal_->Append(buf, batch.size(), sync);
-    if (!s.ok()) {
-      next_seqno_ = first_seqno;  // nothing consumed them: reuse
-      return s;  // not applied: a rejected write stays invisible
-    }
+  Status s = wal_->Append(buf, batch.size(), sync);
+  if (!s.ok()) {
+    next_seqno_ = first_seqno;  // nothing consumed them: reuse
+    return s;  // not applied: a rejected write stays invisible
   }
 
   // Apply. The WAL already fixed the batch's order (seqnos); the
@@ -722,8 +717,7 @@ Status Db::CommitBatch(const std::vector<Writer*>& batch,
 
   const bool mem_full =
       mem->bytes() >= static_cast<int64_t>(options_.memtable_bytes);
-  const bool wal_full = options_.use_wal && wal_ != nullptr &&
-                        wal_->file_bytes() >= options_.wal_segment_bytes;
+  const bool wal_full = wal_->file_bytes() >= options_.wal_segment_bytes;
   *need_maintenance = mem_full || wal_full;
   return Status::OK();
 }
@@ -768,25 +762,13 @@ std::shared_ptr<const Snapshot> Db::GetSnapshot() {
 bool Db::WorkPending() const {
   {
     std::lock_guard<std::mutex> vl(view_mu_);
-    if (!version_->imm.empty()) return true;
     if (mem_->bytes() >= static_cast<int64_t>(options_.memtable_bytes)) {
       return true;
     }
   }
-  if (options_.use_wal && wal_ != nullptr &&
-      wal_->file_bytes() >= options_.wal_segment_bytes) {
-    return true;
-  }
-  VersionPtr v = CurrentVersion();
-  if (static_cast<int>(v->levels[0].size()) >=
-      options_.l0_compaction_trigger) {
-    return true;
-  }
-  for (size_t level = 1; level + 1 < v->levels.size(); ++level) {
-    if (LevelBytes(*v, level) > LevelLimitBytes(level)) return true;
-  }
-  if (options_.adaptive_redesign && AnyDriftFlagged(*v)) return true;
-  return false;
+  if (wal_->file_bytes() >= options_.wal_segment_bytes) return true;
+  return PickCompaction(*CurrentVersion(), /*compact_all=*/false)
+      .has_value();
 }
 
 void Db::MaybeScheduleMaintenance() {
@@ -815,8 +797,7 @@ void Db::BackgroundWork() {
       break;
     }
     PrepareFlush(/*force=*/false);
-    Status s = FlushImmLocked();
-    if (s.ok()) s = MaybeCompactLocked();
+    Status s = RunMaintenanceLocked(/*compact_all=*/false);
     if (!s.ok()) {
       SetBackgroundError(s, /*clear_on_ok=*/false);
       break;
@@ -839,35 +820,31 @@ void Db::WaitForBackground() {
 
 bool Db::PrepareFlush(bool force) {
   std::lock_guard<std::mutex> plock(pipeline_mu_);
+  if (wal_ == nullptr) return false;  // TEST_CrashClose dropped the log
   MemPtr cur;
   {
     std::lock_guard<std::mutex> vl(view_mu_);
     cur = mem_;
   }
   if (cur->size() == 0) return false;
-  if (!force) {
-    bool trip =
-        cur->bytes() >= static_cast<int64_t>(options_.memtable_bytes);
-    if (!trip && options_.use_wal && wal_ != nullptr) {
-      trip = wal_->file_bytes() >= options_.wal_segment_bytes;
-    }
-    if (!trip) return false;
+  if (!force &&
+      cur->bytes() < static_cast<int64_t>(options_.memtable_bytes) &&
+      wal_->file_bytes() < options_.wal_segment_bytes) {
+    return false;
   }
   // Rotate to a fresh WAL segment: the new memtable's writes start
   // there, so the old segments become deletable once the swapped-out
   // memtable reaches SSTs.
-  if (options_.use_wal && wal_ != nullptr) {
-    const uint64_t next = wal_number_ + 1;
-    Status s = wal_->Open(WalSegmentPath(next));
-    if (!s.ok()) {
-      // The writer closed the old fd already; appends now fail. Surface
-      // the environment failure instead of swapping anyway.
-      SetBackgroundError(std::move(s), /*clear_on_ok=*/false);
-      return false;
-    }
-    wal_number_ = next;
-    ++stats_->wal_rotations;
+  const uint64_t next = wal_number_ + 1;
+  Status s = wal_->Open(WalSegmentPath(next));
+  if (!s.ok()) {
+    // The writer closed the old fd already; appends now fail. Surface
+    // the environment failure instead of swapping anyway.
+    SetBackgroundError(std::move(s), /*clear_on_ok=*/false);
+    return false;
   }
+  wal_number_ = next;
+  ++stats_->wal_rotations;
   auto fresh = std::make_shared<MemTable>();
   fresh->wal_segment = wal_number_;
   {
@@ -880,59 +857,7 @@ bool Db::PrepareFlush(bool force) {
   return true;
 }
 
-Status Db::FlushImmLocked() {
-  std::vector<MemPtr> imm;
-  {
-    std::lock_guard<std::mutex> vl(view_mu_);
-    imm = version_->imm;
-  }
-  if (imm.empty()) return Status::OK();
-
-  // Merge every immutable memtable into one sorted (key asc, seqno
-  // desc) stream — no materialize-and-sort pass; the iterators stream
-  // straight out of skiplist nodes `imm` keeps alive.
-  MemTableMergeSource source;
-  for (const MemPtr& m : imm) source.Add(&m->list());
-  source.Init();
-  CollapseSource collapsed(source, LiveSnapshots(),
-                           /*drop_tombstones=*/false);
-  std::vector<FilePtr> files;
-  Status s = WriteSstFiles(collapsed, /*target_level=*/0, ~size_t{0}, &files);
-  if (!s.ok()) return s;
-
-  ManifestEdit edit;
-  for (const auto& f : files) edit.added.emplace_back(0, f);
-  s = AppendManifestDelta(edit);
-  if (!s.ok()) return s;
-
-  // Install: the flushed memtables leave the version, their SSTs join
-  // L0 (newer than everything already there).
-  {
-    std::lock_guard<std::mutex> vl(view_mu_);
-    auto nv = std::make_shared<Version>(*version_);
-    for (const MemPtr& m : imm) {
-      nv->imm.erase(std::remove(nv->imm.begin(), nv->imm.end(), m),
-                    nv->imm.end());
-    }
-    for (auto it = files.rbegin(); it != files.rend(); ++it) {
-      nv->levels[0].insert(nv->levels[0].begin(), *it);
-    }
-    version_ = std::move(nv);
-  }
-  ++stats_->flushes;
-  {
-    std::lock_guard<std::mutex> sl(stall_mu_);
-  }
-  stall_cv_.notify_all();
-
-  // Only now are the old WAL segments redundant: their records live in
-  // fsync'd SSTs referenced by a durable manifest record.
-  DeleteObsoleteWalSegments();
-  return Status::OK();
-}
-
 void Db::DeleteObsoleteWalSegments() {
-  if (!options_.use_wal) return;
   uint64_t floor;
   {
     std::lock_guard<std::mutex> vl(view_mu_);
@@ -978,8 +903,7 @@ Status Db::Flush() {
   }
   PrepareFlush(/*force=*/true);
   std::lock_guard<std::mutex> mlock(maint_mu_);
-  Status s = FlushImmLocked();
-  if (s.ok()) s = MaybeCompactLocked();
+  Status s = RunMaintenanceLocked(/*compact_all=*/false);
   SetBackgroundError(s, /*clear_on_ok=*/true);
   return s;
 }
@@ -990,20 +914,13 @@ Status Db::CompactAll() {
   }
   PrepareFlush(/*force=*/true);
   std::lock_guard<std::mutex> mlock(maint_mu_);
-  Status s = FlushImmLocked();
-  if (s.ok() && !CurrentVersion()->levels[0].empty()) s = CompactL0Locked();
-  for (size_t level = 1; s.ok() && level + 1 < kMaxLevels; ++level) {
-    while (s.ok() &&
-           LevelBytes(*CurrentVersion(), level) > LevelLimitBytes(level)) {
-      s = CompactLevelLocked(level);
-    }
-  }
+  Status s = RunMaintenanceLocked(/*compact_all=*/true);
   SetBackgroundError(s, /*clear_on_ok=*/true);
   return s;
 }
 
 // ---------------------------------------------------------------------------
-// SST building (flush + compaction bodies; callers hold maint_mu_)
+// SST building (the job body's writer; callers hold maint_mu_)
 // ---------------------------------------------------------------------------
 
 Status Db::FinishFile(SstWriter* writer, std::vector<std::string>* keys,
@@ -1125,253 +1042,178 @@ void Db::RetireFile(const FilePtr& f) {
   cache_.EraseFile(f->id);
 }
 
-Status Db::CompactL0Locked() {
-  VersionPtr base = CurrentVersion();
-  const auto& l0 = base->levels[0];
-  if (l0.empty()) return Status::OK();
-  ++stats_->compactions;
-  std::string smallest = l0[0]->smallest;
-  std::string largest = l0[0]->largest;
-  for (const auto& f : l0) {
-    smallest = std::min(smallest, f->smallest);
-    largest = std::max(largest, f->largest);
+// ---------------------------------------------------------------------------
+// Maintenance jobs: one picker, one job body, one edit rule
+// ---------------------------------------------------------------------------
+
+std::optional<Db::Job> Db::PickCompaction(const Version& v,
+                                          bool compact_all) const {
+  Job job;
+  if (!v.imm.empty()) {
+    job.imm = v.imm;
+    return job;
   }
-  MergeSource merge;
-  for (const auto& f : l0) merge.Add(f->reader.get());
-  std::vector<FilePtr> l1_keep;
-  std::vector<FilePtr> removed;
-  for (const auto& f : base->levels[1]) {
-    if (f->largest < smallest || f->smallest > largest) {
-      l1_keep.push_back(f);
-    } else {
-      merge.Add(f->reader.get());
+  const auto& l0 = v.levels[0];
+  if (!l0.empty() &&
+      (compact_all ||
+       static_cast<int>(l0.size()) >= options_.l0_compaction_trigger)) {
+    job.inputs = l0;
+    job.output = 1;
+    job.drop_tombstones = LevelsBelowEmpty(v, 2);
+    job.max_file_bytes = options_.sst_target_bytes;
+    return job;
+  }
+  for (size_t level = 1; level + 1 < v.levels.size(); ++level) {
+    if (LevelBytes(v, level) <= LevelLimitBytes(level)) continue;
+    const size_t pick = compact_cursor_[level] % v.levels[level].size();
+    job.level = level;
+    job.inputs = {v.levels[level][pick]};
+    job.output = level + 1;
+    job.drop_tombstones = LevelsBelowEmpty(v, level + 2);
+    job.max_file_bytes = options_.sst_target_bytes;
+    job.next_cursor = pick + 1;
+    return job;
+  }
+  if (compact_all || !options_.adaptive_redesign) return std::nullopt;
+  for (size_t level = 0; level < v.levels.size(); ++level) {
+    for (const auto& f : v.levels[level]) {
+      if (!f->drift_flagged.load(std::memory_order_relaxed)) continue;
+      // Same level, no size cap, and tombstones kept: the rewrite sees
+      // one file, while other L0 files or deeper levels may still hold
+      // the older versions a tombstone shadows.
+      job.level = job.output = level;
+      job.inputs = {f};
+      return job;
     }
   }
-  merge.Init();
-  CollapseSource entries(merge, LiveSnapshots(),
-                         /*drop_tombstones=*/LevelsBelowEmpty(*base, 2));
+  return std::nullopt;
+}
+
+Status Db::RunMaintenanceLocked(bool compact_all) {
+  // Each job shrinks what picked it: a flush empties imm, a compaction
+  // moves bytes down a level, and a redesign replaces a flagged file
+  // with an unflagged one. So the loop ends.
+  while (std::optional<Job> job = PickCompaction(*CurrentVersion(),
+                                                 compact_all)) {
+    Status s = RunJobLocked(*job);
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+Status Db::RunJobLocked(const Job& job) {
+  const bool flush = !job.imm.empty();
+  const bool redesign = !flush && job.output == job.level;
+  if (redesign) {
+    // The point of a redesign is the new filter, built by re-running
+    // Sample() -> Design() -> Build() against the live query window.
+    // Bump the epoch first so the replacement's provenance outranks the
+    // original.
+    design_epoch_.fetch_add(1, std::memory_order_relaxed);
+  } else if (!flush) {
+    ++stats_->compactions;
+    if (job.level >= 1) compact_cursor_[job.level] = job.next_cursor;
+  }
+
+  // The output-level files the inputs' key range overlaps join the merge.
+  std::vector<FilePtr> overlaps;
+  if (!flush && !redesign) {
+    std::string smallest = job.inputs[0]->smallest;
+    std::string largest = job.inputs[0]->largest;
+    for (const auto& f : job.inputs) {
+      smallest = std::min(smallest, f->smallest);
+      largest = std::max(largest, f->largest);
+    }
+    for (const auto& f : CurrentVersion()->levels[job.output]) {
+      if (f->largest >= smallest && f->smallest <= largest) {
+        overlaps.push_back(f);
+      }
+    }
+  }
+  // A flush streams straight out of the skiplist nodes `job.imm` keeps
+  // alive; everything else merges SSTs.
+  MemTableMergeSource memtables;
+  for (const MemPtr& m : job.imm) memtables.Add(&m->list());
+  memtables.Init();
+  MergeSource files;
+  for (const auto& f : job.inputs) files.Add(f->reader.get());
+  for (const auto& f : overlaps) files.Add(f->reader.get());
+  files.Init();
+  CollapseSource entries(
+      flush ? static_cast<EntrySource&>(memtables) : files, LiveSnapshots(),
+      job.drop_tombstones);
   std::vector<FilePtr> outputs;
-  Status s = WriteSstFiles(entries, /*target_level=*/1,
-                           options_.sst_target_bytes, &outputs);
+  Status s = WriteSstFiles(entries, static_cast<int>(job.output),
+                           job.max_file_bytes, &outputs);
   if (!s.ok()) return s;
 
   ManifestEdit edit;
-  for (const auto& f : l0) {
-    edit.deleted.push_back(f->id);
-    removed.push_back(f);
-  }
-  for (const auto& f : base->levels[1]) {
-    bool kept = false;
-    for (const auto& k : l1_keep) {
-      if (k->id == f->id) {
-        kept = true;
-        break;
-      }
-    }
-    if (!kept) {
-      edit.deleted.push_back(f->id);
-      removed.push_back(f);
-    }
-  }
-  for (auto& f : outputs) {
-    edit.added.emplace_back(1, f);
-    l1_keep.push_back(std::move(f));
-  }
-  std::sort(l1_keep.begin(), l1_keep.end(),
-            [](const FilePtr& a, const FilePtr& b) {
-              return a->smallest < b->smallest;
-            });
-
+  for (const auto& f : outputs) edit.added.emplace_back(job.output, f);
+  // The retired-id order is part of the delta's bytes: L0 inputs come
+  // before the L1 files they overlap, a sorted-level input after.
+  std::vector<FilePtr> retired = overlaps;
+  retired.insert(job.level == 0 ? retired.begin() : retired.end(),
+                 job.inputs.begin(), job.inputs.end());
+  for (const auto& f : retired) edit.deleted.push_back(f->id);
   s = AppendManifestDelta(edit);
   if (!s.ok()) return s;
+
   {
     std::lock_guard<std::mutex> vl(view_mu_);
     auto nv = std::make_shared<Version>(*version_);
-    nv->levels[0].clear();
-    nv->levels[1] = std::move(l1_keep);
+    for (const MemPtr& m : job.imm) {
+      nv->imm.erase(std::remove(nv->imm.begin(), nv->imm.end(), m),
+                    nv->imm.end());
+    }
+    ApplyEdit(edit, &nv->levels);
     version_ = std::move(nv);
   }
   // Obsolete files go away only after the delta retiring them is
   // durable — a crash in between must find a consistent (older) tree.
-  for (const auto& f : removed) RetireFile(f);
+  for (const auto& f : retired) RetireFile(f);
+  if (redesign) ++stats_->redesigns;
+  if (flush) {
+    ++stats_->flushes;
+    {
+      std::lock_guard<std::mutex> sl(stall_mu_);
+    }
+    stall_cv_.notify_all();
+    // Only now are the old WAL segments redundant: their records live
+    // in fsync'd SSTs referenced by a durable manifest record.
+    DeleteObsoleteWalSegments();
+  }
   return Status::OK();
 }
 
-Status Db::CompactLevelLocked(size_t level) {
-  VersionPtr base = CurrentVersion();
-  if (base->levels[level].empty() || level + 1 >= kMaxLevels) {
-    return Status::OK();
+size_t Db::ApplyEdit(const ManifestEdit& edit,
+                     std::vector<std::vector<FilePtr>>* levels) {
+  auto retired = [&](const FilePtr& f) {
+    return std::find(edit.deleted.begin(), edit.deleted.end(), f->id) !=
+           edit.deleted.end();
+  };
+  auto& l0 = (*levels)[0];
+  size_t l0_at = static_cast<size_t>(
+      std::find_if(l0.begin(), l0.end(), retired) - l0.begin());
+  if (l0_at == l0.size()) l0_at = 0;
+  size_t removed = 0;
+  for (auto& level : *levels) {
+    const auto end = std::remove_if(level.begin(), level.end(), retired);
+    removed += static_cast<size_t>(level.end() - end);
+    level.erase(end, level.end());
   }
-  ++stats_->compactions;
-  const size_t pick = compact_cursor_[level] % base->levels[level].size();
-  compact_cursor_[level] = pick + 1;
-  FilePtr input = base->levels[level][pick];
-
-  MergeSource merge;
-  merge.Add(input->reader.get());
-  std::vector<FilePtr> next_keep;
-  std::vector<FilePtr> removed;
-  for (const auto& f : base->levels[level + 1]) {
-    if (f->largest < input->smallest || f->smallest > input->largest) {
-      next_keep.push_back(f);
+  for (const auto& [lvl, f] : edit.added) {
+    auto& files = (*levels)[lvl];
+    if (lvl == 0) {
+      files.insert(files.begin() + static_cast<ptrdiff_t>(l0_at++), f);
     } else {
-      merge.Add(f->reader.get());
+      files.insert(std::upper_bound(files.begin(), files.end(), f,
+                                    [](const FilePtr& a, const FilePtr& b) {
+                                      return a->smallest < b->smallest;
+                                    }),
+                   f);
     }
   }
-  merge.Init();
-  CollapseSource entries(
-      merge, LiveSnapshots(),
-      /*drop_tombstones=*/LevelsBelowEmpty(*base, level + 2));
-  std::vector<FilePtr> outputs;
-  Status s = WriteSstFiles(entries, static_cast<int>(level + 1),
-                           options_.sst_target_bytes, &outputs);
-  if (!s.ok()) return s;
-
-  ManifestEdit edit;
-  for (const auto& f : base->levels[level + 1]) {
-    bool kept = false;
-    for (const auto& k : next_keep) {
-      if (k->id == f->id) {
-        kept = true;
-        break;
-      }
-    }
-    if (!kept) {
-      edit.deleted.push_back(f->id);
-      removed.push_back(f);
-    }
-  }
-  edit.deleted.push_back(input->id);
-  removed.push_back(input);
-  for (auto& f : outputs) {
-    edit.added.emplace_back(level + 1, f);
-    next_keep.push_back(std::move(f));
-  }
-  std::sort(next_keep.begin(), next_keep.end(),
-            [](const FilePtr& a, const FilePtr& b) {
-              return a->smallest < b->smallest;
-            });
-
-  s = AppendManifestDelta(edit);
-  if (!s.ok()) return s;
-  {
-    std::lock_guard<std::mutex> vl(view_mu_);
-    auto nv = std::make_shared<Version>(*version_);
-    auto& src = nv->levels[level];
-    src.erase(std::remove_if(src.begin(), src.end(),
-                             [&](const FilePtr& f) { return f == input; }),
-              src.end());
-    nv->levels[level + 1] = std::move(next_keep);
-    version_ = std::move(nv);
-  }
-  for (const auto& f : removed) RetireFile(f);
-  return Status::OK();
-}
-
-Status Db::MaybeCompactLocked() {
-  if (static_cast<int>(CurrentVersion()->levels[0].size()) >=
-      options_.l0_compaction_trigger) {
-    Status s = CompactL0Locked();
-    if (!s.ok()) return s;
-  }
-  for (size_t level = 1; level + 1 < kMaxLevels; ++level) {
-    while (LevelBytes(*CurrentVersion(), level) > LevelLimitBytes(level)) {
-      Status s = CompactLevelLocked(level);
-      if (!s.ok()) return s;
-    }
-  }
-  if (options_.adaptive_redesign) return MaybeRedesignLocked();
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive redesign (drift-triggered single-file rewrites)
-// ---------------------------------------------------------------------------
-
-bool Db::AnyDriftFlagged(const Version& v) {
-  for (const auto& level : v.levels) {
-    for (const auto& f : level) {
-      if (f->drift_flagged.load(std::memory_order_relaxed) &&
-          !f->obsolete.load(std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-Status Db::MaybeRedesignLocked() {
-  // Each pass retires exactly one flagged file and installs replacements
-  // with fresh (unflagged) designs, so the loop terminates.
-  for (;;) {
-    VersionPtr base = CurrentVersion();
-    size_t level = 0;
-    FilePtr victim;
-    for (size_t l = 0; l < base->levels.size() && victim == nullptr; ++l) {
-      for (const auto& f : base->levels[l]) {
-        if (f->drift_flagged.load(std::memory_order_relaxed) &&
-            !f->obsolete.load(std::memory_order_relaxed)) {
-          level = l;
-          victim = f;
-          break;
-        }
-      }
-    }
-    if (victim == nullptr) return Status::OK();
-    Status s = RedesignFileLocked(level, victim);
-    if (!s.ok()) return s;
-  }
-}
-
-Status Db::RedesignFileLocked(size_t level, const FilePtr& input) {
-  // A redesign is a same-level, same-data rewrite: the point is the new
-  // filter, built by re-running Sample() -> Design() -> Build() against
-  // the live query window (and the current per-level budget). Bump the
-  // epoch first so the replacement's provenance outranks the original.
-  design_epoch_.fetch_add(1, std::memory_order_relaxed);
-
-  MergeSource merge;
-  merge.Add(input->reader.get());
-  merge.Init();
-  // Never drop tombstones here: unlike a real compaction this rewrite
-  // sees only one file, and other L0 files or deeper levels may still
-  // hold the older versions a tombstone shadows.
-  CollapseSource entries(merge, LiveSnapshots(), /*drop_tombstones=*/false);
-  std::vector<FilePtr> outputs;
-  Status s = WriteSstFiles(entries, static_cast<int>(level),
-                           /*max_data_bytes=*/~size_t{0}, &outputs);
-  if (!s.ok()) return s;
-
-  ManifestEdit edit;
-  edit.deleted.push_back(input->id);
-  for (const auto& f : outputs) edit.added.emplace_back(level, f);
-  s = AppendManifestDelta(edit);
-  if (!s.ok()) return s;
-
-  {
-    std::lock_guard<std::mutex> vl(view_mu_);
-    auto nv = std::make_shared<Version>(*version_);
-    auto& files = nv->levels[level];
-    for (size_t i = 0; i < files.size(); ++i) {
-      if (files[i] == input) {
-        // Positional splice keeps L0's newest-first recency order; a
-        // sorted level is re-sorted below anyway.
-        files.erase(files.begin() + i);
-        files.insert(files.begin() + i, outputs.begin(), outputs.end());
-        break;
-      }
-    }
-    if (level >= 1) {
-      std::sort(files.begin(), files.end(),
-                [](const FilePtr& a, const FilePtr& b) {
-                  return a->smallest < b->smallest;
-                });
-    }
-    version_ = std::move(nv);
-  }
-  RetireFile(input);
-  ++stats_->redesigns;
-  return Status::OK();
+  return removed;
 }
 
 double Db::MonkeyBpkForLevel(int target_level, uint64_t incoming_keys) const {
@@ -1521,27 +1363,7 @@ Status Db::WriteManifestSnapshot(const ManifestEdit* pending) {
   // Fold in a not-yet-installed edit: manifest writes precede the
   // in-memory install, so the current version lags by one edit here.
   std::vector<std::vector<FilePtr>> levels = v->levels;
-  if (pending != nullptr) {
-    for (auto& level : levels) {
-      level.erase(std::remove_if(level.begin(), level.end(),
-                                 [&](const FilePtr& f) {
-                                   return std::find(pending->deleted.begin(),
-                                                    pending->deleted.end(),
-                                                    f->id) !=
-                                          pending->deleted.end();
-                                 }),
-                  level.end());
-    }
-    for (const auto& [lvl, f] : pending->added) {
-      // L0 is newest-first; a flushed file is newer than everything
-      // already there. L1+ get re-sorted by key at recovery.
-      if (lvl == 0) {
-        levels[lvl].insert(levels[lvl].begin(), f);
-      } else {
-        levels[lvl].push_back(f);
-      }
-    }
-  }
+  if (pending != nullptr) ApplyEdit(*pending, &levels);
   std::string payload;
   payload.push_back(static_cast<char>(kManifestRecordSnapshot));
   PutFixed64(&payload, kManifestMagic);
@@ -1688,7 +1510,9 @@ Status Db::RecoverManifest(bool* needs_rewrite) {
           !GetFixed64(&cursor, &n_levels) || n_levels > kMaxLevels) {
         return Status::Corruption("corrupt manifest snapshot header");
       }
-      for (auto& level : levels) level.clear();  // snapshot replaces state
+      // A snapshot replaces the state: it is one edit that adds every
+      // file to empty levels.
+      ManifestEdit edit;
       for (uint64_t level = 0; level < n_levels; ++level) {
         uint64_t n_files;
         if (!GetFixed64(&cursor, &n_files)) {
@@ -1699,12 +1523,11 @@ Status Db::RecoverManifest(bool* needs_rewrite) {
           if (!DecodeFileMeta(&cursor, meta.get())) {
             return Status::Corruption("corrupt manifest file entry");
           }
-          meta->path =
-              options_.dir + "/" + std::to_string(meta->id) + ".sst";
-          meta->level = static_cast<int>(level);
-          levels[level].push_back(std::move(meta));
+          edit.added.emplace_back(level, std::move(meta));
         }
       }
+      for (auto& level : levels) level.clear();
+      ApplyEdit(edit, &levels);
       deltas_since_snapshot = 0;
     } else if (kind == kManifestRecordDelta) {
       if (records == 0) {
@@ -1716,6 +1539,7 @@ Status Db::RecoverManifest(bool* needs_rewrite) {
           !GetFixed64(&cursor, &n_added)) {
         return Status::Corruption("corrupt manifest delta header");
       }
+      ManifestEdit edit;
       for (uint64_t i = 0; i < n_added; ++i) {
         uint64_t level;
         auto meta = std::make_shared<FileMeta>();
@@ -1723,14 +1547,7 @@ Status Db::RecoverManifest(bool* needs_rewrite) {
             !DecodeFileMeta(&cursor, meta.get())) {
           return Status::Corruption("corrupt manifest delta add");
         }
-        meta->path = options_.dir + "/" + std::to_string(meta->id) + ".sst";
-        meta->level = static_cast<int>(level);
-        if (level == 0) {
-          // L0 deltas list newest first, matching the in-memory order.
-          levels[0].insert(levels[0].begin(), std::move(meta));
-        } else {
-          levels[level].push_back(std::move(meta));
-        }
+        edit.added.emplace_back(level, std::move(meta));
       }
       if (!GetFixed64(&cursor, &n_deleted)) {
         return Status::Corruption("corrupt manifest delta header");
@@ -1740,21 +1557,10 @@ Status Db::RecoverManifest(bool* needs_rewrite) {
         if (!GetFixed64(&cursor, &id)) {
           return Status::Corruption("corrupt manifest delta delete");
         }
-        bool erased = false;
-        for (auto& level : levels) {
-          for (size_t j = 0; j < level.size(); ++j) {
-            if (level[j]->id == id) {
-              level.erase(level.begin() + j);
-              erased = true;
-              break;
-            }
-          }
-          if (erased) break;
-        }
-        if (!erased) {
-          return Status::Corruption("manifest delta retires unknown file " +
-                                    std::to_string(id));
-        }
+        edit.deleted.push_back(id);
+      }
+      if (ApplyEdit(edit, &levels) != edit.deleted.size()) {
+        return Status::Corruption("manifest delta retires an unknown file");
       }
       ++deltas_since_snapshot;
     } else {
@@ -1773,18 +1579,12 @@ Status Db::RecoverManifest(bool* needs_rewrite) {
     return Status::Corruption("manifest has no intact snapshot record");
   }
 
-  // Levels >= 1 must be sorted by smallest key (deltas append).
-  for (size_t level = 1; level < kMaxLevels; ++level) {
-    std::sort(levels[level].begin(), levels[level].end(),
-              [](const FilePtr& a, const FilePtr& b) {
-                return a->smallest < b->smallest;
-              });
-  }
-
   uint64_t max_id = 0;
   uint64_t max_epoch = 0;
-  for (const auto& level : levels) {
-    for (const auto& f : level) {
+  for (size_t level = 0; level < levels.size(); ++level) {
+    for (const auto& f : levels[level]) {
+      f->path = options_.dir + "/" + std::to_string(f->id) + ".sst";
+      f->level = static_cast<int>(level);
       Status s = LoadFile(f);
       if (!s.ok()) return s;
       max_id = std::max(max_id, f->id);
@@ -1888,7 +1688,6 @@ Status Db::ReplayWalSegments() {
   std::sort(segments.begin(), segments.end());
 
   uint64_t max_seq = last_seqno_.load(std::memory_order_relaxed);
-  uint64_t replayed = 0;
   for (size_t i = 0; i < segments.size(); ++i) {
     uint64_t valid_bytes = 0;
     bool torn = false;
@@ -1900,7 +1699,6 @@ Status Db::ReplayWalSegments() {
           max_seq = std::max(max_seq, seqno);
           mem_->Add(key, seqno, tag, value);
           ++stats_->wal_replayed;
-          ++replayed;
         },
         &valid_bytes, &torn);
     if (!s.ok()) return s;
@@ -1922,24 +1720,6 @@ Status Db::ReplayWalSegments() {
 
   last_seqno_.store(max_seq, std::memory_order_relaxed);
   next_seqno_ = max_seq + 1;
-
-  if (!options_.use_wal) {
-    // A log left by a previous use_wal run was just replayed into the
-    // memtable (honoring its acknowledged writes); this session keeps
-    // no log, so the files must go — otherwise a later use_wal=true
-    // open would replay the stale history on top of newer state. Flush
-    // the replayed records FIRST: they were durably acknowledged, and
-    // unlinking their only copy before SSTs hold them would let a
-    // crash during this session revoke that acknowledgement.
-    if (replayed > 0) {
-      PrepareFlush(/*force=*/true);
-      std::lock_guard<std::mutex> mlock(maint_mu_);
-      Status fs = FlushImmLocked();
-      if (!fs.ok()) return fs;
-    }
-    for (const auto& [number, path] : segments) ::unlink(path.c_str());
-    return Status::OK();
-  }
 
   // Reuse the highest existing segment for appends (a crash loop must
   // not mint a new file per reopen); the replayed records keep every

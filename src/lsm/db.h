@@ -66,6 +66,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -150,11 +151,10 @@ struct DbOptions {
   int l0_compaction_trigger = 4;
   uint64_t l1_size_bytes = 64u << 20;
   double level_size_multiplier = 10.0;
-  /// Write-ahead logging. With use_wal off, durability regresses to the
-  /// pre-WAL contract (clean close is lossless, kill -9 loses the
-  /// memtable). wal_sync=false acknowledges after the OS write but
-  /// before fdatasync (group commit still batches the writes).
-  bool use_wal = true;
+  /// Every write goes through the write-ahead log. wal_sync=false
+  /// acknowledges after the OS write but before fdatasync (group commit
+  /// still batches the writes), so an acknowledged write survives a
+  /// process kill but not a machine crash.
   bool wal_sync = true;
   /// A WAL segment reaching this size triggers a memtable flush (and a
   /// rotation to a fresh segment), bounding crash-replay time even when
@@ -164,7 +164,10 @@ struct DbOptions {
   /// the backpressure that keeps an outrun flusher from buffering
   /// unbounded memory. stats().write_stalls counts the stalls.
   size_t max_immutable_memtables = 2;
-  /// Threads in the background maintenance pool (flush + compaction).
+  /// Threads in the background maintenance pool. Maintenance runs one
+  /// pass at a time (maint_scheduled_ admits one queued pass, maint_mu_
+  /// serializes it against Flush/CompactAll), so values above 1 only
+  /// add idle threads.
   size_t background_threads = 2;
   /// MANIFEST delta records appended since the last full snapshot before
   /// the log is compacted back into one snapshot record.
@@ -355,8 +358,7 @@ class Db {
   void ResetStats();
   BlockCache& cache() { return cache_; }
 
-  /// WAL group-commit counters (zeros when use_wal is off). Cumulative
-  /// across segment rotations.
+  /// WAL group-commit counters, cumulative across segment rotations.
   WalWriter::Stats wal_stats() const;
 
   /// Files per level (diagnostics / tests).
@@ -372,7 +374,7 @@ class Db {
   /// replay on the next Open().
   void TEST_CrashClose();
 
-  /// Test hook: the live WAL writer (null when use_wal is off).
+  /// Test hook: the live WAL writer (null after TEST_CrashClose).
   WalWriter* TEST_wal() { return wal_.get(); }
 
   /// Design provenance and live probe counters of one resident SST
@@ -597,16 +599,40 @@ class Db {
   static void EncodeFileMeta(std::string* out, const FileMeta& f);
   static bool DecodeFileMeta(std::string_view* cursor, FileMeta* f);
 
-  // Maintenance bodies; callers hold maint_mu_.
-  Status FlushImmLocked();
-  Status MaybeCompactLocked();
-  Status CompactL0Locked();
-  Status CompactLevelLocked(size_t level);
-  /// Rewrites every drift-flagged SST in place (same level, same data),
-  /// rebuilding its filter from the live query window.
-  Status MaybeRedesignLocked();
-  Status RedesignFileLocked(size_t level, const FilePtr& input);
-  static bool AnyDriftFlagged(const Version& v);
+  /// One unit of maintenance. A flush writes the immutable memtables
+  /// into L0; a compaction merges its input files with the files they
+  /// overlap at the output level; a redesign (output == level) rewrites
+  /// one file at its own level so that it gets a filter designed from
+  /// the live query window.
+  struct Job {
+    std::vector<MemPtr> imm;      // a flush's memtables; empty otherwise
+    size_t level = 0;             // input level
+    std::vector<FilePtr> inputs;  // input files at `level`
+    size_t output = 0;            // output level
+    bool drop_tombstones = false;
+    size_t max_file_bytes = ~size_t{0};  // output file-size cap
+    size_t next_cursor = 0;  // a level compaction: compact_cursor_ after it
+  };
+  /// The next job, or none. In order: a flush of the immutable
+  /// memtables; L0 into L1 once L0 holds l0_compaction_trigger files
+  /// (any file under `compact_all`); the lowest level over its size
+  /// limit, one file at a time round-robin; unless `compact_all`, the
+  /// first drift-flagged file (adaptive_redesign only).
+  std::optional<Job> PickCompaction(const Version& v, bool compact_all) const;
+  // Callers hold maint_mu_.
+  /// Runs picked jobs until the picker has none.
+  Status RunMaintenanceLocked(bool compact_all);
+  /// Merges, writes the outputs, appends the MANIFEST delta, installs the
+  /// edit through ApplyEdit and retires the inputs.
+  Status RunJobLocked(const Job& job);
+  /// The one rule that turns an edit into level lists, for the live
+  /// install, the snapshot fold and recovery. Retired ids leave every
+  /// level. Added L0 files go, in edit order, where the first L0 file
+  /// the edit retires was, or at the front: L0 stays newest-first.
+  /// Levels >= 1 stay sorted by smallest key. Returns how many files
+  /// were retired.
+  static size_t ApplyEdit(const ManifestEdit& edit,
+                          std::vector<std::vector<FilePtr>>* levels);
   void DeleteObsoleteWalSegments();
   uint64_t LevelLimitBytes(size_t level) const;
   static uint64_t LevelBytes(const Version& v, size_t level);

@@ -643,58 +643,88 @@ TEST(DbCrashRecovery, ManifestDeltaLogCompactsBackToOneSnapshot) {
   EXPECT_EQ(db->TotalKeys(), 12u * 64u);
 }
 
-TEST(DbCrashRecovery, WalFromPreviousRunHonoredThenRemovedWhenWalDisabled) {
-  auto options = CrashDbOptions("stale_wal");
-  {
-    // Session 1 (WAL on): acknowledged writes, then kill -9.
-    auto [db, st] = Db::Create(options);
-    ASSERT_TRUE(st.ok());
-    for (uint64_t i = 0; i < 120; ++i) {
-      ASSERT_TRUE(db->Put(EncodeKeyBE(i), "s1").ok());
-    }
-    db->TEST_CrashClose();
-  }
-  ASSERT_GT(TotalWalBytes(options.dir), 0u);
-
-  // Session 2 opens with use_wal=false: the old log's acknowledged
-  // writes must still be honored (replayed), and the file removed so it
-  // can never replay stale history over this session's newer state.
-  options.use_wal = false;
-  {
-    auto [db, status] = Db::Open(options);
-    ASSERT_NE(db, nullptr) << status.ToString();
-    EXPECT_EQ(db->stats().wal_replayed, 120u);
-    EXPECT_EQ(db->TotalKeys(), 120u);
-    EXPECT_EQ(TotalWalBytes(options.dir), 0u);  // segments gone
-    ASSERT_TRUE(db->Delete(EncodeKeyBE(5)).ok());
-    ASSERT_TRUE(db->Flush().ok());
-  }
-
-  // Session 3 (WAL back on): the deleted key must NOT resurrect from
-  // the session-1 log.
-  options.use_wal = true;
-  auto [db, status] = Db::Open(options);
-  ASSERT_NE(db, nullptr) << status.ToString();
-  EXPECT_EQ(db->stats().wal_replayed, 0u);
-  EXPECT_FALSE(db->Seek(EncodeKeyBE(5), EncodeKeyBE(5)).found);
-  EXPECT_TRUE(db->Seek(EncodeKeyBE(6), EncodeKeyBE(6)).found);
+// (level, file id) of every live SST in DesignInfo's order: L0
+// newest-first, then each sorted level by key.
+std::vector<std::pair<int, uint64_t>> TreeShape(const Db& db) {
+  std::vector<std::pair<int, uint64_t>> shape;
+  for (const auto& f : db.DesignInfo()) shape.emplace_back(f.level, f.file_id);
+  return shape;
 }
 
-TEST(DbCrashRecovery, WalDisabledKeepsTheOldContract) {
-  auto options = CrashDbOptions("no_wal");
-  options.use_wal = false;
-  {
-    auto [db, st] = Db::Create(options);
-    ASSERT_TRUE(st.ok());
-    for (uint64_t i = 0; i < 100; ++i) {
-      ASSERT_TRUE(db->Put(EncodeKeyBE(i), "x").ok());
+TEST(DbCrashRecovery, RecoveredTreeMatchesTheLiveTree) {
+  auto options = CrashDbOptions("tree_shape");
+  options.memtable_bytes = 4 << 20;  // only Flush() flushes
+  options.l0_compaction_trigger = 100;  // only CompactAll() compacts L0
+  options.l1_size_bytes = 64 << 20;
+  options.manifest_compact_threshold = 1000;  // deltas carry every edit
+  // A weak filter and hair-trigger drift thresholds: the first false
+  // positive flags its file for a redesign.
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=2");
+  options.drift.min_probes = 1;
+  options.drift.min_window_samples = 1;
+  options.drift.fpr_factor = 0;
+  auto [created, st] = Db::Create(options);
+  ASSERT_NE(created, nullptr) << st.ToString();
+  std::unique_ptr<Db> db = std::move(created);
+
+  // The live tree must come back file for file and in order, both from
+  // the MANIFEST's deltas (a crash) and from its final snapshot (a
+  // clean close). The reopened Db carries on with the next step.
+  auto expect_recovered = [&](const std::string& step) {
+    db->WaitForBackground();
+    const auto live = TreeShape(*db);
+    db->TEST_CrashClose();
+    db.reset();
+    auto [after_crash, crash_status] = Db::Open(options);
+    ASSERT_NE(after_crash, nullptr) << crash_status.ToString();
+    EXPECT_EQ(TreeShape(*after_crash), live) << step << ", after a crash";
+    after_crash.reset();
+    auto [after_close, close_status] = Db::Open(options);
+    ASSERT_NE(after_close, nullptr) << close_status.ToString();
+    EXPECT_EQ(TreeShape(*after_close), live)
+        << step << ", after a clean close";
+    db = std::move(after_close);
+  };
+
+  // Two L0 files over disjoint key ranges: even keys below 4000, then
+  // keys from 100000 up.
+  const std::string value(100, 'v');
+  for (uint64_t base : {uint64_t{0}, uint64_t{100000}}) {
+    for (uint64_t i = 0; i < 2000; ++i) {
+      ASSERT_TRUE(db->Put(EncodeKeyBE(base + 2 * i), value).ok());
     }
-    EXPECT_EQ(db->wal_stats().records, 0u);
-    db->TEST_CrashClose();  // kill -9 without a WAL: the memtable is gone
+    ASSERT_TRUE(db->Flush().ok());
+    expect_recovered("flush at " + std::to_string(base));
   }
-  auto [db, status] = Db::Open(options);
-  ASSERT_NE(db, nullptr) << status.ToString();
-  EXPECT_EQ(db->TotalKeys(), 0u);  // documented regression of use_wal=false
+  ASSERT_EQ(db->LevelFileCounts()[0], 2u);
+
+  // Empty point Seeks inside the older file's range only, until one of
+  // its false positives flags it; maintenance then redesigns it in
+  // place, between the newer file and the end of L0.
+  for (uint64_t k = 1; k < 4000 && db->stats().drift_detected == 0; k += 2) {
+    ASSERT_FALSE(db->Seek(EncodeKeyBE(k), EncodeKeyBE(k)).found);
+  }
+  db->WaitForBackground();
+  ASSERT_EQ(db->stats().redesigns, 1u);
+  ASSERT_EQ(db->LevelFileCounts()[0], 2u);
+  expect_recovered("redesign");
+
+  ASSERT_TRUE(db->CompactAll().ok());
+  ASSERT_EQ(db->LevelFileCounts()[0], 0u);
+  ASSERT_GT(db->LevelFileCounts()[1], 2u);
+  expect_recovered("CompactAll into L1");
+
+  // Half of L1 over its limit: CompactAll moves files into L2 one at a
+  // time.
+  options.l1_size_bytes = db->TotalSstBytes() / 2;
+  db.reset();
+  auto [shrunk, shrunk_status] = Db::Open(options);
+  ASSERT_NE(shrunk, nullptr) << shrunk_status.ToString();
+  db = std::move(shrunk);
+  ASSERT_TRUE(db->CompactAll().ok());
+  ASSERT_GT(db->LevelFileCounts()[1], 0u);
+  ASSERT_GT(db->LevelFileCounts()[2], 0u);
+  expect_recovered("level compaction");
 }
 
 TEST(DbCrashRecovery, OlderWalRecordFailsOpenAndLeavesTheLogIntact) {
