@@ -8,8 +8,8 @@
 // qps, read latency percentiles, and sustained write throughput; the
 // final lines print the read-scaling factor (largest over smallest
 // reader count) and, when several writer counts ran, the write-scaling
-// factor across them — the headline number for the parallel memtable
-// apply.
+// factor across them — how group commit, whose leader is the memtable's
+// one writer, holds up as writers queue behind it.
 //
 // Flags beyond bench_common's: --writers=LIST (default 1),
 // --readers=LIST (default 1,2,4,8), --duration-ms=N per window (default
@@ -19,6 +19,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -42,13 +44,24 @@ struct MtArgs {
   bool snapshot_reads = false;
 };
 
-std::vector<uint64_t> ParseList(const char* p) {
+// Parses the comma list of `arg` (starting at `p`). An empty or
+// non-numeric item is an error (exit 2), as an unknown flag is.
+std::vector<uint64_t> ParseList(const char* arg, const char* p) {
   std::vector<uint64_t> out;
-  while (*p != '\0') {
-    out.push_back(std::strtoull(p, const_cast<char**>(&p), 10));
-    if (*p == ',') ++p;
+  for (;;) {
+    char* end = nullptr;
+    errno = 0;
+    const uint64_t n = std::strtoull(p, &end, 10);
+    if (std::isdigit(static_cast<unsigned char>(*p)) == 0 || errno != 0 ||
+        (*end != ',' && *end != '\0')) {
+      std::fprintf(stderr, "%s: every item must be a number (see --help)\n",
+                   arg);
+      std::exit(2);
+    }
+    out.push_back(n);
+    if (*end == '\0') return out;
+    p = end + 1;
   }
-  return out;
 }
 
 MtArgs ParseMtArgs(int argc, char** argv) {
@@ -56,17 +69,15 @@ MtArgs ParseMtArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--writers=", 10) == 0) {
-      args.writers = ParseList(a + 10);
+      args.writers = ParseList(a, a + 10);
     } else if (std::strncmp(a, "--readers=", 10) == 0) {
-      args.readers = ParseList(a + 10);
+      args.readers = ParseList(a, a + 10);
     } else if (std::strncmp(a, "--duration-ms=", 14) == 0) {
       args.duration_ms = std::strtoull(a + 14, nullptr, 10);
     } else if (std::strcmp(a, "--snapshot-reads") == 0) {
       args.snapshot_reads = true;
     }
   }
-  if (args.writers.empty()) args.writers.push_back(1);
-  if (args.readers.empty()) args.readers.push_back(1);
   return args;
 }
 

@@ -535,76 +535,26 @@ Db::~Db() {
 // Write path
 // ---------------------------------------------------------------------------
 
-Status Db::Put(std::string_view key, std::string_view value,
-               const WriteOptions& options) {
-  return WriteInternal(kTagValue, key, value, options);
+Status Db::Put(std::string_view key, std::string_view value) {
+  return WriteInternal(kTagValue, key, value);
 }
 
-Status Db::Delete(std::string_view key, const WriteOptions& options) {
-  return WriteInternal(kTagTombstone, key, {}, options);
-}
-
-// Shared state of one batch's parallel memtable apply. Lives on the
-// leader's stack for the duration of CommitBatch; the leader hands each
-// follower a pointer (under write_mu_), every follower inserts its OWN
-// entry into the memtable, and the last decrement of `pending`
-// releases the leader to publish the commit point. The group must not be
-// destroyed until pending hits zero — the leader's wait guarantees that,
-// and followers notify while holding `mu` so the leader cannot observe
-// pending == 0 and destroy the group mid-notify.
-struct Db::ApplyGroup {
-  MemTable* mem = nullptr;
-  std::atomic<uint32_t> pending{0};
-  std::mutex mu;
-  std::condition_variable cv;
-};
-
-void Db::ApplyWriter(MemTable* mem, const Writer& w) {
-  mem->Add(w.key, w.seqno, w.tag, w.value);
-  if (w.tag == kTagValue) {
-    ++stats_->puts;
-  } else {
-    ++stats_->deletes;
-  }
+Status Db::Delete(std::string_view key) {
+  return WriteInternal(kTagTombstone, key, {});
 }
 
 Status Db::WriteInternal(uint8_t tag, std::string_view key,
-                         std::string_view value, const WriteOptions& wopts) {
+                         std::string_view value) {
   Writer w;
   w.tag = tag;
   w.key = key;
   w.value = value;
-  w.sync = wopts.sync && options_.wal_sync;
 
   std::unique_lock<std::mutex> qlock(write_mu_);
   write_queue_.push_back(&w);
-  // Wait until the leader enlists this write in its batch's parallel
-  // memtable apply, a leader commits it outright, or we reach the front
-  // and become the leader of everything queued behind us.
-  write_cv_.wait(qlock, [&] {
-    return w.done || w.apply != nullptr || write_queue_.front() == &w;
-  });
-  if (w.apply != nullptr && !w.done) {
-    // Follower with work: the leader has WAL-appended the batch and is
-    // waiting for the batch's applies. Insert our own entry (outside the
-    // queue lock — this is the parallel part), then report in.
-    ApplyGroup* group = w.apply;
-    qlock.unlock();
-    ApplyWriter(group->mem, w);
-    {
-      // Decrement AND notify under the group mutex: the leader evaluates
-      // its wait predicate holding it, so it cannot observe pending == 0
-      // and destroy the group while any follower is still inside this
-      // block — and a follower that has left it never touches the group
-      // again.
-      std::lock_guard<std::mutex> gl(group->mu);
-      if (group->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        group->cv.notify_one();
-      }
-    }
-    qlock.lock();
-    write_cv_.wait(qlock, [&] { return w.done; });
-  }
+  // Wait until a leader commits this write, or we reach the front and
+  // become the leader of everything queued behind us.
+  write_cv_.wait(qlock, [&] { return w.done || write_queue_.front() == &w; });
   if (w.done) return w.status;
 
   std::vector<Writer*> batch(write_queue_.begin(), write_queue_.end());
@@ -621,7 +571,7 @@ Status Db::WriteInternal(uint8_t tag, std::string_view key,
     other->done = true;
   }
   qlock.unlock();
-  // Wakes both the batch's followers and the next leader.
+  // Wakes both the batch's writers and the next leader.
   write_cv_.notify_all();
 
   if (need_maintenance) MaybeScheduleMaintenance();
@@ -668,51 +618,33 @@ Status Db::CommitBatch(const std::vector<Writer*>& batch,
   // Assign seqnos and build the one WAL append for the whole batch.
   const uint64_t first_seqno = next_seqno_;
   std::string buf;
-  bool sync = false;
   for (Writer* w : batch) {
     w->seqno = next_seqno_++;
-    sync = sync || w->sync;
     buf += EncodeWalRecord(
         w->tag == kTagValue ? kWalOpPutSeq : kWalOpDeleteSeq, w->seqno,
         w->key, w->value);
   }
-  Status s = wal_->Append(buf, batch.size(), sync);
+  Status s = wal_->Append(buf, batch.size(), options_.wal_sync);
   if (!s.ok()) {
     next_seqno_ = first_seqno;  // nothing consumed them: reuse
     return s;  // not applied: a rejected write stays invisible
   }
 
-  // Apply. The WAL already fixed the batch's order (seqnos); the
-  // memtable inserts commute — each lands in its own (key, seqno)
-  // position — so the followers apply their entries IN PARALLEL
-  // while the leader applies its own. mem_ is stable here: it changes
-  // only under pipeline_mu_ (held) plus view_mu_.
+  // Apply, in seqno order: the leader is the memtable's only writer.
+  // mem_ is stable here: it changes only under pipeline_mu_ (held) plus
+  // view_mu_.
   MemPtr mem = mem_;
-  Writer* const leader = batch.front();
-  if (batch.size() > 1) {
-    ApplyGroup group;
-    group.mem = mem.get();
-    group.pending.store(static_cast<uint32_t>(batch.size() - 1),
-                        std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> ql(write_mu_);
-      for (Writer* w : batch) {
-        if (w != leader) w->apply = &group;
-      }
+  for (const Writer* w : batch) {
+    mem->Add(w->key, w->seqno, w->tag, w->value);
+    if (w->tag == kTagValue) {
+      ++stats_->puts;
+    } else {
+      ++stats_->deletes;
     }
-    write_cv_.notify_all();  // release the followers to their applies
-    ApplyWriter(mem.get(), *leader);
-    std::unique_lock<std::mutex> gl(group.mu);
-    group.cv.wait(gl, [&] {
-      return group.pending.load(std::memory_order_acquire) == 0;
-    });
-  } else {
-    ApplyWriter(mem.get(), *leader);
   }
-  // Publish: every apply of the batch happened before this store (the
-  // followers' decrements synchronize with the leader's wait), so a
-  // reader that acquires this seqno as its horizon can reach every entry
-  // at or below it.
+  // Publish: every apply of the batch happened before this release
+  // store, so a reader that acquires this seqno as its horizon can reach
+  // every entry at or below it.
   last_seqno_.store(next_seqno_ - 1, std::memory_order_release);
 
   const bool mem_full =
@@ -1124,7 +1056,10 @@ Status Db::RunJobLocked(const Job& job) {
       smallest = std::min(smallest, f->smallest);
       largest = std::max(largest, f->largest);
     }
-    for (const auto& f : CurrentVersion()->levels[job.output]) {
+    // Hold the Version: a range-for over a member of the temporary
+    // would outlive it once a concurrent flush swaps version_.
+    const VersionPtr v = CurrentVersion();
+    for (const auto& f : v->levels[job.output]) {
       if (f->largest >= smallest && f->smallest <= largest) {
         overlaps.push_back(f);
       }
@@ -1891,7 +1826,7 @@ void Db::SeekLoop(const ReadView& view, const ReadOptions& ro,
                   const uint32_t* verdicts, ReadSources* sources,
                   SeekResult* result) {
   using Source = ReadSources::Source;
-  const BlockReadOptions bro{ro.verify_checksums, ro.fill_cache,
+  const BlockReadOptions bro{ro.verify_checksums, /*fill_cache=*/true,
                              /*use_cache=*/true};
   const Version& v = *view.version;
 

@@ -23,11 +23,10 @@
 //  * Writers queue behind a group-commit leader that assigns monotonic
 //    sequence numbers and appends the whole batch to the WAL in one
 //    critical section — WAL order, seqno order, and crash-replay order
-//    are identical. The memtable APPLY is parallel: the active memtable
-//    is one multi-writer concurrent skiplist, and after the WAL append
-//    each batch follower inserts its own entry into it concurrently; the
-//    leader publishes last_seqno_ only after every apply lands, so
-//    readers never see a committed horizon with holes.
+//    are identical. The leader is the memtable's only writer: after the
+//    WAL append it applies every entry of the batch in seqno order, then
+//    publishes last_seqno_, so readers never see a committed horizon
+//    with holes.
 //  * Readers never take the writer path's locks: Seek/MultiSeek pin an
 //    immutable view (active memtable + a copy-on-write Version of the
 //    immutable memtables and SST levels) under one brief mutex, then run
@@ -118,17 +117,6 @@ struct ReadOptions {
   /// Verify the per-block CRC32C on data-block reads that miss the
   /// cache. The in-block checksum is always verified.
   bool verify_checksums = true;
-  /// Insert data blocks read on behalf of this query into the block
-  /// cache. Turn off for scans that should not evict the hot set.
-  bool fill_cache = true;
-};
-
-/// Per-write knobs for Put/Delete.
-struct WriteOptions {
-  /// fdatasync the WAL batch before acknowledging. The effective sync is
-  /// `sync && DbOptions::wal_sync`, so a database opened with
-  /// wal_sync=false never syncs regardless of this flag.
-  bool sync = true;
 };
 
 /// How the filter budget is spread across levels (DbOptions::bpk_policy).
@@ -281,19 +269,18 @@ class Db {
   Db& operator=(const Db&) = delete;
 
   /// Inserts a new version of `key`. Returns once the write is durable
-  /// in the WAL (see WriteOptions::sync) and applied to the memtable; a
+  /// in the WAL (see DbOptions::wal_sync) and applied to the memtable; a
   /// non-OK status means the write was rejected and is NOT visible.
   /// Concurrent callers are batched by a group-commit leader that also
   /// assigns the write's sequence number. If background maintenance has
   /// failed, the sticky background_error() rejects writes until an
   /// explicit Flush()/CompactAll() succeeds.
-  Status Put(std::string_view key, std::string_view value,
-             const WriteOptions& options = {});
+  Status Put(std::string_view key, std::string_view value);
 
   /// Removes a key (writes a tombstone version that shadows older ones
   /// and is dropped by bottom-level compaction once no snapshot needs
   /// it). Same durability as Put.
-  Status Delete(std::string_view key, const WriteOptions& options = {});
+  Status Delete(std::string_view key);
 
   /// Pins the current sequence horizon. Reads passing the returned
   /// snapshot in ReadOptions see the database exactly as of this call;
@@ -458,22 +445,13 @@ class Db {
     uint64_t snapshot = kMaxSequence;
   };
 
-  /// Shared state of one batch's parallel memtable apply, owned by the
-  /// leader's stack frame (defined in db.cc).
-  struct ApplyGroup;
-
   /// One queued write, owned by the caller's stack frame.
   struct Writer {
     uint8_t tag;  // kTagValue | kTagTombstone
     std::string_view key, value;
-    bool sync;
     uint64_t seqno = 0;
     Status status;
     bool done = false;
-    /// Set (under write_mu_) by the leader after the WAL append: the
-    /// follower applies its own entry to the memtable and decrements the
-    /// group's pending count instead of idling until commit.
-    ApplyGroup* apply = nullptr;
   };
 
   /// One atomic change to the LSM tree, as recorded in the MANIFEST
@@ -486,12 +464,10 @@ class Db {
   Db(DbOptions options, bool wipe_existing);
 
   Status WriteInternal(uint8_t tag, std::string_view key,
-                       std::string_view value, const WriteOptions& wopts);
-  /// Leader body: stall, assign seqnos, WAL append, parallel memtable
-  /// apply (followers insert their own entries), commit-point publish.
+                       std::string_view value);
+  /// Leader body: stall, assign seqnos, WAL append, memtable apply of the
+  /// whole batch in seqno order, commit-point publish.
   Status CommitBatch(const std::vector<Writer*>& batch, bool* need_maintenance);
-  /// Inserts one writer's entry into `mem` and counts it.
-  void ApplyWriter(MemTable* mem, const Writer& w);
 
   ReadView AcquireReadView(const ReadOptions& ro) const;
 

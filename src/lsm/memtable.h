@@ -1,16 +1,15 @@
-// MemTable — the active write buffer: one concurrent skiplist.
+// MemTable — the active write buffer: one skiplist with one writer.
 //
 // A MemTable is one multi-version SkipList whose nodes are carved from
-// the memtable's own arena. SkipList::Add is multi-writer safe, so the
-// group-commit batch's followers apply their entries in parallel, all
-// into the one list (db.cc's ApplyGroup). A Seek makes one descent;
-// flush streams the list's (key asc, seqno desc) order through db.cc's
-// MemTableMergeSource, one iterator per immutable memtable.
+// the memtable's own arena. Only one thread writes it at a time: the
+// group-commit leader, which applies its whole batch in seqno order
+// (db.cc's CommitBatch), or recovery's WAL replay. A Seek makes one
+// descent; flush streams the list's (key asc, seqno desc) order through
+// db.cc's MemTableMergeSource, one iterator per immutable memtable.
 //
-// Thread safety: Add is safe from any number of threads (skiplist CAS
-// inserts + arena bump allocation); readers are wait-free against
-// writers. wal_segment is set once at rotation before the memtable is
-// published.
+// Thread safety: Add needs external synchronization (the Db calls it
+// under pipeline_mu_); readers are wait-free against the writer.
+// wal_segment is set once at rotation before the memtable is published.
 
 #ifndef PROTEUS_LSM_MEMTABLE_H_
 #define PROTEUS_LSM_MEMTABLE_H_
@@ -28,7 +27,7 @@ class MemTable {
  public:
   /// Inserts one version: the stored internal value is `tag | user value`
   /// (written straight into the arena node, no intermediate string).
-  /// Thread-safe.
+  /// One writer at a time.
   void Add(std::string_view key, uint64_t seqno, uint8_t tag,
            std::string_view user_value) {
     const char tag_byte = static_cast<char>(tag);

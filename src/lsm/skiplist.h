@@ -1,6 +1,5 @@
-// A multi-version concurrent skiplist over byte-string keys — the
-// MemTable substrate (RocksDB's concurrent InlineSkipList memtable is
-// the model; Section 6.1).
+// A multi-version skiplist over byte-string keys — the MemTable
+// substrate (RocksDB's InlineSkipList memtable is the model; Section 6.1).
 //
 // Nodes are ordered by (user key ascending, seqno descending), and an
 // insert NEVER overwrites: every write adds a new version, so a reader
@@ -14,16 +13,15 @@
 // path performs no per-node malloc and the whole memtable's memory is
 // returned in a single sweep when the retired memtable's arena dies.
 //
-// Concurrency contract (the InlineSkipList arrangement):
-//   - Add() is safe from MULTIPLE concurrent writers: each level is
-//     linked bottom-up with a release CAS; a loser recomputes its splice
-//     at that level and retries. Two writers never insert the same
-//     (key, seqno) position (the Db's leader assigns unique seqnos).
-//   - readers need NO synchronization against writers: inserts link
-//     nodes bottom-up with release CASes, readers traverse with acquire
-//     loads, and nodes are never deleted or mutated while the list is
-//     alive. A reader concurrent with an insert sees either the old or
-//     the new list — both are valid states.
+// Concurrency contract (the LevelDB arrangement):
+//   - Add() needs external synchronization: ONE writer at a time (the
+//     Db's group-commit leader, or recovery's replay).
+//   - readers need NO synchronization against the writer: an insert
+//     fills the new node, then links it bottom-up with release stores;
+//     readers traverse with acquire loads, and nodes are never deleted
+//     or mutated while the list is alive. A reader concurrent with an
+//     insert sees either the old or the new list at every level — both
+//     are valid states.
 //   - destruction requires that no readers remain (the Db retires
 //     memtables by dropping the last shared_ptr instead).
 
@@ -55,7 +53,7 @@ class SkipList {
   explicit SkipList(Arena* arena = nullptr)
       : owned_arena_(arena == nullptr ? std::make_unique<Arena>() : nullptr),
         arena_(arena != nullptr ? arena : owned_arena_.get()),
-        head_(NewNode("", 0, "", "", kMaxHeight)) {}
+        head_(NewNode("", "", "", 0, kMaxHeight)) {}
 
   SkipList(const SkipList&) = delete;
   SkipList& operator=(const SkipList&) = delete;
@@ -63,28 +61,22 @@ class SkipList {
   /// Inserts a new version of `key`. The stored value bytes are the
   /// concatenation `v1 | v2` (the Db passes the tag byte and the user
   /// value separately so no intermediate string is built). Returns the
-  /// byte cost added (memtable accounting). Safe against concurrent
-  /// Add() callers and concurrent readers; (key, seqno) must be unique.
+  /// byte cost added (memtable accounting). One writer at a time; safe
+  /// against concurrent readers; (key, seqno) must be unique.
   int64_t Add(std::string_view key, uint64_t seqno, std::string_view v1,
               std::string_view v2 = {}) {
+    // Filling the node first lets its stores overlap the search's cache
+    // misses.
     const int height = RandomHeight();
     Node* fresh = NewNode(key, v1, v2, seqno, height);
     Node* prev[kMaxHeight];
-    Node* next[kMaxHeight];
-    FindSplice(key, seqno, prev, next);
+    FindGreaterOrEqual(key, seqno, prev);
     for (int level = 0; level < height; ++level) {
-      for (;;) {
-        // Point the new node at its successor BEFORE publishing: the
-        // release CAS below makes key/value/seqno and the lower links
-        // visible to any reader that acquires the pointer.
-        fresh->SetNext(level, next[level]);
-        if (prev[level]->CasNext(level, next[level], fresh)) break;
-        // Lost the race at this level: another writer linked here.
-        // Recompute the splice from the stale prev (it still precedes
-        // the target position — nodes never move or die).
-        FindSpliceForLevel(key, seqno, prev[level], level, &prev[level],
-                           &next[level]);
-      }
+      // Point the new node at its successor BEFORE publishing: the
+      // release store makes key/value/seqno and the lower links visible
+      // to any reader that acquires the pointer.
+      fresh->NoBarrierSetNext(level, prev[level]->Next(level));
+      prev[level]->SetNext(level, fresh);
     }
     size_.fetch_add(1, std::memory_order_relaxed);
     return static_cast<int64_t>(key.size() + v1.size() + v2.size() + 8);
@@ -129,7 +121,7 @@ class SkipList {
   uint64_t size() const { return size_.load(std::memory_order_relaxed); }
 
   /// In-order visitation of every version: key ascending, seqno
-  /// descending within a key (flush path). Safe against writers.
+  /// descending within a key (flush path). Safe against the writer.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (Node* n = head_->Next(0); n != nullptr; n = n->Next(0)) {
@@ -138,7 +130,7 @@ class SkipList {
   }
 
   /// Streaming cursor in internal order (key asc, seqno desc) — the
-  /// flush path's merge input. Safe against concurrent writers.
+  /// flush path's merge input. Safe against a concurrent writer.
   class Iterator {
    public:
     explicit Iterator(const SkipList* list)
@@ -180,12 +172,14 @@ class SkipList {
     Node* Next(int level) const {
       return Link(level)->load(std::memory_order_acquire);
     }
+    // Publishes `n` at this level: a reader that acquires the link sees
+    // everything written to `n` before the store.
     void SetNext(int level, Node* n) {
-      Link(level)->store(n, std::memory_order_relaxed);
+      Link(level)->store(n, std::memory_order_release);
     }
-    bool CasNext(int level, Node* expected, Node* n) {
-      return Link(level)->compare_exchange_strong(
-          expected, n, std::memory_order_release, std::memory_order_relaxed);
+    // For a node no reader can reach yet.
+    void NoBarrierSetNext(int level, Node* n) {
+      Link(level)->store(n, std::memory_order_relaxed);
     }
     const char* data() const {
       return reinterpret_cast<const char*>(this + 1);
@@ -205,7 +199,7 @@ class SkipList {
     node->seqno = seqno;
     node->key_len = static_cast<uint32_t>(key.size());
     node->value_len = static_cast<uint32_t>(v1.size() + v2.size());
-    for (int i = 0; i < height; ++i) node->SetNext(i, nullptr);
+    for (int i = 0; i < height; ++i) node->NoBarrierSetNext(i, nullptr);
     char* out = node->data();
     std::memcpy(out, key.data(), key.size());
     out += key.size();
@@ -214,19 +208,12 @@ class SkipList {
     if (!v2.empty()) std::memcpy(out, v2.data(), v2.size());
     return node;
   }
-  // Head-node flavor (empty key/value, fixed full height).
-  Node* NewNode(std::string_view key, uint64_t seqno, std::string_view v1,
-                std::string_view v2, int height) {
-    return NewNode(key, v1, v2, seqno, height);
-  }
 
-  static int RandomHeight() {
-    // Each inserting thread rolls its own stream; heights only shape the
-    // probabilistic balance, so cross-thread determinism is not needed.
-    static thread_local Rng rng(
-        0xC0FFEEull ^ reinterpret_cast<uintptr_t>(&rng));
+  // Rolled by the one writer, so a list's shape depends only on its
+  // inserts, not on which thread made them.
+  int RandomHeight() {
     int h = 1;
-    while (h < kMaxHeight && (rng.Next() & 3) == 0) ++h;  // p = 1/4
+    while (h < kMaxHeight && (rng_.Next() & 3) == 0) ++h;  // p = 1/4
     return h;
   }
 
@@ -240,7 +227,10 @@ class SkipList {
   }
 
   /// First node at or after position (key, seqno) in internal order.
-  Node* FindGreaterOrEqual(std::string_view key, uint64_t seqno) const {
+  /// With `prev`, also records the last node before that position at
+  /// every level (the insert splice).
+  Node* FindGreaterOrEqual(std::string_view key, uint64_t seqno,
+                           Node** prev = nullptr) const {
     Node* node = head_;
     for (int level = kMaxHeight - 1; level >= 0; --level) {
       Node* next = node->Next(level);
@@ -248,43 +238,15 @@ class SkipList {
         node = next;
         next = node->Next(level);
       }
+      if (prev != nullptr) prev[level] = node;
     }
     return node->Next(0);
-  }
-
-  /// prev/next at every level for an insert at position (key, seqno).
-  void FindSplice(std::string_view key, uint64_t seqno,
-                  Node** prev, Node** next) const {
-    Node* node = head_;
-    for (int level = kMaxHeight - 1; level >= 0; --level) {
-      Node* nx = node->Next(level);
-      while (nx != nullptr && Precedes(nx, key, seqno)) {
-        node = nx;
-        nx = node->Next(level);
-      }
-      prev[level] = node;
-      next[level] = nx;
-    }
-  }
-
-  /// Recomputes one level's splice starting from `start` (which must
-  /// precede the target position at this level).
-  static void FindSpliceForLevel(std::string_view key, uint64_t seqno,
-                                 Node* start, int level, Node** prev,
-                                 Node** next) {
-    Node* node = start;
-    Node* nx = node->Next(level);
-    while (nx != nullptr && Precedes(nx, key, seqno)) {
-      node = nx;
-      nx = node->Next(level);
-    }
-    *prev = node;
-    *next = nx;
   }
 
   std::unique_ptr<Arena> owned_arena_;  // only when no arena was passed
   Arena* arena_;
   Node* head_;
+  Rng rng_{0xC0FFEEull};
   std::atomic<uint64_t> size_{0};
 };
 

@@ -2,16 +2,13 @@
 //
 // A memtable's skiplist nodes share one lifetime: they are born as writes
 // arrive and die together when the flushed memtable is retired. The arena
-// exploits that — allocation is a bump of an atomic offset (no per-node
-// malloc on the write hot path, no free list), and the whole memtable's
-// memory is returned in one sweep when the arena is destroyed.
+// exploits that — allocation is a pointer bump in the current block (no
+// per-node malloc on the write hot path, no free list), and the whole
+// memtable's memory is returned in one sweep when the arena is destroyed.
 //
-// Concurrency: Allocate() is safe from any number of threads (the Db's
-// batch followers apply their writes to the memtable in parallel).
-// The fast path is a single fetch_add into the current block; only
-// minting a fresh block takes a mutex. A thread that overshoots a block's
-// capacity leaves the overshot gap unused — bounded waste (< one
-// allocation per racing thread per block), never a correctness issue.
+// Concurrency: Allocate() needs external synchronization — it is called
+// only by the memtable's one writer (the Db's group-commit leader, or
+// recovery's replay). MemoryUsage() may be read from any thread.
 //
 // Deallocation of individual objects is deliberately unsupported; nodes
 // must be trivially destructible or have their destructors skipped (the
@@ -23,7 +20,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <new>
 
 namespace proteus {
@@ -32,9 +28,9 @@ class Arena {
  public:
   static constexpr size_t kBlockBytes = 256u << 10;
 
-  Arena() { current_.store(NewBlock(kBlockBytes, nullptr), std::memory_order_release); }
+  Arena() : current_(NewBlock(kBlockBytes, nullptr)) {}
   ~Arena() {
-    Block* b = current_.load(std::memory_order_relaxed);
+    Block* b = current_;
     while (b != nullptr) {
       Block* prev = b->prev;
       ::operator delete(static_cast<void*>(b));
@@ -45,13 +41,16 @@ class Arena {
   Arena& operator=(const Arena&) = delete;
 
   /// Returns `bytes` of 8-aligned storage that lives until the arena is
-  /// destroyed. Thread-safe; lock-free except when a new block is minted.
+  /// destroyed. One caller at a time.
   char* Allocate(size_t bytes) {
     bytes = (bytes + 7) & ~size_t{7};
-    Block* b = current_.load(std::memory_order_acquire);
-    const size_t off = b->offset.fetch_add(bytes, std::memory_order_relaxed);
-    if (off + bytes <= b->capacity) return b->data() + off;
-    return AllocateSlow(bytes);
+    if (bytes > current_->capacity - current_->offset) {
+      // The rest of the current block stays unused.
+      current_ = NewBlock(bytes > kBlockBytes ? bytes : kBlockBytes, current_);
+    }
+    char* out = current_->data() + current_->offset;
+    current_->offset += bytes;
+    return out;
   }
 
   /// Total bytes reserved from the system (block capacities, not the
@@ -63,7 +62,7 @@ class Arena {
  private:
   struct Block {
     size_t capacity;
-    std::atomic<size_t> offset;
+    size_t offset;
     Block* prev;
     char* data() { return reinterpret_cast<char*>(this + 1); }
   };
@@ -72,28 +71,16 @@ class Arena {
     void* mem = ::operator new(sizeof(Block) + capacity);
     Block* b = static_cast<Block*>(mem);
     b->capacity = capacity;
-    b->offset.store(0, std::memory_order_relaxed);
+    b->offset = 0;
     b->prev = prev;
     reserved_.fetch_add(sizeof(Block) + capacity, std::memory_order_relaxed);
     return b;
   }
 
-  char* AllocateSlow(size_t bytes) {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Another loser of the fetch_add race may have minted a block already.
-    Block* b = current_.load(std::memory_order_relaxed);
-    size_t off = b->offset.fetch_add(bytes, std::memory_order_relaxed);
-    if (off + bytes <= b->capacity) return b->data() + off;
-    const size_t cap = bytes > kBlockBytes ? bytes : kBlockBytes;
-    Block* fresh = NewBlock(cap, b);
-    fresh->offset.store(bytes, std::memory_order_relaxed);
-    current_.store(fresh, std::memory_order_release);
-    return fresh->data();
-  }
-
-  std::atomic<Block*> current_{nullptr};
+  // Declared first: the constructor's NewBlock counts into it. Atomic
+  // because stats() reads it from other threads.
   std::atomic<size_t> reserved_{0};
-  std::mutex mu_;
+  Block* current_;
 };
 
 }  // namespace proteus

@@ -1,11 +1,13 @@
-// The memtable write path: concurrent inserts into one memtable's
-// skiplist, N concurrent writers against a std::map reference, kill -9
-// replay into a fresh memtable, every flushed data block compressed, and
-// the positioned Seek that walks dense tombstone runs at O(files)
+// The memtable write path: one writer's inserts against concurrent
+// readers of the skiplist, N concurrent writers against a std::map
+// reference, kill -9 replay into a fresh memtable, every flushed data
+// block compressed, and the positioned Seek that walks dense tombstone runs at O(files)
 // instead of O(tombstones x files).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -38,65 +40,120 @@ DbOptions MemDbOptions(const std::string& name) {
   return options;
 }
 
-TEST(MemTableConcurrent, ParallelAddsProduceOneOrderedList) {
-  MemTable mem;
-  const int kThreads = 4;
-  const uint64_t kPerThread = 5000;
-  // Unique (key, seqno) pairs across threads (the Db's leader guarantees
-  // this in production); keys deliberately collide across threads so the
-  // CAS retry path in Add() actually runs.
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&mem, t] {
-      Rng rng(300 + t);
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        uint64_t k = rng.NextBelow(1000);
-        uint64_t seqno = static_cast<uint64_t>(t) * kPerThread + i + 1;
-        mem.Add(EncodeKeyBE(k), seqno, kTagValue,
-                "t" + std::to_string(t) + "#" + std::to_string(i));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+TEST(MemTableConcurrent, OneWriterThreeReadersSeeOrderedPrefixes) {
+  // One writer (as the Db's group-commit leader is) adds 20k versions
+  // over 1000 colliding keys while three readers loop SeekGeq and full
+  // Iterator passes. The writer publishes each seqno after its Add, so
+  // a reader that acquires `published` knows the list holds at least
+  // every version up to it.
+  constexpr uint64_t kVersions = 20000;
+  constexpr uint64_t kKeySpace = 1000;
+  constexpr int kReaders = 3;
+  std::vector<uint64_t> keys(kVersions);  // keys[seqno - 1]
+  Rng key_rng(300);
+  for (uint64_t& k : keys) k = key_rng.NextBelow(kKeySpace);
+  auto value_of = [](uint64_t seqno) { return "v#" + std::to_string(seqno); };
 
-  ASSERT_EQ(mem.size(), kThreads * kPerThread);
-  // Every version made it in, in internal order: key ascending, seqno
-  // strictly descending within a key, no duplicates and no losses.
-  std::vector<std::tuple<std::string, uint64_t, std::string>> got;
-  int64_t cost = 0;
-  mem.list().ForEach([&](std::string_view key, uint64_t seqno,
+  MemTable mem;
+  std::atomic<uint64_t> published{0};
+  std::atomic<bool> done{false};
+
+  // One stored version must be exactly what the writer wrote at its
+  // seqno: the key the writer drew then, and an untorn value.
+  auto check_entry = [&](std::string_view key, uint64_t seqno,
                          std::string_view value) {
+    ASSERT_GE(seqno, 1u);
+    ASSERT_LE(seqno, kVersions);
+    ASSERT_EQ(key, EncodeKeyBE(keys[seqno - 1])) << "seqno " << seqno;
     uint8_t tag;
     std::string_view user;
     ASSERT_TRUE(ParseInternalValue(value, &tag, &user));
     ASSERT_EQ(tag, kTagValue);
-    got.emplace_back(std::string(key), seqno, std::string(user));
-    cost += static_cast<int64_t>(key.size() + value.size() + 8);
+    ASSERT_EQ(user, value_of(seqno));
+  };
+
+  auto reader = [&](int id) {
+    Rng rng(900 + id);
+    uint64_t last_count = 0;
+    for (bool last_pass = false; !last_pass;) {
+      last_pass = done.load(std::memory_order_acquire);
+      // A full pass: (key asc, seqno desc) order, untorn entries, and a
+      // count that never shrinks and covers everything published.
+      const uint64_t floor = published.load(std::memory_order_acquire);
+      uint64_t count = 0;
+      std::string_view prev_key;  // nodes never move while the list lives
+      uint64_t prev_seqno = 0;
+      for (SkipList::Iterator it(&mem.list()); it.Valid(); it.Next()) {
+        check_entry(it.key(), it.seqno(), it.value());
+        if (count > 0) {
+          ASSERT_TRUE(prev_key < it.key() ||
+                      (prev_key == it.key() && prev_seqno > it.seqno()))
+              << "order violated after " << count << " entries";
+        }
+        prev_key = it.key();
+        prev_seqno = it.seqno();
+        ++count;
+      }
+      ASSERT_GE(count, floor);
+      ASSERT_GE(count, last_count);
+      last_count = count;
+
+      // Seeks at a published horizon must match the reference exactly:
+      // the smallest key >= probe among the first `snap` versions, at
+      // its newest version <= snap.
+      for (int q = 0; q < 8; ++q) {
+        const uint64_t snap = published.load(std::memory_order_acquire);
+        const uint64_t probe = rng.NextBelow(kKeySpace + 1);
+        uint64_t want_key = kKeySpace;
+        uint64_t want_seqno = 0;
+        for (uint64_t seqno = 1; seqno <= snap; ++seqno) {
+          const uint64_t k = keys[seqno - 1];
+          if (k >= probe && k <= want_key) {  // later = newer version
+            want_key = k;
+            want_seqno = seqno;
+          }
+        }
+        SkipList::Entry e;
+        const bool found = mem.SeekGeq(EncodeKeyBE(probe), snap, &e);
+        ASSERT_EQ(found, want_seqno != 0) << "probe " << probe;
+        if (!found) continue;
+        check_entry(e.key, e.seqno, e.value);
+        ASSERT_EQ(e.key, EncodeKeyBE(want_key)) << "probe " << probe;
+        ASSERT_EQ(e.seqno, want_seqno) << "probe " << probe;
+      }
+    }
+  };
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) readers.emplace_back(reader, r);
+  int64_t cost = 0;
+  for (uint64_t seqno = 1; seqno <= kVersions; ++seqno) {
+    const std::string key = EncodeKeyBE(keys[seqno - 1]);
+    const std::string value = value_of(seqno);
+    mem.Add(key, seqno, kTagValue, value);
+    cost += static_cast<int64_t>(key.size() + 1 + value.size() + 8);
+    published.store(seqno, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  // The final list is the writer's reference, in internal order.
+  std::vector<std::tuple<std::string, uint64_t, std::string>> want;
+  for (uint64_t seqno = 1; seqno <= kVersions; ++seqno) {
+    want.emplace_back(EncodeKeyBE(keys[seqno - 1]), seqno, value_of(seqno));
+  }
+  std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+    return std::get<0>(a) != std::get<0>(b) ? std::get<0>(a) < std::get<0>(b)
+                                            : std::get<1>(a) > std::get<1>(b);
   });
-  ASSERT_EQ(got.size(), kThreads * kPerThread);
-  EXPECT_EQ(mem.bytes(), cost);  // every concurrent Add was accounted
-  std::vector<bool> seen(kThreads * kPerThread + 1, false);
-  for (size_t i = 1; i < got.size(); ++i) {
-    const auto& [pk, ps, pv] = got[i - 1];
-    const auto& [ck, cs, cv] = got[i];
-    ASSERT_TRUE(pk < ck || (pk == ck && ps > cs))
-        << "order violated at index " << i;
-  }
-  for (const auto& [key, seqno, value] : got) {
-    ASSERT_GE(seqno, 1u);
-    ASSERT_LE(seqno, kThreads * kPerThread);
-    ASSERT_FALSE(seen[seqno]) << "seqno " << seqno << " stored twice";
-    seen[seqno] = true;
-    // The value names its writer thread and step: recompute the key the
-    // writer used at that step and make sure nothing got torn.
-    int t = static_cast<int>((seqno - 1) / kPerThread);
-    uint64_t i = (seqno - 1) % kPerThread;
-    ASSERT_EQ(value, "t" + std::to_string(t) + "#" + std::to_string(i));
-    Rng rng(300 + t);
-    uint64_t k = 0;
-    for (uint64_t step = 0; step <= i; ++step) k = rng.NextBelow(1000);
-    ASSERT_EQ(key, EncodeKeyBE(k)) << "seqno " << seqno;
-  }
+  std::vector<std::tuple<std::string, uint64_t, std::string>> got;
+  mem.list().ForEach([&](std::string_view key, uint64_t seqno,
+                         std::string_view value) {
+    got.emplace_back(std::string(key), seqno, std::string(value.substr(1)));
+  });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(mem.size(), kVersions);
+  EXPECT_EQ(mem.bytes(), cost);
 }
 
 // Reads the 20-byte handles out of an SST's index block and returns the
