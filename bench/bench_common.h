@@ -22,6 +22,8 @@
 #ifndef PROTEUS_BENCH_BENCH_COMMON_H_
 #define PROTEUS_BENCH_BENCH_COMMON_H_
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -107,6 +109,27 @@ inline Args ParseArgs(int argc, char** argv,
     }
   }
   return args;
+}
+
+/// Parses the comma list of flag `arg`, starting at `p`. An empty,
+/// non-numeric or zero item is an error (exit 2), as an unknown flag is.
+inline std::vector<uint64_t> ParseList(const char* arg, const char* p) {
+  std::vector<uint64_t> out;
+  for (;;) {
+    char* end = nullptr;
+    errno = 0;
+    const uint64_t n = std::strtoull(p, &end, 10);
+    if (std::isdigit(static_cast<unsigned char>(*p)) == 0 || errno != 0 ||
+        n == 0 || (*end != ',' && *end != '\0')) {
+      std::fprintf(stderr,
+                   "%s: every item must be a positive number (see --help)\n",
+                   arg);
+      std::exit(2);
+    }
+    out.push_back(n);
+    if (*end == '\0') return out;
+    p = end + 1;
+  }
 }
 
 /// True when `spec` names a string-key family (surf-str, proteus-str,

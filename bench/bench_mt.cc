@@ -19,8 +19,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -44,36 +42,21 @@ struct MtArgs {
   bool snapshot_reads = false;
 };
 
-// Parses the comma list of `arg` (starting at `p`). An empty or
-// non-numeric item is an error (exit 2), as an unknown flag is.
-std::vector<uint64_t> ParseList(const char* arg, const char* p) {
-  std::vector<uint64_t> out;
-  for (;;) {
-    char* end = nullptr;
-    errno = 0;
-    const uint64_t n = std::strtoull(p, &end, 10);
-    if (std::isdigit(static_cast<unsigned char>(*p)) == 0 || errno != 0 ||
-        (*end != ',' && *end != '\0')) {
-      std::fprintf(stderr, "%s: every item must be a number (see --help)\n",
-                   arg);
-      std::exit(2);
-    }
-    out.push_back(n);
-    if (*end == '\0') return out;
-    p = end + 1;
-  }
-}
-
 MtArgs ParseMtArgs(int argc, char** argv) {
   MtArgs args;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--writers=", 10) == 0) {
-      args.writers = ParseList(a, a + 10);
+      args.writers = bench::ParseList(a, a + 10);
     } else if (std::strncmp(a, "--readers=", 10) == 0) {
-      args.readers = ParseList(a, a + 10);
+      args.readers = bench::ParseList(a, a + 10);
     } else if (std::strncmp(a, "--duration-ms=", 14) == 0) {
-      args.duration_ms = std::strtoull(a + 14, nullptr, 10);
+      const std::vector<uint64_t> ms = bench::ParseList(a, a + 14);
+      if (ms.size() != 1) {
+        std::fprintf(stderr, "%s: takes one number (see --help)\n", a);
+        std::exit(2);
+      }
+      args.duration_ms = ms[0];
     } else if (std::strcmp(a, "--snapshot-reads") == 0) {
       args.snapshot_reads = true;
     }
@@ -248,7 +231,6 @@ int main(int argc, char** argv) {
   uint64_t first_writers = 0, last_writers = 0;
   for (uint64_t w : mt.writers) {
     for (uint64_t m : mt.readers) {
-      if (m == 0) continue;
       WindowResult r = RunWindow(db, queries, w, m, mt.duration_ms,
                                  mt.snapshot_reads, key_space);
       std::printf("writers=%-3llu readers=%-3llu read_qps=%10.0f  "

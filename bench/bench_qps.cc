@@ -119,11 +119,7 @@ QpsArgs ParseQpsArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--batch=", 8) == 0) {
-      args.batches.clear();
-      for (const char* p = a + 8; *p != '\0';) {
-        args.batches.push_back(std::strtoull(p, const_cast<char**>(&p), 10));
-        if (*p == ',') ++p;
-      }
+      args.batches = bench::ParseList(a, a + 8);
     } else if (std::strncmp(a, "--rate=", 7) == 0) {
       args.rate = std::strtod(a + 7, nullptr);
     } else if (std::strncmp(a, "--cache-mb=", 11) == 0) {
@@ -140,7 +136,6 @@ QpsArgs ParseQpsArgs(int argc, char** argv) {
           std::strtoul(hostport.c_str() + colon + 1, nullptr, 10));
     }
   }
-  if (args.batches.empty()) args.batches.push_back(1);
   return args;
 }
 
@@ -330,7 +325,6 @@ int main(int argc, char** argv) {
       record(mode, batch, r);
     };
     for (uint64_t batch : qps.batches) {
-      if (batch == 0) continue;
       if (batch == 1) {
         run_mode("seek", 1, [&](const QueryBatch& b) {
           return static_cast<uint64_t>(db.Seek(b[0].lo, b[0].hi).found);

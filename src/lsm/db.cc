@@ -450,7 +450,7 @@ Db::FileMeta::~FileMeta() {
   if (obsolete.load(std::memory_order_relaxed)) ::unlink(path.c_str());
 }
 
-Db::Db(DbOptions options, bool wipe_existing)
+Db::Db(DbOptions options)
     : options_(std::move(options)),
       cache_(options_.block_cache_bytes),
       query_queue_(options_.queue_options),
@@ -461,52 +461,37 @@ Db::Db(DbOptions options, bool wipe_existing)
   version_ = std::move(v);
   mem_ = std::make_shared<MemTable>();
   compact_cursor_.resize(kMaxLevels, 0);
-  pool_ = std::make_unique<TaskPool>(
-      std::max<size_t>(1, options_.background_threads));
-  if (wipe_existing) {
-    WipeDbFiles(options_.dir);
-    wal_ = std::make_unique<WalWriter>();
-    wal_number_ = 1;
-    mem_->wal_segment = 1;
-    Status s = wal_->Open(WalSegmentPath(1));
-    if (!s.ok()) {
-      wal_.reset();
-      wal_error_ = std::move(s);
-    }
-  }
-  // Open() (wipe_existing=false) builds the WAL writer in
-  // ReplayWalSegments, after the existing segments have been replayed.
+  bg_thread_ = std::thread([this] { BackgroundThread(); });
 }
 
 std::pair<std::unique_ptr<Db>, Status> Db::Create(DbOptions options) {
-  std::unique_ptr<Db> db(new Db(std::move(options), /*wipe_existing=*/true));
-  // Single-threaded here: wal_error_ needs no lock yet.
-  if (!db->wal_error_.ok()) {
-    Status s = db->wal_error_;
-    db->crashed_.store(true, std::memory_order_relaxed);  // dtor: no flush
+  std::unique_ptr<Db> db(new Db(std::move(options)));
+  WipeDbFiles(db->options_.dir);
+  db->wal_ = std::make_unique<WalWriter>();
+  db->wal_number_ = 1;
+  db->mem_->wal_segment = 1;
+  Status s = db->wal_->Open(db->WalSegmentPath(1));
+  if (!s.ok()) {
+    db->StopBackgroundThread(&db->crashed_);  // dtor: no flush
     return {nullptr, s};
   }
   return {std::move(db), Status::OK()};
 }
 
 std::pair<std::unique_ptr<Db>, Status> Db::Open(DbOptions options) {
-  std::unique_ptr<Db> db(new Db(std::move(options), /*wipe_existing=*/false));
+  std::unique_ptr<Db> db(new Db(std::move(options)));
+  // Builds the WAL writer once the existing segments are replayed.
   Status s = db->RecoverAll();
   if (!s.ok()) {
     // Don't flush a half-recovered state on destruction.
-    db->crashed_.store(true, std::memory_order_relaxed);
+    db->StopBackgroundThread(&db->crashed_);
     return {nullptr, s};
   }
   return {std::move(db), Status::OK()};
 }
 
 Db::~Db() {
-  closing_.store(true, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> sl(stall_mu_);
-  }
-  stall_cv_.notify_all();
-  if (pool_ != nullptr) pool_->Shutdown();
+  StopBackgroundThread(&closing_);
   if (!crashed_.load(std::memory_order_relaxed)) {
     // Lossless close: persist the memtables and the manifest. A failure
     // here cannot be returned; it is still recoverable from the WAL.
@@ -582,29 +567,21 @@ Status Db::CommitBatch(const std::vector<Writer*>& batch,
                        bool* need_maintenance) {
   *need_maintenance = false;
 
-  // Backpressure BEFORE entering the pipeline: while the flusher is
-  // behind, stalling here keeps memory bounded without blocking readers
-  // or the flusher itself.
-  if (ImmCount() >= options_.max_immutable_memtables) {
-    std::unique_lock<std::mutex> sl(stall_mu_);
-    ++stats_->write_stalls;
-    Stopwatch timer;
-    stall_cv_.wait(sl, [&] {
-      if (crashed_.load(std::memory_order_relaxed) ||
-          closing_.load(std::memory_order_relaxed)) {
-        return true;
-      }
-      {
-        std::lock_guard<std::mutex> el(err_mu_);
-        if (!bg_error_.ok()) return true;  // the flush will not come
-      }
-      return ImmCount() < options_.max_immutable_memtables;
-    });
-    stats_->stall_wait_us += timer.ElapsedNanos() / 1000;
-  }
-
   {
-    std::lock_guard<std::mutex> el(err_mu_);
+    // Backpressure BEFORE entering the pipeline: while the flusher is
+    // behind, stalling here keeps memory bounded without blocking
+    // readers or the flusher itself.
+    std::unique_lock<std::mutex> bl(bg_mu_);
+    if (ImmCount() >= options_.max_immutable_memtables) {
+      ++stats_->write_stalls;
+      Stopwatch timer;
+      bg_cv_.wait(bl, [&] {
+        // After an error the flush will not come.
+        return Stopping() || !bg_error_.ok() ||
+               ImmCount() < options_.max_immutable_memtables;
+      });
+      stats_->stall_wait_us += timer.ElapsedNanos() / 1000;
+    }
     if (!bg_error_.ok()) return bg_error_;  // rejected: NOT visible
   }
 
@@ -704,50 +681,54 @@ bool Db::WorkPending() const {
 }
 
 void Db::MaybeScheduleMaintenance() {
-  if (crashed_.load(std::memory_order_relaxed) ||
-      closing_.load(std::memory_order_relaxed)) {
-    return;
-  }
-  {
-    // A failed background job must not retry in a loop; writes are
-    // rejected until an explicit Flush()/CompactAll() clears the error.
-    std::lock_guard<std::mutex> el(err_mu_);
-    if (!bg_error_.ok()) return;
-  }
-  bool expected = false;
-  if (!maint_scheduled_.compare_exchange_strong(expected, true)) return;
-  if (!pool_->Submit([this] { BackgroundWork(); })) {
-    maint_scheduled_.store(false);
-  }
+  std::lock_guard<std::mutex> bl(bg_mu_);
+  // A failed background job must not retry in a loop; writes are
+  // rejected until an explicit Flush()/CompactAll() clears the error.
+  if (Stopping() || !bg_error_.ok()) return;
+  bg_requested_ = true;
+  bg_cv_.notify_all();
 }
 
-void Db::BackgroundWork() {
-  std::lock_guard<std::mutex> mlock(maint_mu_);
+void Db::BackgroundThread() {
+  std::unique_lock<std::mutex> bl(bg_mu_);
   for (;;) {
-    if (crashed_.load(std::memory_order_relaxed) ||
-        closing_.load(std::memory_order_relaxed)) {
-      break;
+    bg_cv_.wait(bl, [&] { return bg_requested_ || Stopping(); });
+    // A request that arrives during the pass runs one more pass.
+    bg_requested_ = false;
+    if (Stopping()) break;
+    bg_running_ = true;
+    bl.unlock();
+    {
+      std::lock_guard<std::mutex> mlock(maint_mu_);
+      while (!Stopping()) {
+        PrepareFlush(/*force=*/false);
+        Status s = RunMaintenanceLocked(/*compact_all=*/false);
+        if (!s.ok()) {
+          SetBackgroundError(s, /*clear_on_ok=*/false);
+          break;
+        }
+        if (!WorkPending()) break;
+      }
     }
-    PrepareFlush(/*force=*/false);
-    Status s = RunMaintenanceLocked(/*compact_all=*/false);
-    if (!s.ok()) {
-      SetBackgroundError(s, /*clear_on_ok=*/false);
-      break;
-    }
-    if (!WorkPending()) break;
+    bl.lock();
+    bg_running_ = false;
+    bg_cv_.notify_all();
   }
-  maint_scheduled_.store(false);
-  // Work can arrive between the WorkPending check and the flag clear;
-  // re-check so it is not orphaned until the next write.
-  if (WorkPending()) MaybeScheduleMaintenance();
+  bg_cv_.notify_all();
+}
+
+void Db::StopBackgroundThread(std::atomic<bool>* flag) {
+  {
+    std::lock_guard<std::mutex> bl(bg_mu_);
+    flag->store(true, std::memory_order_relaxed);
+  }
+  bg_cv_.notify_all();
+  if (bg_thread_.joinable()) bg_thread_.join();
 }
 
 void Db::WaitForBackground() {
-  while (maint_scheduled_.load(std::memory_order_relaxed)) {
-    pool_->Wait();
-    std::this_thread::yield();
-  }
-  pool_->Wait();
+  std::unique_lock<std::mutex> bl(bg_mu_);
+  bg_cv_.wait(bl, [&] { return !bg_requested_ && !bg_running_; });
 }
 
 bool Db::PrepareFlush(bool force) {
@@ -811,22 +792,16 @@ void Db::DeleteObsoleteWalSegments() {
 }
 
 void Db::SetBackgroundError(Status s, bool clear_on_ok) {
-  const bool is_error = !s.ok();
-  {
-    std::lock_guard<std::mutex> el(err_mu_);
-    if (s.ok()) {
-      if (clear_on_ok) bg_error_ = Status::OK();
-    } else {
-      bg_error_ = std::move(s);
-    }
+  std::lock_guard<std::mutex> bl(bg_mu_);
+  if (s.ok()) {
+    if (clear_on_ok) bg_error_ = Status::OK();
+    return;
   }
-  if (is_error) {
-    // Stalled writers must wake to observe the error.
-    {
-      std::lock_guard<std::mutex> sl(stall_mu_);
-    }
-    stall_cv_.notify_all();
-  }
+  bg_error_ = std::move(s);
+  // No pass runs on a request made before the error, and stalled writers
+  // wake to observe it.
+  bg_requested_ = false;
+  bg_cv_.notify_all();
 }
 
 Status Db::Flush() {
@@ -1110,9 +1085,11 @@ Status Db::RunJobLocked(const Job& job) {
   if (flush) {
     ++stats_->flushes;
     {
-      std::lock_guard<std::mutex> sl(stall_mu_);
+      // Wakes a writer stalled on ImmCount() now, not after the rest of
+      // the pass (or never, when an inline Flush() ran this job).
+      std::lock_guard<std::mutex> bl(bg_mu_);
+      bg_cv_.notify_all();
     }
-    stall_cv_.notify_all();
     // Only now are the old WAL segments redundant: their records live
     // in fsync'd SSTs referenced by a durable manifest record.
     DeleteObsoleteWalSegments();
@@ -2136,7 +2113,7 @@ WalWriter::Stats Db::wal_stats() const {
 }
 
 Status Db::background_error() const {
-  std::lock_guard<std::mutex> el(err_mu_);
+  std::lock_guard<std::mutex> bl(bg_mu_);
   return bg_error_;
 }
 
@@ -2183,12 +2160,7 @@ uint64_t Db::TotalKeys() const {
 }
 
 void Db::TEST_CrashClose() {
-  crashed_.store(true, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> sl(stall_mu_);
-  }
-  stall_cv_.notify_all();
-  pool_->Shutdown();  // join any in-flight maintenance first
+  StopBackgroundThread(&crashed_);  // join any in-flight maintenance first
   std::lock_guard<std::mutex> plock(pipeline_mu_);
   std::lock_guard<std::mutex> vl(view_mu_);
   wal_.reset();  // closes the fd; the file stays as-is on disk

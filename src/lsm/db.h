@@ -35,13 +35,15 @@
 //    exactly the versions committed at or before that point, regardless
 //    of concurrent writes, flushes, or compactions. Compaction keeps the
 //    newest version per live-snapshot stripe and drops the rest.
-//  * Flush and compaction run on a background TaskPool; writers stall
-//    (bounded immutable-memtable count) instead of doing maintenance
-//    inline. stats().write_stalls / stall_wait_us account for it.
+//  * Flush and compaction run on one Db-owned maintenance thread that
+//    writers and drift detection wake; writers stall (bounded
+//    immutable-memtable count) instead of doing maintenance inline.
+//    stats().write_stalls / stall_wait_us account for it.
 //
 // Durability contract (docs/FORMAT.md has the byte-level formats):
-//  * Put/Delete return only after their WAL record is fsync'd (group
-//    commit batches concurrent writers into one fsync); Db::Open replays
+//  * Put/Delete return only after their WAL record is written, and with
+//    DbOptions::wal_sync (the default) fsync'd (group commit batches
+//    concurrent writers into one fsync); Db::Open replays
 //    the WAL segments into the memtable, dropping at most a torn (never
 //    acknowledged) tail record.
 //  * Every flush/compaction appends a CRC-framed delta record to the
@@ -69,6 +71,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -81,7 +84,6 @@
 #include "lsm/query_queue.h"
 #include "lsm/skiplist.h"
 #include "lsm/sst.h"
-#include "lsm/task_pool.h"
 #include "lsm/wal.h"
 #include "util/status.h"
 
@@ -152,10 +154,9 @@ struct DbOptions {
   /// the backpressure that keeps an outrun flusher from buffering
   /// unbounded memory. stats().write_stalls counts the stalls.
   size_t max_immutable_memtables = 2;
-  /// Threads in the background maintenance pool. Maintenance runs one
-  /// pass at a time (maint_scheduled_ admits one queued pass, maint_mu_
-  /// serializes it against Flush/CompactAll), so values above 1 only
-  /// add idle threads.
+  /// No longer sizes anything: every Db runs its maintenance on one
+  /// thread of its own. Kept only because perfbench prints the default
+  /// into its env line; it goes with the next perfbench change.
   size_t background_threads = 2;
   /// MANIFEST delta records appended since the last full snapshot before
   /// the log is compacted back into one snapshot record.
@@ -262,8 +263,8 @@ class Db {
   static std::pair<std::unique_ptr<Db>, Status> Open(DbOptions options);
 
   /// Flushes the memtable and persists the manifest, so a subsequent
-  /// Open() sees every key without WAL replay. Joins the background
-  /// maintenance pool first.
+  /// Open() sees every key without WAL replay. Joins the maintenance
+  /// thread first.
   ~Db();
   Db(const Db&) = delete;
   Db& operator=(const Db&) = delete;
@@ -326,7 +327,7 @@ class Db {
   /// (the paper's "wait for all background compactions" setup step).
   Status CompactAll();
 
-  /// Blocks until no background maintenance is queued or running.
+  /// Blocks until no background maintenance is requested or running.
   void WaitForBackground();
 
   /// Reads every data block of every SST, verifying per-block CRCs and
@@ -461,7 +462,9 @@ class Db {
     std::vector<uint64_t> deleted;
   };
 
-  Db(DbOptions options, bool wipe_existing);
+  /// Creates the directory and starts the maintenance thread; opens no
+  /// file (Create and Open set up the WAL).
+  explicit Db(DbOptions options);
 
   Status WriteInternal(uint8_t tag, std::string_view key,
                        std::string_view value);
@@ -534,8 +537,20 @@ class Db {
   // --- write-stall / trigger plumbing ---
   size_t ImmCount() const;
   bool WorkPending() const;
+  bool Stopping() const {
+    return crashed_.load(std::memory_order_relaxed) ||
+           closing_.load(std::memory_order_relaxed);
+  }
+  /// Asks the maintenance thread for a pass; a no-op once the Db is
+  /// stopping or while a background error is set.
   void MaybeScheduleMaintenance();
-  void BackgroundWork();
+  /// The maintenance thread's body: for each request, one pass under
+  /// maint_mu_ that swaps a full memtable and runs the picked jobs,
+  /// repeated while WorkPending(); until the Db stops.
+  void BackgroundThread();
+  /// Sets `flag` (closing_ or crashed_) under bg_mu_, wakes every bg_cv_
+  /// waiter and joins the maintenance thread. Idempotent.
+  void StopBackgroundThread(std::atomic<bool>* flag);
   /// Swaps the active memtable into the immutable list and rotates the
   /// WAL segment, if the memtable is non-empty and (force or a size
   /// trigger fired). Returns true when a swap happened.
@@ -626,10 +641,10 @@ class Db {
 
   // ------------------------------------------------------------------
   // Lock hierarchy (acquire strictly downward; never upward):
-  //   maint_mu_  >  pipeline_mu_  >  stall_mu_  >  view_mu_
-  // Leaf locks (held only alone): write_mu_, snap_mu_, err_mu_ — except
-  // that the stall predicate reads view_mu_ and err_mu_ while holding
-  // stall_mu_, which the ordering above already permits.
+  //   maint_mu_  >  pipeline_mu_  >  bg_mu_  >  view_mu_
+  // Leaf locks (held only alone): write_mu_, snap_mu_. The stall
+  // predicate reads view_mu_ while holding bg_mu_, which the ordering
+  // permits; nothing takes maint_mu_ or pipeline_mu_ under bg_mu_.
   // ------------------------------------------------------------------
 
   // Serializes flush/compaction bodies and all MANIFEST I/O. Only
@@ -646,10 +661,16 @@ class Db {
   std::condition_variable write_cv_;
   std::deque<Writer*> write_queue_;
 
-  // Writers wait here when the immutable-memtable limit is hit; flush
-  // completion signals it.
-  std::mutex stall_mu_;
-  std::condition_variable stall_cv_;
+  // The maintenance thread's (bg_thread_) state. bg_cv_ carries every
+  // wait on it: the thread waits for a request or a stop, a stalled
+  // write leader for ImmCount() < max_immutable_memtables (or an error,
+  // or a stop), and WaitForBackground for neither requested nor
+  // running. Each pass and each flush notifies it.
+  mutable std::mutex bg_mu_;
+  std::condition_variable bg_cv_;
+  bool bg_requested_ = false;
+  bool bg_running_ = false;
+  Status bg_error_;  // sticky: rejects writes until an explicit Flush
 
   // Guards the pointers only (contents are immutable or internally
   // synchronized). Readers copy mem_/version_ under it and move on.
@@ -666,15 +687,11 @@ class Db {
   mutable std::mutex snap_mu_;
   std::multiset<uint64_t> live_snapshots_;
 
-  mutable std::mutex err_mu_;
-  Status bg_error_;   // sticky: rejects writes until an explicit Flush
-  Status wal_error_;  // WAL could not be opened
-
   std::unique_ptr<WalWriter> wal_;  // one object across segment rotations
   uint64_t wal_number_ = 0;         // active segment (pipeline_mu_)
 
-  std::unique_ptr<TaskPool> pool_;
-  std::atomic<bool> maint_scheduled_{false};
+  // Once the thread runs, set only under bg_mu_ (StopBackgroundThread),
+  // so no bg_cv_ waiter misses them.
   std::atomic<bool> crashed_{false};
   std::atomic<bool> closing_{false};
 
@@ -688,6 +705,10 @@ class Db {
   size_t manifest_deltas_since_snapshot_ = 0;
 
   std::unique_ptr<AtomicStats> stats_;
+
+  // Last: it runs against every member above. Started by the
+  // constructor, joined by StopBackgroundThread.
+  std::thread bg_thread_;
 };
 
 }  // namespace proteus

@@ -30,9 +30,12 @@
 // Replay tolerates a torn tail — a record cut short by the crash that
 // ended the previous process — by stopping at the first frame that does
 // not parse and reporting the clean-prefix length, which the caller
-// truncates to before appending again. A torn record was never
-// acknowledged (writes are acknowledged only after the fdatasync), so
-// dropping it loses nothing the client was promised. A complete,
+// truncates to before appending again. A write is acknowledged only
+// after its whole frame is written and, under DbOptions::wal_sync, after
+// the fdatasync. So a torn record was never acknowledged, and dropping it
+// loses nothing the client was promised; the one exception is a machine
+// crash with wal_sync off, which can tear written but unsynced frames.
+// A complete,
 // CRC-valid frame is not crash debris: an op other than 3/4 is a log
 // this build cannot read (NotSupported), and a payload that does not
 // parse is damage (Corruption). Either way replay stops and the file is

@@ -1,15 +1,20 @@
 // MVCC + threading: snapshot isolation (a reader pinned at S never sees
 // later commits, even after flush/compaction retire the SSTs it started
 // on), MultiSeek ≡ Seek against a fixed snapshot while a writer commits,
-// N-writer/M-reader differential integrity, write-stall accounting, and
-// the kill-9 contract that seqno-stamped WAL replay reproduces the exact
-// pre-crash memtable order.
+// N-writer/M-reader differential integrity, write-stall accounting, the
+// waits on a maintenance thread held inside a flush, and the kill-9
+// contract that seqno-stamped WAL replay reproduces the exact pre-crash
+// memtable order.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -245,8 +250,7 @@ TEST(Mvcc, WriteStallsAreAccountedWhenFlusherFallsBehind) {
   auto options = MtDbOptions("stall");
   options.memtable_bytes = 4 << 10;  // rotate every handful of writes
   options.max_immutable_memtables = 1;
-  options.background_threads = 1;
-  options.l0_compaction_trigger = 2;  // keep the lone thread busy
+  options.l0_compaction_trigger = 2;  // keep the maintenance thread busy
   auto [db, st] = Db::Create(options);
   ASSERT_TRUE(st.ok()) << st.ToString();
   const std::string value(1024, 'v');
@@ -262,7 +266,7 @@ TEST(Mvcc, WriteStallsAreAccountedWhenFlusherFallsBehind) {
   db->WaitForBackground();
   const DbStats s = db->stats();
   EXPECT_GT(s.write_stalls, 0u) << "6MB through a 4KB memtable on one "
-                                   "background thread never stalled";
+                                   "maintenance thread never stalled";
   EXPECT_GT(s.stall_wait_us, 0u);
   // One flush drains every pending immutable memtable and rotation only
   // happens when the background loop comes around, so both counters stay
@@ -273,6 +277,169 @@ TEST(Mvcc, WriteStallsAreAccountedWhenFlusherFallsBehind) {
   // The stalled writes all landed.
   SeekResult r = db->Seek(EncodeKeyBE(0), EncodeKeyBE(0));
   ASSERT_TRUE(r.found);
+}
+
+// A filter policy whose Build blocks until the test opens its latch, so
+// the maintenance thread can be held inside a flush. Builds no filter.
+class LatchedPolicy : public FilterPolicy {
+ public:
+  std::unique_ptr<SstFilter> Build(
+      const std::vector<std::string>& /*keys*/,
+      const std::vector<std::pair<std::string, std::string>>& /*samples*/)
+      const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return open_; });
+    return nullptr;
+  }
+  std::string Name() const override { return "latched"; }
+
+  /// True once a Build is parked at the latch (false after 10 s).
+  bool WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return entered_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool entered_ = false;
+  bool open_ = false;
+};
+
+// Runs `body` on a thread; done() turns true once it returns.
+class Returns {
+ public:
+  template <typename F>
+  explicit Returns(F body) : thread_([this, body] {
+      body();
+      done_.store(true);
+    }) {}
+  ~Returns() { thread_.join(); }
+  Returns(const Returns&) = delete;
+  Returns& operator=(const Returns&) = delete;
+  bool done() const { return done_.load(); }
+
+ private:
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
+
+/// Polls `pred` for up to 10 s.
+template <typename P>
+bool Eventually(P pred) {
+  for (int i = 0; i < 10000; ++i) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
+}
+
+/// A Db whose first flush parks the maintenance thread at the policy's
+/// latch, with max_immutable_memtables = 1: the next write stalls.
+struct HeldFlush {
+  std::shared_ptr<LatchedPolicy> policy = std::make_shared<LatchedPolicy>();
+  std::unique_ptr<Db> db;
+
+  explicit HeldFlush(const std::string& name) {
+    DbOptions options = MtDbOptions(name);
+    options.memtable_bytes = 4 << 10;
+    options.max_immutable_memtables = 1;
+    options.filter_policy = policy;
+    auto [created, st] = Db::Create(options);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    db = std::move(created);
+  }
+  /// One write over the memtable size asks for a flush.
+  bool Hold() {
+    return db != nullptr &&
+           db->Put(EncodeKeyBE(0), std::string(8 << 10, 'a')).ok() &&
+           policy->WaitUntilHeld();
+  }
+};
+
+TEST(Maintenance, StalledWriterAndDrainWaitForAHeldFlush) {
+  HeldFlush held("held_flush");
+  std::unique_ptr<Returns> writer, drain;
+  // Declared last, so destroyed first: whichever assertion returns, the
+  // latch opens before the threads are joined and the Db closes.
+  struct OpenOnExit {
+    LatchedPolicy* policy;
+    ~OpenOnExit() { policy->Open(); }
+  } open_on_exit{held.policy.get()};
+  ASSERT_TRUE(held.Hold());
+  Db& db = *held.db;
+
+  Status write_status = Status::IOError("not returned");
+  writer = std::make_unique<Returns>(
+      [&] { write_status = db.Put(EncodeKeyBE(7), "stalled"); });
+  ASSERT_TRUE(Eventually([&] { return db.stats().write_stalls >= 1; }));
+  drain = std::make_unique<Returns>([&] { db.WaitForBackground(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(writer->done()) << "a stalled write returned mid-flush";
+  EXPECT_FALSE(drain->done()) << "WaitForBackground returned mid-flush";
+  EXPECT_EQ(db.stats().flushes, 0u);
+
+  held.policy->Open();
+  EXPECT_TRUE(Eventually([&] { return writer->done() && drain->done(); }));
+  writer.reset();
+  drain.reset();
+  EXPECT_TRUE(write_status.ok()) << write_status.ToString();
+  EXPECT_EQ(db.stats().write_stalls, 1u);
+  EXPECT_GE(db.stats().flushes, 1u);
+  SeekResult r = db.Seek(EncodeKeyBE(7), EncodeKeyBE(7));
+  ASSERT_TRUE(r.found);
+  EXPECT_EQ(r.value, "stalled");
+}
+
+TEST(Maintenance, StalledWriterWakesOnBackgroundError) {
+  HeldFlush held("held_flush_error");
+  const std::string dir = MtDbOptions("held_flush_error").dir;
+  const std::string moved = dir + ".moved";
+  std::error_code ec;
+  std::filesystem::remove_all(moved, ec);
+  std::unique_ptr<Returns> writer;
+  // Destroyed first, as above; also puts the directory back.
+  struct OpenOnExit {
+    LatchedPolicy* policy;
+    std::string dir, moved;
+    ~OpenOnExit() {
+      policy->Open();
+      std::error_code ignored;
+      std::filesystem::rename(moved, dir, ignored);
+    }
+  } open_on_exit{held.policy.get(), dir, moved};
+  ASSERT_TRUE(held.Hold());
+  Db& db = *held.db;
+
+  Status write_status;
+  writer = std::make_unique<Returns>(
+      [&] { write_status = db.Put(EncodeKeyBE(7), "stalled"); });
+  ASSERT_TRUE(Eventually([&] { return db.stats().write_stalls >= 1; }));
+  // With the directory gone, the held flush cannot write its SST.
+  std::filesystem::rename(dir, moved, ec);
+  ASSERT_FALSE(ec) << ec.message();
+  held.policy->Open();
+  EXPECT_TRUE(Eventually([&] { return writer->done(); }));
+  writer.reset();
+  EXPECT_FALSE(write_status.ok()) << "the stalled write was accepted";
+  EXPECT_FALSE(db.background_error().ok());
+  db.WaitForBackground();  // an error leaves nothing requested
+
+  std::filesystem::rename(moved, dir, ec);
+  ASSERT_FALSE(ec) << ec.message();
+  ASSERT_TRUE(db.Flush().ok());
+  EXPECT_TRUE(db.background_error().ok());
+  EXPECT_TRUE(db.Seek(EncodeKeyBE(0), EncodeKeyBE(0)).found);
+  EXPECT_FALSE(db.Seek(EncodeKeyBE(7), EncodeKeyBE(7)).found)
+      << "a rejected write became visible";
 }
 
 TEST(Mvcc, CrashReplayReproducesExactPreCrashOrder) {
