@@ -17,7 +17,7 @@
 // different experiment than the command line says.
 //
 // Output is whitespace-aligned tables on stdout, one series per paper
-// line/panel, so EXPERIMENTS.md can quote them directly.
+// line/panel, ready to quote as they stand.
 
 #ifndef PROTEUS_BENCH_BENCH_COMMON_H_
 #define PROTEUS_BENCH_BENCH_COMMON_H_

@@ -7,7 +7,7 @@
 //   sst/seek     — SST files probed per Seek (the I/O the filter failed to
 //                  avoid; disk-bound latency is proportional to this)
 //   modeled ms   — wall time + cache-miss block reads x 100us, a simple
-//                  SSD model (EXPERIMENTS.md discusses this substitution)
+//                  SSD model standing in for the paper's on-disk reads
 //   fileFPR      — false-positive file probes / filter checks
 //   filter BPK   — measured filter memory per key
 

@@ -2,7 +2,7 @@
 // "Sample Size"). Reports the bound e^{-N d^2/(2p)} + e^{-N d^2/(3p)}
 // maximized over p <= 0.1 for N d^2 in {1..5}, plus the paper's printed
 // values for comparison. (The analytic maximum at p = 0.1 is ~10x the
-// paper's table entries; we report both — see EXPERIMENTS.md.)
+// paper's table entries; both are reported.)
 
 #include <cmath>
 #include <cstdio>

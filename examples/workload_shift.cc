@@ -12,10 +12,6 @@
 //     the closed loop is FPR feedback -> drift flag -> redesign ->
 //     recovered FPR.
 //
-// The whole scenario runs twice, under bpk_policy fixed and monkey, so
-// the output also compares total filter bytes and false-positive probes
-// at the same global bits-per-key budget.
-//
 // `--json` prints one machine-readable object (CI's adaptive-smoke job
 // asserts on it).
 
@@ -105,12 +101,12 @@ bool AnyFlagged(Db& db) {
   return false;
 }
 
-Outcome RunClosedLoop(BpkPolicy policy, const std::string& dir, bool quiet) {
+Outcome RunClosedLoop(bool quiet) {
   Outcome out;
   auto keys = GenerateKeys(Dataset::kNormal, 30000, 11);
 
   DbOptions options;
-  options.dir = dir;
+  options.dir = "/tmp/proteus_shift";
   options.memtable_bytes = 64 << 10;
   options.sst_target_bytes = 128 << 10;
   options.l0_compaction_trigger = 4;
@@ -118,7 +114,6 @@ Outcome RunClosedLoop(BpkPolicy policy, const std::string& dir, bool quiet) {
   options.level_size_multiplier = 4.0;
   options.filter_policy = MakeFilterPolicy("proteus:bpk=14");
   options.queue_options = {.capacity = 4000, .sample_rate = 1};
-  options.bpk_policy = policy;
   // Demo-sized drift thresholds: a few hundred probes of evidence.
   options.drift.min_probes = 200;
   options.drift.min_window_samples = 200;
@@ -205,61 +200,42 @@ Outcome RunClosedLoop(BpkPolicy policy, const std::string& dir, bool quiet) {
         static_cast<unsigned long long>(out.redesigns),
         static_cast<unsigned long long>(out.drift_detected),
         out.recovered.observed, out.recovered.modeled);
-    std::printf("  filter bytes: %llu\n",
-                static_cast<unsigned long long>(out.filter_bits / 8));
+    std::printf("  filter bytes: %llu, false-positive probes across the "
+                "shift: %llu\n",
+                static_cast<unsigned long long>(out.filter_bits / 8),
+                static_cast<unsigned long long>(out.shift_fp_probes));
   }
   return out;
 }
 
-void PrintJson(const char* name, const Outcome& o, bool last) {
+void PrintJson(const Outcome& o) {
   std::printf(
-      "  \"%s\": {\n"
-      "    \"phase_a_observed\": %.6f,\n"
-      "    \"phase_a_modeled\": %.6f,\n"
-      "    \"stale_observed\": %.6f,\n"
-      "    \"recovered_observed\": %.6f,\n"
-      "    \"recovered_modeled\": %.6f,\n"
-      "    \"drift_detected\": %llu,\n"
-      "    \"redesigns\": %llu,\n"
-      "    \"filter_bits\": %llu,\n"
-      "    \"shift_fp_probes\": %llu,\n"
-      "    \"shift_sst_probes\": %llu\n"
-      "  }%s\n",
-      name, o.phase_a.observed, o.phase_a.modeled, o.stale.observed,
+      "{\n"
+      "  \"phase_a_observed\": %.6f,\n"
+      "  \"phase_a_modeled\": %.6f,\n"
+      "  \"stale_observed\": %.6f,\n"
+      "  \"recovered_observed\": %.6f,\n"
+      "  \"recovered_modeled\": %.6f,\n"
+      "  \"drift_detected\": %llu,\n"
+      "  \"redesigns\": %llu,\n"
+      "  \"filter_bits\": %llu,\n"
+      "  \"shift_fp_probes\": %llu,\n"
+      "  \"shift_sst_probes\": %llu\n"
+      "}\n",
+      o.phase_a.observed, o.phase_a.modeled, o.stale.observed,
       o.recovered.observed, o.recovered.modeled,
       static_cast<unsigned long long>(o.drift_detected),
       static_cast<unsigned long long>(o.redesigns),
       static_cast<unsigned long long>(o.filter_bits),
       static_cast<unsigned long long>(o.shift_fp_probes),
-      static_cast<unsigned long long>(o.shift_sst_probes), last ? "" : ",");
+      static_cast<unsigned long long>(o.shift_sst_probes));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
-
-  if (!json) std::printf("== bpk_policy = fixed ==\n");
-  Outcome fixed =
-      RunClosedLoop(BpkPolicy::kFixed, "/tmp/proteus_shift_fixed", json);
-  if (!json) std::printf("== bpk_policy = monkey ==\n");
-  Outcome monkey =
-      RunClosedLoop(BpkPolicy::kMonkey, "/tmp/proteus_shift_monkey", json);
-
-  if (json) {
-    std::printf("{\n");
-    PrintJson("fixed", fixed, /*last=*/false);
-    PrintJson("monkey", monkey, /*last=*/true);
-    std::printf("}\n");
-  } else {
-    std::printf(
-        "== monkey vs fixed at the same 14 bpk budget ==\n"
-        "  filter bytes:  %llu vs %llu\n"
-        "  false-positive probes across the shift: %llu vs %llu\n",
-        static_cast<unsigned long long>(monkey.filter_bits / 8),
-        static_cast<unsigned long long>(fixed.filter_bits / 8),
-        static_cast<unsigned long long>(monkey.shift_fp_probes),
-        static_cast<unsigned long long>(fixed.shift_fp_probes));
-  }
+  const Outcome outcome = RunClosedLoop(json);
+  if (json) PrintJson(outcome);
   return 0;
 }

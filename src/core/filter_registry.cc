@@ -40,7 +40,6 @@ FilterRegistry::FilterRegistry() {
   FilterFamily proteus;
   proteus.name = "proteus";
   proteus.family_id = ProteusFilter::kFamilyId;
-  proteus.help = "bpk=12,blocked=0|1 | trie=L1,bloom=L2 (forced)";
   proteus.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
                          std::string* error) {
     return AsInt(ProteusFilter::BuildFromSpec(spec, builder, error));
@@ -54,7 +53,6 @@ FilterRegistry::FilterRegistry() {
   one_pbf.name = "onepbf";
   one_pbf.aliases = {"1pbf"};
   one_pbf.family_id = OnePbfFilter::kFamilyId;
-  one_pbf.help = "bpk=12,blocked=0|1 | prefix=L (forced)";
   one_pbf.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
                          std::string* error) {
     return AsInt(OnePbfFilter::BuildFromSpec(spec, builder, error));
@@ -68,7 +66,6 @@ FilterRegistry::FilterRegistry() {
   two_pbf.name = "twopbf";
   two_pbf.aliases = {"2pbf"};
   two_pbf.family_id = TwoPbfFilter::kFamilyId;
-  two_pbf.help = "bpk=12,blocked=0|1 | l1=L1,l2=L2,frac1=F (forced)";
   two_pbf.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
                          std::string* error) {
     return AsInt(TwoPbfFilter::BuildFromSpec(spec, builder, error));
@@ -81,7 +78,6 @@ FilterRegistry::FilterRegistry() {
   FilterFamily rosetta;
   rosetta.name = "rosetta";
   rosetta.family_id = RosettaFilter::kFamilyId;
-  rosetta.help = "bpk=12";
   rosetta.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
                          std::string* error) {
     return AsInt(RosettaFilter::BuildFromSpec(spec, builder, error));
@@ -94,7 +90,6 @@ FilterRegistry::FilterRegistry() {
   FilterFamily surf;
   surf.name = "surf";
   surf.family_id = SurfIntFilter::kFamilyId;
-  surf.help = "mode=base|real|hash,suffix=N,dense=R";
   surf.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
                       std::string* error) {
     return AsInt(SurfIntFilter::BuildFromSpec(spec, builder, error));
@@ -107,7 +102,6 @@ FilterRegistry::FilterRegistry() {
   FilterFamily surf_str;
   surf_str.name = "surf-str";
   surf_str.family_id = SurfStrFilter::kFamilyId;
-  surf_str.help = "mode=base|real|hash,suffix=N,dense=R";
   surf_str.build_str = [](const FilterSpec& spec, StrFilterBuilder& builder,
                           std::string* error) {
     return AsStr(SurfStrFilter::BuildFromSpec(spec, builder, error));
@@ -120,9 +114,6 @@ FilterRegistry::FilterRegistry() {
   FilterFamily proteus_str;
   proteus_str.name = "proteus-str";
   proteus_str.family_id = ProteusStrFilter::kFamilyId;
-  proteus_str.help =
-      "bpk=12,max_key_bits=B,stride=S,trie_grid=G,blocked=0|1 | "
-      "trie=L1,bloom=L2";
   proteus_str.build_str = [](const FilterSpec& spec, StrFilterBuilder& builder,
                              std::string* error) {
     return AsStr(ProteusStrFilter::BuildFromSpec(spec, builder, error));
@@ -135,7 +126,6 @@ FilterRegistry::FilterRegistry() {
   FilterFamily bloom;
   bloom.name = "bloom";
   bloom.family_id = BloomIntFilter::kFamilyId;
-  bloom.help = "bpk=12 (point filtering only)";
   bloom.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
                        std::string* error) {
     return AsInt(BloomIntFilter::BuildFromSpec(spec, builder, error));
@@ -148,7 +138,6 @@ FilterRegistry::FilterRegistry() {
   FilterFamily bloom_str;
   bloom_str.name = "bloom-str";
   bloom_str.family_id = BloomStrFilter::kFamilyId;
-  bloom_str.help = "bpk=12 (point filtering only)";
   bloom_str.build_str = [](const FilterSpec& spec, StrFilterBuilder& builder,
                            std::string* error) {
     return AsStr(BloomStrFilter::BuildFromSpec(spec, builder, error));
@@ -195,22 +184,6 @@ std::vector<std::string> FilterRegistry::FamilyNames() const {
   names.reserve(families_.size());
   for (const FilterFamily& f : families_) names.push_back(f.name);
   return names;
-}
-
-std::unique_ptr<RangeFilter> FilterRegistry::Create(
-    std::string_view spec, const std::vector<uint64_t>& sorted_keys,
-    const std::vector<RangeQuery>& samples, std::string* error) const {
-  FilterBuilder builder(sorted_keys);
-  builder.Sample(samples);
-  return builder.Build(spec, error);
-}
-
-std::unique_ptr<StrRangeFilter> FilterRegistry::CreateStr(
-    std::string_view spec, const std::vector<std::string>& sorted_keys,
-    const std::vector<StrRangeQuery>& samples, std::string* error) const {
-  StrFilterBuilder builder(sorted_keys);
-  builder.Sample(samples);
-  return builder.Build(spec, error);
 }
 
 std::unique_ptr<Filter> Filter::Deserialize(std::string_view in,

@@ -6,11 +6,11 @@
 // filters through spec strings, so adding a filter family needs zero
 // bench/LSM plumbing:
 //
-//   auto f = FilterRegistry::Global().Create("proteus:bpk=12", keys, samples);
-//   auto g = FilterRegistry::Global().CreateStr("surf-str:mode=real,suffix=8",
-//                                               str_keys);
+//   auto f = FilterBuilder(keys).Sample(samples).Build("proteus:bpk=12");
+//   auto g = StrFilterBuilder(str_keys).Build("surf-str:mode=real,suffix=8");
+//   const FilterFamily* family = FilterRegistry::Global().Find("surf");
 //
-// Built-in families (see filter_registry.cc for parameters):
+// Built-in families (each family's BuildFromSpec parses its parameters):
 //   proteus, onepbf (1pbf), twopbf (2pbf), rosetta, surf, bloom   — integer
 //   proteus-str, surf-str, bloom-str                              — string
 
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/filter_spec.h"
-#include "core/query.h"
 #include "core/range_filter.h"
 
 namespace proteus {
@@ -49,7 +48,6 @@ struct FilterFamily {
   std::string name;                  // canonical spec name
   std::vector<std::string> aliases;  // extra spec names
   uint32_t family_id = 0;            // stable wire id; 0 = not serializable
-  std::string help;                  // one-line parameter summary
   IntBuildFn build_int = nullptr;
   StrBuildFn build_str = nullptr;
   DeserializeFn deserialize = nullptr;
@@ -70,20 +68,6 @@ class FilterRegistry {
 
   /// Canonical names of all registered families.
   std::vector<std::string> FamilyNames() const;
-
-  /// Builds an integer-key filter from a spec string. `samples` are the
-  /// sampled empty queries self-designing families model; forced
-  /// configurations and model-free families ignore them.
-  std::unique_ptr<RangeFilter> Create(
-      std::string_view spec, const std::vector<uint64_t>& sorted_keys,
-      const std::vector<RangeQuery>& samples = {},
-      std::string* error = nullptr) const;
-
-  /// Builds a string-key filter from a spec string.
-  std::unique_ptr<StrRangeFilter> CreateStr(
-      std::string_view spec, const std::vector<std::string>& sorted_keys,
-      const std::vector<StrRangeQuery>& samples = {},
-      std::string* error = nullptr) const;
 
  private:
   FilterRegistry();  // registers the built-in families

@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "core/filter.h"
-#include "model/bpk_alloc.h"
 #include "util/crc32c.h"
 #include "util/posix_io.h"
 #include "util/serial.h"
@@ -841,16 +840,13 @@ Status Db::FinishFile(SstWriter* writer, std::vector<std::string>* keys,
   meta->n_entries = writer->n_entries();
   meta->level = target_level;
   if (options_.filter_policy != nullptr) {
-    FilterBuildContext ctx;
-    ctx.level = target_level;
-    ctx.bpk_override = MonkeyBpkForLevel(target_level, keys->size());
     // Capture the window state the design is about to consume — the
     // drift detector later compares the live window against it.
     const double design_signature = query_queue_.Signature();
     const uint64_t design_samples = query_queue_.sampled();
     Stopwatch timer;
     meta->filter =
-        options_.filter_policy->Build(*keys, query_queue_.Snapshot(), ctx);
+        options_.filter_policy->Build(*keys, query_queue_.Snapshot());
     stats_->filter_build_ns += timer.ElapsedNanos();
     if (meta->filter != nullptr) {
       meta->design_epoch = design_epoch_.load(std::memory_order_relaxed);
@@ -1126,36 +1122,6 @@ size_t Db::ApplyEdit(const ManifestEdit& edit,
     }
   }
   return removed;
-}
-
-double Db::MonkeyBpkForLevel(int target_level, uint64_t incoming_keys) const {
-  if (options_.bpk_policy != BpkPolicy::kMonkey ||
-      options_.filter_policy == nullptr) {
-    return 0.0;
-  }
-  const double global_bpk = options_.filter_policy->SpecBpk();
-  if (global_bpk <= 0.0) return 0.0;  // no tunable budget to split
-
-  VersionPtr v = CurrentVersion();
-  std::vector<LevelLoad> loads(v->levels.size());
-  for (size_t level = 0; level < v->levels.size(); ++level) {
-    uint64_t level_keys = 0;
-    for (const auto& f : v->levels[level]) level_keys += f->n_entries;
-    loads[level].keys = level_keys;
-    // Every L0 file is probed by every query that reaches L0; a sorted
-    // level is probed at most once. Weight L0's false positives by its
-    // file count so the allocator prices the fan-out.
-    loads[level].probe_weight =
-        level == 0 ? static_cast<double>(
-                         std::max<size_t>(v->levels[0].size(), 1))
-                   : 1.0;
-  }
-  auto& target = loads[static_cast<size_t>(target_level)];
-  target.keys += incoming_keys;  // the file being built counts too
-  if (target_level == 0) target.probe_weight += 1.0;
-
-  std::vector<double> split = MonkeyBpkSplit(global_bpk, loads);
-  return split[static_cast<size_t>(target_level)];
 }
 
 void Db::NoteFilterChecks(const FileMeta& f, uint64_t n) {
@@ -1554,13 +1520,9 @@ Status Db::LoadFile(const FilePtr& meta) {
             if (keys.empty() || keys.back() != k) keys.emplace_back(k);
           });
       if (all_keys) {
-        // The recovery-time tree is still being assembled, so no
-        // per-level budget override here — the spec's own bpk applies.
-        FilterBuildContext ctx;
-        ctx.level = meta->level;
         Stopwatch timer;
         meta->filter =
-            options_.filter_policy->Build(keys, query_queue_.Snapshot(), ctx);
+            options_.filter_policy->Build(keys, query_queue_.Snapshot());
         stats_->filter_build_ns += timer.ElapsedNanos();
         if (meta->filter != nullptr) {
           ++stats_->filter_rebuilds;
@@ -1803,8 +1765,7 @@ void Db::SeekLoop(const ReadView& view, const ReadOptions& ro,
                   const uint32_t* verdicts, ReadSources* sources,
                   SeekResult* result) {
   using Source = ReadSources::Source;
-  const BlockReadOptions bro{ro.verify_checksums, /*fill_cache=*/true,
-                             /*use_cache=*/true};
+  const BlockReadOptions bro{ro.verify_checksums, /*use_cache=*/true};
   const Version& v = *view.version;
 
   // A file source consults its filter ONCE per query (sound permanently:

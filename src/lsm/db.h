@@ -12,7 +12,8 @@
 //    with leveled compaction (size ratio between levels), also run in
 //    the background,
 //  * a per-SST filter built at flush/compaction time by the configured
-//    FilterPolicy from the SST's keys and the sample query queue,
+//    FilterPolicy from the SST's keys and the sample query queue; every
+//    file at every level is designed under the policy spec's own bpk,
 //  * an LRU block cache for data blocks; index blocks and filters stay
 //    pinned in memory (Section 6.2's tuning),
 //  * closed Seek(lo, hi): consult every overlapping SST's filter first,
@@ -121,17 +122,6 @@ struct ReadOptions {
   bool verify_checksums = true;
 };
 
-/// How the filter budget is spread across levels (DbOptions::bpk_policy).
-enum class BpkPolicy {
-  /// Every SST gets the filter spec's own bits-per-key.
-  kFixed,
-  /// Monkey-style: the same global budget, split across levels by
-  /// marginal false-positive reduction per bit (model/bpk_alloc.h).
-  /// Needs a filter spec with an explicit bpk parameter; other specs
-  /// silently behave like kFixed.
-  kMonkey,
-};
-
 struct DbOptions {
   std::string dir = "/tmp/proteus_db";
   size_t memtable_bytes = 8u << 20;
@@ -161,10 +151,10 @@ struct DbOptions {
   /// MANIFEST delta records appended since the last full snapshot before
   /// the log is compacted back into one snapshot record.
   size_t manifest_compact_threshold = 16;
-  std::shared_ptr<FilterPolicy> filter_policy;  // null = no filters
+  /// Builds every SST's filter under its spec's bits-per-key, the same
+  /// budget at every level. Null = no filters.
+  std::shared_ptr<FilterPolicy> filter_policy;
   SampleQueryQueue::Options queue_options;
-  /// Per-level filter budget allocation (see BpkPolicy).
-  BpkPolicy bpk_policy = BpkPolicy::kFixed;
   /// Continuous self-design: background maintenance rewrites an SST in
   /// place — re-running Sample() -> Design() -> Build() with the live
   /// query window — once the drift detector flags its filter as designed
@@ -512,12 +502,6 @@ class Db {
 
   Status FinishFile(SstWriter* writer, std::vector<std::string>* keys,
                     const std::string& path, int target_level, FilePtr* out);
-
-  /// The Monkey per-level bits-per-key for a file of `incoming_keys`
-  /// keys landing at `target_level`, or 0 (no override) under kFixed /
-  /// no tunable budget. Prices the current tree shape plus the incoming
-  /// file through model/bpk_alloc.h.
-  double MonkeyBpkForLevel(int target_level, uint64_t incoming_keys) const;
 
   /// Read-path accounting: `f`'s filter answered `n` queries.
   void NoteFilterChecks(const FileMeta& f, uint64_t n);

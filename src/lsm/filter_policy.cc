@@ -135,46 +135,18 @@ class NullPolicy : public FilterPolicy {
 /// see raw keys).
 class RegistryPolicy : public FilterPolicy {
  public:
-  RegistryPolicy(FilterSpec spec, bool str_mode, bool bpk_overridable)
-      : spec_(std::move(spec)),
-        str_mode_(str_mode),
-        bpk_overridable_(bpk_overridable) {
-    spec_.GetDouble("bpk", 0.0, &spec_bpk_);
-  }
+  RegistryPolicy(FilterSpec spec, bool str_mode)
+      : spec_(std::move(spec)), str_mode_(str_mode) {}
 
   std::unique_ptr<SstFilter> Build(
       const std::vector<std::string>& keys,
       const std::vector<std::pair<std::string, std::string>>& samples)
       const override {
-    return BuildWithSpec(keys, samples, spec_);
-  }
-
-  std::unique_ptr<SstFilter> Build(
-      const std::vector<std::string>& keys,
-      const std::vector<std::pair<std::string, std::string>>& samples,
-      const FilterBuildContext& context) const override {
-    if (context.bpk_override <= 0.0 || !bpk_overridable_) {
-      return BuildWithSpec(keys, samples, spec_);
-    }
-    FilterSpec spec = spec_;
-    spec.Set("bpk", FormatSpecDouble(context.bpk_override));
-    return BuildWithSpec(keys, samples, spec);
-  }
-
-  double SpecBpk() const override { return spec_bpk_; }
-
-  std::string Name() const override { return spec_.ToString(); }
-
- private:
-  std::unique_ptr<SstFilter> BuildWithSpec(
-      const std::vector<std::string>& keys,
-      const std::vector<std::pair<std::string, std::string>>& samples,
-      const FilterSpec& spec) const {
     if (keys.empty()) return nullptr;
     if (str_mode_) {
       StrFilterBuilder builder(keys);
       builder.Sample(ClipStrQueries(samples, keys.front(), keys.back()));
-      auto filter = builder.Build(spec);
+      auto filter = builder.Build(spec_);
       if (filter == nullptr) return nullptr;
       return std::make_unique<StrFilterAdapter>(std::move(filter));
     }
@@ -182,15 +154,16 @@ class RegistryPolicy : public FilterPolicy {
     FilterBuilder builder(int_keys);
     builder.Sample(
         DecodeAndClipQueries(samples, int_keys.front(), int_keys.back()));
-    auto filter = builder.Build(spec);
+    auto filter = builder.Build(spec_);
     if (filter == nullptr) return nullptr;
     return std::make_unique<IntFilterAdapter>(std::move(filter));
   }
 
+  std::string Name() const override { return spec_.ToString(); }
+
+ private:
   FilterSpec spec_;
   bool str_mode_;
-  bool bpk_overridable_;
-  double spec_bpk_ = 0.0;
 };
 
 }  // namespace
@@ -221,31 +194,19 @@ std::unique_ptr<FilterPolicy> MakeFilterPolicy(const std::string& spec,
 
   // Dry-run against a tiny key set so malformed parameter values fail at
   // policy creation instead of silently disabling filters at flush time.
-  // A second dry run with the bpk parameter set decides whether per-level
-  // (Monkey) budget overrides apply to this family — families without a
-  // bpk knob (SuRF) reject the key and keep their spec untouched.
-  FilterSpec overridden = parsed;
-  overridden.Set("bpk", "12");
-  bool bpk_overridable;
+  bool built;
   if (str_mode) {
     std::vector<std::string> dummy = {"a", "b"};
-    StrFilterBuilder builder(dummy);
-    if (builder.Build(parsed, &error) == nullptr) {
-      SetStatus(status, Status::InvalidArgument(error));
-      return nullptr;
-    }
-    bpk_overridable = builder.Build(overridden) != nullptr;
+    built = StrFilterBuilder(dummy).Build(parsed, &error) != nullptr;
   } else {
     std::vector<uint64_t> dummy = {1, uint64_t{1} << 40};
-    FilterBuilder builder(dummy);
-    if (builder.Build(parsed, &error) == nullptr) {
-      SetStatus(status, Status::InvalidArgument(error));
-      return nullptr;
-    }
-    bpk_overridable = builder.Build(overridden) != nullptr;
+    built = FilterBuilder(dummy).Build(parsed, &error) != nullptr;
   }
-  return std::make_unique<RegistryPolicy>(std::move(parsed), str_mode,
-                                          bpk_overridable);
+  if (!built) {
+    SetStatus(status, Status::InvalidArgument(error));
+    return nullptr;
+  }
+  return std::make_unique<RegistryPolicy>(std::move(parsed), str_mode);
 }
 
 std::unique_ptr<SstFilter> DeserializeSstFilter(std::string_view blob,

@@ -58,16 +58,6 @@ class SstFilter {
   virtual bool Serialize(std::string* /*out*/) const { return false; }
 };
 
-/// Where in the tree a filter is being built, and under what budget.
-/// Passed by the LSM so per-level (Monkey-style) allocations can override
-/// the spec's global bits-per-key for one build.
-struct FilterBuildContext {
-  int level = 0;
-  /// When > 0, build under this bits-per-key budget instead of the
-  /// spec's own. Ignored by families without a bpk parameter.
-  double bpk_override = 0.0;
-};
-
 class FilterPolicy {
  public:
   virtual ~FilterPolicy() = default;
@@ -78,20 +68,6 @@ class FilterPolicy {
       const std::vector<std::string>& keys,
       const std::vector<std::pair<std::string, std::string>>& sample_queries)
       const = 0;
-
-  /// Context-aware build: the LSM's flush/compaction path passes the
-  /// target level and any per-level bpk override. The default ignores
-  /// the context (policies without a tunable budget need nothing more).
-  virtual std::unique_ptr<SstFilter> Build(
-      const std::vector<std::string>& keys,
-      const std::vector<std::pair<std::string, std::string>>& sample_queries,
-      const FilterBuildContext& /*context*/) const {
-    return Build(keys, sample_queries);
-  }
-
-  /// The spec's global bits-per-key budget, or 0 when the spec does not
-  /// carry one (then per-level allocation has no budget to split).
-  virtual double SpecBpk() const { return 0.0; }
 
   virtual std::string Name() const = 0;
 };

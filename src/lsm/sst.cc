@@ -258,7 +258,7 @@ Status SstReader::ReadDataBlock(size_t block_index, BlockReader* out,
   if (!out->Init(payload)) {
     return Status::Corruption("data block checksum mismatch: " + path_);
   }
-  if (opts.use_cache && opts.fill_cache && cache_ != nullptr) {
+  if (opts.use_cache && cache_ != nullptr) {
     cache_->Insert(file_id_, handle.offset, std::move(payload));
   }
   return Status::OK();

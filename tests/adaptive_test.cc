@@ -7,7 +7,7 @@
 //    negatives — every divergence from the reference model is a bug,
 //    whichever subsystem caused it.
 //  * A serialization property: a filter built the way a redesign builds
-//    it (3-arg Build with a FilterBuildContext carrying a bpk override)
+//    it (the policy's Build over the keys and the sample queries)
 //    round-trips Serialize -> Deserialize -> Serialize bit-identically,
 //    for every registered family.
 //  * Format refusal: a handcrafted older (v2 pre-MVCC or v3
@@ -275,12 +275,9 @@ TEST(AdaptiveSerializeTest, RedesignedBlobsRoundTripBitIdentically) {
     auto policy = MakeFilterPolicy(spec, &status);
     ASSERT_NE(policy, nullptr) << status.ToString();
 
-    // Build exactly as RedesignFileLocked would: the 3-arg Build with a
-    // level and a Monkey bpk override.
-    FilterBuildContext context;
-    context.level = 2;
-    context.bpk_override = 10.0;
-    auto built = policy->Build(keys, queries, context);
+    // Build exactly as a flush, compaction or redesign does (FinishFile):
+    // the file's keys and the query-queue snapshot.
+    auto built = policy->Build(keys, queries);
     ASSERT_NE(built, nullptr);
 
     std::string blob1;

@@ -1,14 +1,9 @@
-// Unit tests for the two pure-model halves of adaptive self-design:
-// the drift detector's documented thresholds (src/lsm/drift.h) and the
-// Monkey bpk allocator's budget conservation (src/model/bpk_alloc.h).
+// Unit tests for the pure-model half of adaptive self-design: the drift
+// detector's documented thresholds (src/lsm/drift.h).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <vector>
-
 #include "lsm/drift.h"
-#include "model/bpk_alloc.h"
 
 namespace proteus {
 namespace {
@@ -152,74 +147,6 @@ TEST(DetectDriftTest, SignatureCheckedBeforeFpr) {
   s.live_signature = s.design_signature + 2.0 * o.signature_bits;
   // ...but a shifted window wins the reason.
   EXPECT_EQ(DetectDrift(s, o), DriftReason::kSignatureShift);
-}
-
-// ---------------------------------------------------------------------------
-// MonkeyBpkSplit: budget conservation across level shapes.
-// ---------------------------------------------------------------------------
-
-double TotalBits(const std::vector<LevelLoad>& levels,
-                 const std::vector<double>& split) {
-  double total = 0.0;
-  for (size_t i = 0; i < levels.size(); ++i) {
-    total += static_cast<double>(levels[i].keys) * split[i];
-  }
-  return total;
-}
-
-double TotalKeys(const std::vector<LevelLoad>& levels) {
-  double total = 0.0;
-  for (const auto& l : levels) total += static_cast<double>(l.keys);
-  return total;
-}
-
-TEST(MonkeyBpkSplitTest, BudgetConservedAcrossShapes) {
-  const double bpk = 14.0;
-  const std::vector<std::vector<LevelLoad>> shapes = {
-      {{1000, 1.0}},                                          // 1 level
-      {{1000, 4.0}, {10000, 1.0}},                            // L0 + L1
-      {{500, 3.0}, {4000, 1.0}, {16000, 1.0}},                // 3 levels
-      {{100, 2.0}, {1000, 1.0}, {8000, 1.0}, {64000, 1.0}},   // 4 levels
-      {{64, 6.0}, {512, 1.0}, {4096, 1.0}, {32768, 1.0}, {262144, 1.0}},
-  };
-  for (const auto& levels : shapes) {
-    auto split = MonkeyBpkSplit(bpk, levels);
-    ASSERT_EQ(split.size(), levels.size());
-    EXPECT_NEAR(TotalBits(levels, split), bpk * TotalKeys(levels),
-                1e-6 * bpk * TotalKeys(levels))
-        << levels.size() << " levels";
-    for (double b : split) EXPECT_GE(b, 1.0);
-  }
-}
-
-TEST(MonkeyBpkSplitTest, EmptyLevelsHoldNoBudget) {
-  const double bpk = 12.0;
-  // Empty L0 and an empty middle level: both get the global default
-  // back, and the budget is split over the non-empty levels only.
-  std::vector<LevelLoad> levels = {
-      {0, 4.0}, {2000, 1.0}, {0, 1.0}, {30000, 1.0}};
-  auto split = MonkeyBpkSplit(bpk, levels);
-  ASSERT_EQ(split.size(), 4u);
-  EXPECT_DOUBLE_EQ(split[0], bpk);
-  EXPECT_DOUBLE_EQ(split[2], bpk);
-  EXPECT_NEAR(TotalBits(levels, split), bpk * TotalKeys(levels),
-              1e-6 * bpk * TotalKeys(levels));
-}
-
-TEST(MonkeyBpkSplitTest, SmallProbedLevelsGetRicherFilters) {
-  // The Monkey direction: with equal probe weight, bits migrate from
-  // the huge last level (where a bit buys little FP reduction per probe)
-  // to the small upper level.
-  std::vector<LevelLoad> levels = {{1000, 1.0}, {100000, 1.0}};
-  auto split = MonkeyBpkSplit(14.0, levels);
-  EXPECT_GT(split[0], split[1]);
-}
-
-TEST(MonkeyBpkSplitTest, DegenerateInputsFallBackToGlobal) {
-  std::vector<LevelLoad> all_empty = {{0, 1.0}, {0, 1.0}};
-  for (double b : MonkeyBpkSplit(14.0, all_empty)) EXPECT_DOUBLE_EQ(b, 14.0);
-  for (double b : MonkeyBpkSplit(0.0, {{1000, 1.0}})) EXPECT_DOUBLE_EQ(b, 0.0);
-  EXPECT_TRUE(MonkeyBpkSplit(14.0, {}).empty());
 }
 
 }  // namespace

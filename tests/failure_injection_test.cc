@@ -361,7 +361,6 @@ TEST(BlockCacheVerifyOnce, RepeatSeekSharesTheVerifiedBlock) {
 
   // The same entry read straight from disk, bypassing the cache.
   constexpr BlockReadOptions kDiskRead{/*verify_checksums=*/true,
-                                       /*fill_cache=*/false,
                                        /*use_cache=*/false};
   int files_with_key = 0;
   for (uint64_t id = 1; id < 64; ++id) {

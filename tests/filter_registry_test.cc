@@ -125,8 +125,7 @@ TEST(FilterRegistry, EveryIntFamilyIsConstructibleFromSpecStrings) {
         "surf:mode=real,suffix=8", "bloom:bpk=12", "1pbf:bpk=10",
         "proteus:trie=16,bloom=48"}) {
     std::string error;
-    auto filter =
-        FilterRegistry::Global().Create(spec, keys, samples, &error);
+    auto filter = FilterBuilder(keys).Sample(samples).Build(spec, &error);
     ASSERT_NE(filter, nullptr) << spec << ": " << error;
     EXPECT_GT(filter->SizeBits(), 0u) << spec;
     // Sanity: a range centered on a key is always positive.
@@ -140,7 +139,7 @@ TEST(FilterRegistry, EveryStrFamilyIsConstructibleFromSpecStrings) {
        {"proteus-str:bpk=14", "surf-str:mode=real,suffix=8",
         "bloom-str:bpk=12"}) {
     std::string error;
-    auto filter = FilterRegistry::Global().CreateStr(spec, keys, {}, &error);
+    auto filter = StrFilterBuilder(keys).Build(spec, &error);
     ASSERT_NE(filter, nullptr) << spec << ": " << error;
     EXPECT_TRUE(filter->MayContain(keys[10], keys[10])) << spec;
   }
@@ -156,8 +155,7 @@ TEST(FilterRegistry, ProteusStrTrieGridIsExposedInSpecStrings) {
        {"proteus-str:bpk=14,trie_grid=8",
         "proteus-str:bpk=14,stride=4,trie_grid=16"}) {
     std::string error;
-    auto filter =
-        FilterRegistry::Global().CreateStr(spec, keys, samples, &error);
+    auto filter = StrFilterBuilder(keys).Sample(samples).Build(spec, &error);
     ASSERT_NE(filter, nullptr) << spec << ": " << error;
     EXPECT_GT(filter->SizeBits(), 0u) << spec;
     EXPECT_TRUE(filter->MayContain(keys[10], keys[10])) << spec;
@@ -165,8 +163,8 @@ TEST(FilterRegistry, ProteusStrTrieGridIsExposedInSpecStrings) {
   // Malformed values fail at build time with a message, like every other
   // spec parameter.
   std::string error;
-  auto filter = FilterRegistry::Global().CreateStr(
-      "proteus-str:bpk=14,trie_grid=coarse", keys, samples, &error);
+  auto filter = StrFilterBuilder(keys).Sample(samples).Build(
+      "proteus-str:bpk=14,trie_grid=coarse", &error);
   EXPECT_EQ(filter, nullptr);
   EXPECT_NE(error.find("not an unsigned integer"), std::string::npos)
       << error;
@@ -193,24 +191,23 @@ TEST(FilterRegistry, BadSpecsFailWithErrors) {
   };
   for (const Case& c : cases) {
     std::string error;
-    auto filter = FilterRegistry::Global().Create(c.spec, keys, {}, &error);
+    auto filter = FilterBuilder(keys).Build(c.spec, &error);
     EXPECT_EQ(filter, nullptr) << c.spec;
     EXPECT_NE(error.find(c.needle), std::string::npos)
         << c.spec << " -> " << error;
   }
-  // String side: an int-only family through CreateStr.
+  // String side: an int-only family through StrFilterBuilder.
   std::string error;
-  auto filter = FilterRegistry::Global().CreateStr(
-      "proteus:bpk=12", GenerateStrKeys(StrDataset::kDomains, 100, 0, 55), {},
-      &error);
+  auto filter =
+      StrFilterBuilder(GenerateStrKeys(StrDataset::kDomains, 100, 0, 55))
+          .Build("proteus:bpk=12", &error);
   EXPECT_EQ(filter, nullptr);
   EXPECT_NE(error.find("no string-key builder"), std::string::npos);
 }
 
 TEST(FilterRegistry, ForcedConfigurationsAreHonored) {
   auto keys = GenerateKeys(Dataset::kNormal, 3000, 56);
-  auto filter =
-      FilterRegistry::Global().Create("proteus:trie=16,bloom=48", keys);
+  auto filter = FilterBuilder(keys).Build("proteus:trie=16,bloom=48");
   ASSERT_NE(filter, nullptr);
   auto* proteus = dynamic_cast<ProteusFilter*>(filter.get());
   ASSERT_NE(proteus, nullptr);
@@ -218,8 +215,7 @@ TEST(FilterRegistry, ForcedConfigurationsAreHonored) {
   EXPECT_EQ(proteus->config().bf_prefix_len, 48u);
   EXPECT_FALSE(proteus->modeled_fpr().has_value());
 
-  auto two = FilterRegistry::Global().Create("2pbf:l1=12,l2=32,frac1=0.3",
-                                             keys);
+  auto two = FilterBuilder(keys).Build("2pbf:l1=12,l2=32,frac1=0.3");
   ASSERT_NE(two, nullptr);
   auto* two_pbf = dynamic_cast<TwoPbfFilter*>(two.get());
   ASSERT_NE(two_pbf, nullptr);
@@ -249,7 +245,7 @@ TEST(FilterBuilder, ModelIsSharedAcrossFamiliesAndBudgets) {
   for (double bpk : {8.0, 12.0, 16.0}) {
     std::string spec = "proteus:bpk=" + std::to_string(bpk);
     auto swept = builder.Build(spec);
-    auto fresh = FilterRegistry::Global().Create(spec, keys, samples);
+    auto fresh = FilterBuilder(keys).Sample(samples).Build(spec);
     ASSERT_NE(swept, nullptr);
     ASSERT_NE(fresh, nullptr);
     EXPECT_EQ(swept->SizeBits(), fresh->SizeBits()) << spec;
@@ -288,7 +284,8 @@ TEST(MakeFilterPolicy, SpecStringsSelectEveryFamily) {
 TEST(MakeFilterPolicy, BadSpecsFailAtCreationTime) {
   for (const char* spec :
        {"nosuch:bpk=1", "proteus:bpk=fast", "proteus:bogus=3",
-        "none:bpk=12", "surf:mode=weird", ""}) {
+        "none:bpk=12", "surf:mode=weird", "", "proteus-str:bogus=1",
+        "bloom-str:bpk=fast"}) {
     Status status;
     auto policy = MakeFilterPolicy(spec, &status);
     EXPECT_EQ(policy, nullptr) << spec;

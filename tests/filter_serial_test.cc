@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bloom/bloom_filter.h"
+#include "core/filter_builder.h"
 #include "core/filter_registry.h"
 #include "lsm/filter_policy.h"
 #include "surf/surf.h"  // EncodeKeyBE
@@ -55,7 +56,7 @@ TEST_P(IntRoundTripTest, IdenticalSizeAndAnswers) {
   auto samples = GenerateQueries(keys, qspec, 800, 62);
 
   std::string error;
-  auto original = FilterRegistry::Global().Create(spec, keys, samples, &error);
+  auto original = FilterBuilder(keys).Sample(samples).Build(spec, &error);
   ASSERT_NE(original, nullptr) << spec << ": " << error;
 
   std::string blob;
@@ -104,8 +105,7 @@ TEST_P(StrRoundTripTest, IdenticalSizeAndAnswers) {
   auto samples = GenerateStrQueries(keys, qspec, 400, 65);
 
   std::string error;
-  auto original =
-      FilterRegistry::Global().CreateStr(spec, keys, samples, &error);
+  auto original = StrFilterBuilder(keys).Sample(samples).Build(spec, &error);
   ASSERT_NE(original, nullptr) << spec << ": " << error;
 
   std::string blob;
@@ -202,7 +202,7 @@ TEST(BitTrieSerial, RoundTripsWithIdenticalSeeks) {
 
 TEST(FilterSerial, CorruptBlobsFailCleanly) {
   auto keys = GenerateKeys(Dataset::kUniform, 1000, 70);
-  auto filter = FilterRegistry::Global().Create("proteus:bpk=12", keys);
+  auto filter = FilterBuilder(keys).Build("proteus:bpk=12");
   ASSERT_NE(filter, nullptr);
   std::string blob;
   filter->Serialize(&blob);
@@ -321,7 +321,7 @@ TEST(FilterSerial, BlockedAndUnblockedFiltersRoundTripThroughRegistry) {
        {"proteus:trie=16,bloom=48,blocked=1",
         "proteus:trie=16,bloom=48,blocked=0", "onepbf:prefix=56,blocked=1",
         "twopbf:l1=16,l2=48,blocked=1"}) {
-    auto filter = FilterRegistry::Global().Create(spec, keys);
+    auto filter = FilterBuilder(keys).Build(spec);
     ASSERT_NE(filter, nullptr) << spec;
     std::string blob;
     filter->Serialize(&blob);
@@ -338,8 +338,7 @@ TEST(FilterSerial, HugeWireCountsAreRejectedNotAllocated) {
   // A corrupted trie depth must not reach levels_.assign (std::bad_alloc
   // would abort the process instead of failing the parse).
   auto keys = GenerateKeys(Dataset::kUniform, 500, 74);
-  auto filter =
-      FilterRegistry::Global().Create("proteus:trie=16,bloom=48", keys);
+  auto filter = FilterBuilder(keys).Build("proteus:trie=16,bloom=48");
   ASSERT_NE(filter, nullptr);
   std::string blob;
   filter->Serialize(&blob);
