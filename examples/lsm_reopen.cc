@@ -1,8 +1,8 @@
 // Demonstrates the Db::Open recovery contract: fill a database, close
 // it, and reopen it from disk alone — the LSM tree comes back from the
-// MANIFEST delta log and every SST's filter is deserialized from its
-// on-disk filter block (stats().filter_loads) instead of being rebuilt
-// from keys (stats().filter_rebuilds stays 0).
+// MANIFEST and every SST's filter is deserialized from its on-disk
+// filter block (stats().filter_loads) instead of being rebuilt from keys
+// (stats().filter_rebuilds stays 0).
 //
 // Also shows the durable-write contract: every Put/Delete returns a
 // proteus::Status and is group-committed to the WAL before it is

@@ -41,7 +41,6 @@ SOURCES = {
         "kManifestMagic",
         "kManifestVersion",
         "kManifestRecordSnapshot",
-        "kManifestRecordDelta",
     ],
     "src/lsm/wal.h": [
         "kWalOpPutSeq",

@@ -25,6 +25,11 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+// Unsent response bytes past which a connection's requests stay unread
+// until the client drains them: a client that pipelines and never reads
+// holds at most this much server memory (plus one read's replies).
+constexpr size_t kMaxUnsentBytes = 1 << 20;
+
 }  // namespace
 
 BatchServer::BatchServer(Db* db, ServerOptions options)
@@ -153,7 +158,7 @@ void BatchServer::AcceptPending() {
 
 bool BatchServer::HandleReadable(Connection* conn) {
   char buf[64 << 10];
-  while (!conn->close_after_write) {
+  while (!conn->close_after_write && conn->unsent() <= kMaxUnsentBytes) {
     ssize_t r = ::read(conn->fd, buf, sizeof(buf));
     if (r > 0) {
       conn->in.append(buf, static_cast<size_t>(r));
@@ -234,9 +239,12 @@ void BatchServer::UpdateEpoll(Connection* conn) {
   }
   conn->out.erase(0, conn->out_done);
   conn->out_done = 0;
-  // After a protocol error only the error frame is left to send.
+  // After a protocol error only the error frame is left to send; with
+  // too much unsent, reading waits until the client drains it.
   epoll_event ev{};
-  ev.events = conn->close_after_write ? 0u : uint32_t{EPOLLIN};
+  const bool read = !conn->close_after_write &&
+                    conn->unsent() <= kMaxUnsentBytes;
+  ev.events = read ? uint32_t{EPOLLIN} : 0u;
   if (!conn->out.empty()) ev.events |= EPOLLOUT;
   ev.data.fd = conn->fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);

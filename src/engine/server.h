@@ -19,7 +19,10 @@
 // buffer holds at most one partial frame plus one read even while a
 // client pipelines requests; consumed input and written output are
 // tracked by offset and dropped once per read and once per event, never
-// per frame.
+// per frame. Its output buffer is bounded too: while more than 1 MiB of
+// replies is unsent the server stops reading that connection (drops
+// EPOLLIN), so a client that pipelines and never reads is throttled by
+// TCP flow control instead of growing server memory.
 
 #ifndef PROTEUS_ENGINE_SERVER_H_
 #define PROTEUS_ENGINE_SERVER_H_
@@ -82,11 +85,13 @@ class BatchServer {
     std::string out;       // encoded responses; the first out_done are sent
     size_t out_done = 0;
     bool close_after_write = false;  // protocol error: flush error frame, close
+    size_t unsent() const { return out.size() - out_done; }
   };
 
   void AcceptPending();
-  /// Reads until EAGAIN, handling the complete frames after each read.
-  /// False = close the conn.
+  /// Reads until EAGAIN, handling the complete frames after each read,
+  /// or until the unsent replies pass a fixed cap (1 MiB). False = close
+  /// the conn.
   bool HandleReadable(Connection* conn);
   /// Handles every complete frame in `in`, then drops their bytes.
   void HandleFrames(Connection* conn);

@@ -39,20 +39,15 @@ namespace {
 
 constexpr size_t kMaxLevels = 8;
 
-// MANIFEST delta log (byte-accurate spec in docs/FORMAT.md): a sequence
-// of CRC32C-framed records. The first record is always a full snapshot
-// of the tree; each flush/compaction appends a delta (files added with
-// their level, file ids retired); every manifest_compact_threshold
-// deltas the log is atomically rewritten as one fresh snapshot.
+// MANIFEST (byte-accurate spec in docs/FORMAT.md): one CRC32C-framed
+// snapshot record naming every live SST with its level. Every tree edit
+// (flush, compaction, redesign) and every clean close rewrites it whole:
+// MANIFEST.tmp, fsync, rename over MANIFEST, directory fsync.
 //
 //   record  := length u32 | crc32c(payload) u32 | payload[length]
-//   snapshot payload := kind u8 (1) | magic u64 | version u64 |
-//                       next_file_id u64 | last_seqno u64 |
-//                       n_levels u64 | per level: n_files u64, file*
-//   delta payload    := kind u8 (2) | next_file_id u64 |
-//                       last_seqno u64 |
-//                       n_added u64,  (level u64, file)* |
-//                       n_deleted u64, (file_id u64)*
+//   payload := kind u8 (1) | magic u64 | version u64 |
+//              next_file_id u64 | last_seqno u64 |
+//              n_levels u64 | per level: n_files u64, file*
 //   file := id u64 | smallest lp | largest lp | n_entries u64 |
 //           file_size u64 |      (lp = u64 length + raw bytes)
 //           design_epoch u64 | modeled_fpr f64 |
@@ -60,19 +55,11 @@ constexpr size_t kMaxLevels = 8;
 //           checks u64 | probes u64 | false_positives u64
 //           (f64 = IEEE-754 bit pattern as fixed u64; -1.0 = none)
 //
-// A snapshot of any other version is refused as NotSupported.
+// A record of any other version is refused as NotSupported; version 4
+// had the same payload but could be followed by delta records.
 constexpr uint64_t kManifestMagic = 0x494E414D544F5250ull;  // "PROTMANI"
-constexpr uint64_t kManifestVersion = 4;
+constexpr uint64_t kManifestVersion = 5;
 constexpr uint8_t kManifestRecordSnapshot = 1;
-constexpr uint8_t kManifestRecordDelta = 2;
-
-/// Frames a manifest record: length + CRC32C + payload.
-std::string FrameRecord(std::string_view payload) {
-  std::string out;
-  out.reserve(8 + payload.size());
-  AppendCrcFrame(&out, payload);
-  return out;
-}
 
 void SyncDir(const std::string& dir) {
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
@@ -388,7 +375,6 @@ struct RelaxedCounter {
   X(filter_rebuilds)                                                   \
   X(wal_replayed)                                                      \
   X(wal_rotations)                                                     \
-  X(manifest_deltas)                                                   \
   X(manifest_snapshots)                                                \
   X(queue_sampled)                                                     \
   X(write_stalls)                                                      \
@@ -499,20 +485,16 @@ Db::~Db() {
       std::fprintf(stderr, "proteus: flush on close failed: %s\n",
                    s.ToString().c_str());
     }
-    // The observed-FPR counters advance on reads, which append no
-    // manifest records; one final snapshot carries the drift evidence
-    // across a clean reopen. Best-effort: losing it only resets the
-    // counters.
+    // The observed-FPR counters advance on reads, which write no
+    // MANIFEST; one final write carries the drift evidence across a
+    // clean reopen. Best-effort: losing it only resets the counters.
     std::lock_guard<std::mutex> mlock(maint_mu_);
-    if (manifest_fd_ >= 0) {
-      Status ps = WriteManifestSnapshot();
-      if (!ps.ok()) {
-        std::fprintf(stderr, "proteus: manifest snapshot on close failed: %s\n",
-                     ps.ToString().c_str());
-      }
+    Status ms = WriteManifest(CurrentVersion()->levels);
+    if (!ms.ok()) {
+      std::fprintf(stderr, "proteus: manifest write on close failed: %s\n",
+                   ms.ToString().c_str());
     }
   }
-  if (manifest_fd_ >= 0) ::close(manifest_fd_);
 }
 
 // ---------------------------------------------------------------------------
@@ -1053,15 +1035,13 @@ Status Db::RunJobLocked(const Job& job) {
                            job.max_file_bytes, &outputs);
   if (!s.ok()) return s;
 
-  ManifestEdit edit;
-  for (const auto& f : outputs) edit.added.emplace_back(job.output, f);
-  // The retired-id order is part of the delta's bytes: L0 inputs come
-  // before the L1 files they overlap, a sorted-level input after.
   std::vector<FilePtr> retired = overlaps;
-  retired.insert(job.level == 0 ? retired.begin() : retired.end(),
-                 job.inputs.begin(), job.inputs.end());
-  for (const auto& f : retired) edit.deleted.push_back(f->id);
-  s = AppendManifestDelta(edit);
+  retired.insert(retired.end(), job.inputs.begin(), job.inputs.end());
+  // Maintenance alone edits the levels (under maint_mu_), so the lists
+  // computed here are the ones installed below.
+  std::vector<std::vector<FilePtr>> levels = CurrentVersion()->levels;
+  ApplyEdit(retired, job.output, outputs, &levels);
+  s = WriteManifest(levels);
   if (!s.ok()) return s;
 
   {
@@ -1071,10 +1051,10 @@ Status Db::RunJobLocked(const Job& job) {
       nv->imm.erase(std::remove(nv->imm.begin(), nv->imm.end(), m),
                     nv->imm.end());
     }
-    ApplyEdit(edit, &nv->levels);
+    nv->levels = std::move(levels);
     version_ = std::move(nv);
   }
-  // Obsolete files go away only after the delta retiring them is
+  // Obsolete files go away only after the MANIFEST without them is
   // durable — a crash in between must find a consistent (older) tree.
   for (const auto& f : retired) RetireFile(f);
   if (redesign) ++stats_->redesigns;
@@ -1087,31 +1067,29 @@ Status Db::RunJobLocked(const Job& job) {
       bg_cv_.notify_all();
     }
     // Only now are the old WAL segments redundant: their records live
-    // in fsync'd SSTs referenced by a durable manifest record.
+    // in fsync'd SSTs referenced by the durable MANIFEST.
     DeleteObsoleteWalSegments();
   }
   return Status::OK();
 }
 
-size_t Db::ApplyEdit(const ManifestEdit& edit,
-                     std::vector<std::vector<FilePtr>>* levels) {
-  auto retired = [&](const FilePtr& f) {
-    return std::find(edit.deleted.begin(), edit.deleted.end(), f->id) !=
-           edit.deleted.end();
+void Db::ApplyEdit(const std::vector<FilePtr>& retired, size_t output,
+                   const std::vector<FilePtr>& added,
+                   std::vector<std::vector<FilePtr>>* levels) {
+  auto is_retired = [&](const FilePtr& f) {
+    return std::find(retired.begin(), retired.end(), f) != retired.end();
   };
   auto& l0 = (*levels)[0];
   size_t l0_at = static_cast<size_t>(
-      std::find_if(l0.begin(), l0.end(), retired) - l0.begin());
+      std::find_if(l0.begin(), l0.end(), is_retired) - l0.begin());
   if (l0_at == l0.size()) l0_at = 0;
-  size_t removed = 0;
   for (auto& level : *levels) {
-    const auto end = std::remove_if(level.begin(), level.end(), retired);
-    removed += static_cast<size_t>(level.end() - end);
-    level.erase(end, level.end());
+    level.erase(std::remove_if(level.begin(), level.end(), is_retired),
+                level.end());
   }
-  for (const auto& [lvl, f] : edit.added) {
-    auto& files = (*levels)[lvl];
-    if (lvl == 0) {
+  auto& files = (*levels)[output];
+  for (const auto& f : added) {
+    if (output == 0) {
       files.insert(files.begin() + static_cast<ptrdiff_t>(l0_at++), f);
     } else {
       files.insert(std::upper_bound(files.begin(), files.end(), f,
@@ -1121,7 +1099,6 @@ size_t Db::ApplyEdit(const ManifestEdit& edit,
                    f);
     }
   }
-  return removed;
 }
 
 void Db::NoteFilterChecks(const FileMeta& f, uint64_t n) {
@@ -1191,7 +1168,7 @@ std::vector<Db::SstDesignInfo> Db::DesignInfo() const {
 }
 
 // ---------------------------------------------------------------------------
-// MANIFEST delta log
+// MANIFEST
 // ---------------------------------------------------------------------------
 
 void Db::EncodeFileMeta(std::string* out, const FileMeta& f) {
@@ -1236,12 +1213,7 @@ bool Db::DecodeFileMeta(std::string_view* cursor, FileMeta* f) {
   return true;
 }
 
-Status Db::WriteManifestSnapshot(const ManifestEdit* pending) {
-  VersionPtr v = CurrentVersion();
-  // Fold in a not-yet-installed edit: manifest writes precede the
-  // in-memory install, so the current version lags by one edit here.
-  std::vector<std::vector<FilePtr>> levels = v->levels;
-  if (pending != nullptr) ApplyEdit(*pending, &levels);
+Status Db::WriteManifest(const std::vector<std::vector<FilePtr>>& levels) {
   std::string payload;
   payload.push_back(static_cast<char>(kManifestRecordSnapshot));
   PutFixed64(&payload, kManifestMagic);
@@ -1253,12 +1225,16 @@ Status Db::WriteManifestSnapshot(const ManifestEdit* pending) {
     PutFixed64(&payload, level.size());
     for (const auto& f : level) EncodeFileMeta(&payload, *f);
   }
-  const std::string framed = FrameRecord(payload);
+  std::string record;
+  AppendCrcFrame(&record, payload);
 
+  // The SSTs named here are fsync'd; make their directory entries
+  // durable before the MANIFEST starts referring to them.
+  SyncDir(options_.dir);
   const std::string tmp = ManifestPath() + ".tmp";
   int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd < 0) return Status::IOError(Errno("cannot create " + tmp));
-  Status s = WriteAllFd(fd, framed, "manifest write");
+  Status s = WriteAllFd(fd, record, "manifest write");
   if (s.ok() && ::fsync(fd) != 0) {
     s = Status::IOError(Errno("manifest fsync failed"));
   }
@@ -1272,56 +1248,7 @@ Status Db::WriteManifestSnapshot(const ManifestEdit* pending) {
     return Status::IOError(Errno("cannot rename manifest into place"));
   }
   SyncDir(options_.dir);
-  if (manifest_fd_ >= 0) ::close(manifest_fd_);
-  manifest_fd_ = ::open(ManifestPath().c_str(), O_WRONLY | O_APPEND);
-  if (manifest_fd_ < 0) {
-    return Status::IOError(Errno("cannot reopen manifest for append"));
-  }
-  manifest_deltas_since_snapshot_ = 0;
   ++stats_->manifest_snapshots;
-  return Status::OK();
-}
-
-Status Db::AppendManifestDelta(const ManifestEdit& edit) {
-  // New SSTs named by this edit are fsync'd; make their directory
-  // entries durable before the manifest starts referring to them.
-  if (!edit.added.empty()) SyncDir(options_.dir);
-  if (manifest_fd_ < 0 ||
-      manifest_deltas_since_snapshot_ + 1 >
-          options_.manifest_compact_threshold) {
-    // First write, or time to fold the delta history into one record.
-    // The snapshot must carry this edit too — it is not yet installed.
-    return WriteManifestSnapshot(&edit);
-  }
-  std::string payload;
-  payload.push_back(static_cast<char>(kManifestRecordDelta));
-  PutFixed64(&payload, next_file_id_);
-  PutFixed64(&payload, last_seqno_.load(std::memory_order_acquire));
-  PutFixed64(&payload, edit.added.size());
-  for (const auto& [level, f] : edit.added) {
-    PutFixed64(&payload, level);
-    EncodeFileMeta(&payload, *f);
-  }
-  PutFixed64(&payload, edit.deleted.size());
-  for (uint64_t id : edit.deleted) PutFixed64(&payload, id);
-
-  Status s = WriteAllFd(manifest_fd_, FrameRecord(payload), "manifest write");
-  if (s.ok() && ::fdatasync(manifest_fd_) != 0) {
-    s = Status::IOError(Errno("manifest fdatasync failed"));
-  }
-  if (!s.ok()) {
-    // The append may have left a torn frame at the tail. Appending more
-    // deltas after it would put good records beyond the point where
-    // recovery stops reading — so drop the append fd: the NEXT manifest
-    // write takes the manifest_fd_ < 0 branch above and rewrites a full
-    // snapshot (atomic rename), which both discards the debris and
-    // re-records every file this failed edit added.
-    ::close(manifest_fd_);
-    manifest_fd_ = -1;
-    return s;
-  }
-  ++manifest_deltas_since_snapshot_;
-  ++stats_->manifest_deltas;
   return Status::OK();
 }
 
@@ -1329,132 +1256,69 @@ Status Db::AppendManifestDelta(const ManifestEdit& edit) {
 // Recovery (single-threaded: runs before the Db is shared)
 // ---------------------------------------------------------------------------
 
-Status Db::RecoverManifest(bool* needs_rewrite) {
-  *needs_rewrite = false;
+Status Db::RecoverManifest() {
   std::string content;
   bool found = false;
   Status read = ReadFileToString(ManifestPath(), &content, &found);
   if (!read.ok()) return read;
-  if (!found || content.empty()) return Status::OK();  // empty db
+  if (!found) return Status::OK();  // empty db
 
-  std::vector<std::vector<FilePtr>> levels(kMaxLevels);
-  uint64_t recovered_next_id = 1;
-  uint64_t recovered_last_seqno = 0;
-  bool torn_tail = false;
-  size_t records = 0;
-  size_t deltas_since_snapshot = 0;
-  size_t offset = 0;
-  while (offset < content.size()) {
-    if (offset + 8 > content.size()) {
-      torn_tail = true;  // header cut short: crash mid-append
-      break;
-    }
-    const uint32_t length = LoadFixed32(content.data() + offset);
-    const uint32_t crc = LoadFixed32(content.data() + offset + 4);
-    if (offset + 8 + length > content.size()) {
-      torn_tail = true;  // payload cut short: crash mid-append
-      break;
-    }
-    std::string_view payload(content.data() + offset + 8, length);
-    if (Crc32c(payload) != crc) {
-      // A complete frame whose bytes changed is damage, not a torn
-      // write — torn appends truncate, they do not rewrite history.
-      return Status::Corruption("manifest record CRC mismatch at offset " +
-                                std::to_string(offset));
-    }
-    std::string_view cursor = payload;
-    if (cursor.empty()) {
-      return Status::Corruption("empty manifest record");
-    }
-    const uint8_t kind = static_cast<uint8_t>(cursor.front());
-    cursor.remove_prefix(1);
-
-    if (kind == kManifestRecordSnapshot) {
-      uint64_t magic, version, n_levels;
-      if (!GetFixed64(&cursor, &magic) || magic != kManifestMagic) {
-        return Status::Corruption("bad manifest magic");
-      }
-      if (!GetFixed64(&cursor, &version)) {
-        return Status::Corruption("corrupt manifest snapshot header");
-      }
-      if (version != kManifestVersion) {
-        return Status::NotSupported(
-            "manifest version " + std::to_string(version) +
-            " (this build reads only version " +
-            std::to_string(kManifestVersion) + ")");
-      }
-      if (!GetFixed64(&cursor, &recovered_next_id) ||
-          !GetFixed64(&cursor, &recovered_last_seqno) ||
-          !GetFixed64(&cursor, &n_levels) || n_levels > kMaxLevels) {
-        return Status::Corruption("corrupt manifest snapshot header");
-      }
-      // A snapshot replaces the state: it is one edit that adds every
-      // file to empty levels.
-      ManifestEdit edit;
-      for (uint64_t level = 0; level < n_levels; ++level) {
-        uint64_t n_files;
-        if (!GetFixed64(&cursor, &n_files)) {
-          return Status::Corruption("corrupt manifest level header");
-        }
-        for (uint64_t i = 0; i < n_files; ++i) {
-          auto meta = std::make_shared<FileMeta>();
-          if (!DecodeFileMeta(&cursor, meta.get())) {
-            return Status::Corruption("corrupt manifest file entry");
-          }
-          edit.added.emplace_back(level, std::move(meta));
-        }
-      }
-      for (auto& level : levels) level.clear();
-      ApplyEdit(edit, &levels);
-      deltas_since_snapshot = 0;
-    } else if (kind == kManifestRecordDelta) {
-      if (records == 0) {
-        return Status::Corruption("manifest does not start with a snapshot");
-      }
-      uint64_t n_added, n_deleted;
-      if (!GetFixed64(&cursor, &recovered_next_id) ||
-          !GetFixed64(&cursor, &recovered_last_seqno) ||
-          !GetFixed64(&cursor, &n_added)) {
-        return Status::Corruption("corrupt manifest delta header");
-      }
-      ManifestEdit edit;
-      for (uint64_t i = 0; i < n_added; ++i) {
-        uint64_t level;
-        auto meta = std::make_shared<FileMeta>();
-        if (!GetFixed64(&cursor, &level) || level >= kMaxLevels ||
-            !DecodeFileMeta(&cursor, meta.get())) {
-          return Status::Corruption("corrupt manifest delta add");
-        }
-        edit.added.emplace_back(level, std::move(meta));
-      }
-      if (!GetFixed64(&cursor, &n_deleted)) {
-        return Status::Corruption("corrupt manifest delta header");
-      }
-      for (uint64_t i = 0; i < n_deleted; ++i) {
-        uint64_t id;
-        if (!GetFixed64(&cursor, &id)) {
-          return Status::Corruption("corrupt manifest delta delete");
-        }
-        edit.deleted.push_back(id);
-      }
-      if (ApplyEdit(edit, &levels) != edit.deleted.size()) {
-        return Status::Corruption("manifest delta retires an unknown file");
-      }
-      ++deltas_since_snapshot;
-    } else {
-      return Status::Corruption("unknown manifest record kind");
-    }
-    if (!cursor.empty()) {
-      return Status::Corruption("trailing bytes in manifest record");
-    }
-    ++records;
-    offset += 8 + length;
+  // Every write renames a complete, fsync'd record into place, so a cut
+  // or changed byte anywhere is damage, never crash debris.
+  if (content.size() < 8) return Status::Corruption("manifest cut short");
+  const uint32_t length = LoadFixed32(content.data());
+  const uint32_t crc = LoadFixed32(content.data() + 4);
+  if (length > content.size() - 8) {
+    return Status::Corruption("manifest cut short");
   }
-
-  if (records == 0) {
-    // Non-empty file with no intact record: this is not crash debris
-    // (appends preserve the snapshot prefix), it is damage.
-    return Status::Corruption("manifest has no intact snapshot record");
+  std::string_view cursor(content.data() + 8, length);
+  if (Crc32c(cursor) != crc) {
+    return Status::Corruption("manifest record CRC mismatch");
+  }
+  uint64_t magic, version, recovered_next_id, recovered_last_seqno, n_levels;
+  if (cursor.empty() ||
+      static_cast<uint8_t>(cursor.front()) != kManifestRecordSnapshot) {
+    return Status::Corruption("unknown manifest record kind");
+  }
+  cursor.remove_prefix(1);
+  if (!GetFixed64(&cursor, &magic) || magic != kManifestMagic) {
+    return Status::Corruption("bad manifest magic");
+  }
+  if (!GetFixed64(&cursor, &version)) {
+    return Status::Corruption("corrupt manifest header");
+  }
+  // Checked before the trailing bytes: a version-4 file may carry delta
+  // records after its snapshot, and is refused as a whole.
+  if (version != kManifestVersion) {
+    return Status::NotSupported(
+        "manifest version " + std::to_string(version) +
+        " (this build reads only version " +
+        std::to_string(kManifestVersion) + ")");
+  }
+  if (content.size() != 8 + size_t{length}) {
+    return Status::Corruption("trailing bytes after the manifest record");
+  }
+  if (!GetFixed64(&cursor, &recovered_next_id) ||
+      !GetFixed64(&cursor, &recovered_last_seqno) ||
+      !GetFixed64(&cursor, &n_levels) || n_levels > kMaxLevels) {
+    return Status::Corruption("corrupt manifest header");
+  }
+  std::vector<std::vector<FilePtr>> levels(kMaxLevels);
+  for (uint64_t level = 0; level < n_levels; ++level) {
+    uint64_t n_files;
+    if (!GetFixed64(&cursor, &n_files)) {
+      return Status::Corruption("corrupt manifest level header");
+    }
+    for (uint64_t i = 0; i < n_files; ++i) {
+      auto meta = std::make_shared<FileMeta>();
+      if (!DecodeFileMeta(&cursor, meta.get())) {
+        return Status::Corruption("corrupt manifest file entry");
+      }
+      levels[level].push_back(std::move(meta));
+    }
+  }
+  if (!cursor.empty()) {
+    return Status::Corruption("trailing bytes in manifest record");
   }
 
   uint64_t max_id = 0;
@@ -1472,27 +1336,13 @@ Status Db::RecoverManifest(bool* needs_rewrite) {
   next_file_id_ = std::max(recovered_next_id, max_id + 1);
   // New designs must outrank every recovered one.
   design_epoch_.store(max_epoch + 1, std::memory_order_relaxed);
-  manifest_deltas_since_snapshot_ = deltas_since_snapshot;
   last_seqno_.store(recovered_last_seqno, std::memory_order_relaxed);
   next_seqno_ = recovered_last_seqno + 1;
 
-  {
-    std::lock_guard<std::mutex> vl(view_mu_);
-    auto nv = std::make_shared<Version>(*version_);
-    nv->levels = std::move(levels);
-    version_ = std::move(nv);
-  }
-
-  // A torn tail must be rewritten as one clean snapshot before any delta
-  // is appended; leaving the append fd closed routes the next manifest
-  // write through WriteManifestSnapshot.
-  *needs_rewrite = torn_tail;
-  if (!*needs_rewrite) {
-    manifest_fd_ = ::open(ManifestPath().c_str(), O_WRONLY | O_APPEND);
-    if (manifest_fd_ < 0) {
-      return Status::IOError(Errno("cannot reopen manifest for append"));
-    }
-  }
+  std::lock_guard<std::mutex> vl(view_mu_);
+  auto nv = std::make_shared<Version>(*version_);
+  nv->levels = std::move(levels);
+  version_ = std::move(nv);
   return Status::OK();
 }
 
@@ -1613,16 +1463,10 @@ Status Db::ReplayWalSegments() {
 }
 
 Status Db::RecoverAll() {
-  bool needs_rewrite = false;
-  Status s = RecoverManifest(&needs_rewrite);
+  Status s = RecoverManifest();
   if (!s.ok()) return s;
   s = ReplayWalSegments();
   if (!s.ok()) return s;
-  if (needs_rewrite && manifest_fd_ < 0) {
-    // Replace snapshot+deltas+debris with one clean snapshot record.
-    s = WriteManifestSnapshot();
-    if (!s.ok()) return s;
-  }
   RemoveOrphanSsts();
   return Status::OK();
 }
@@ -1749,8 +1593,8 @@ SeekResult Db::Seek(std::string_view lo, std::string_view hi,
                     const ReadOptions& options) {
   ++stats_->seeks;
   SeekResult r;
-  SeekLoop(AcquireReadView(options), options, lo, hi, nullptr,
-           &ThreadReadSources(), &r);
+  SeekLoop(AcquireReadView(options), lo, hi, nullptr, &ThreadReadSources(),
+           &r);
   if (!r.found) RecordEmptySeek(lo, hi);
   return r;
 }
@@ -1760,12 +1604,11 @@ void Db::RecordEmptySeek(std::string_view lo, std::string_view hi) {
   if (query_queue_.OnEmptyQuery(lo, hi)) ++stats_->queue_sampled;
 }
 
-void Db::SeekLoop(const ReadView& view, const ReadOptions& ro,
-                  std::string_view lo, std::string_view hi,
-                  const uint32_t* verdicts, ReadSources* sources,
-                  SeekResult* result) {
+void Db::SeekLoop(const ReadView& view, std::string_view lo,
+                  std::string_view hi, const uint32_t* verdicts,
+                  ReadSources* sources, SeekResult* result) {
   using Source = ReadSources::Source;
-  const BlockReadOptions bro{ro.verify_checksums, /*use_cache=*/true};
+  constexpr BlockReadOptions bro{/*use_cache=*/true};
   const Version& v = *view.version;
 
   // A file source consults its filter ONCE per query (sound permanently:
@@ -2032,8 +1875,8 @@ void Db::MultiSeek(const QueryBatch& batch,
   // the sample queue with their original bounds, in arrival order.
   ReadSources& sources = ThreadReadSources();
   for (uint32_t qi : order) {
-    SeekLoop(view, options, batch[qi].lo, batch[qi].hi,
-             verdicts.data() + qi * stride, &sources, &(*results)[qi]);
+    SeekLoop(view, batch[qi].lo, batch[qi].hi, verdicts.data() + qi * stride,
+             &sources, &(*results)[qi]);
   }
   for (size_t qi = 0; qi < n; ++qi) {
     if (!(*results)[qi].found) RecordEmptySeek(batch[qi].lo, batch[qi].hi);
@@ -2130,10 +1973,6 @@ void Db::TEST_CrashClose() {
   auto nv = std::make_shared<Version>(*version_);
   nv->imm.clear();
   version_ = std::move(nv);
-  if (manifest_fd_ >= 0) {
-    ::close(manifest_fd_);
-    manifest_fd_ = -1;
-  }
 }
 
 }  // namespace proteus

@@ -47,11 +47,11 @@
 //    concurrent writers into one fsync); Db::Open replays
 //    the WAL segments into the memtable, dropping at most a torn (never
 //    acknowledged) tail record.
-//  * Every flush/compaction appends a CRC-framed delta record to the
-//    append-only MANIFEST (compacted back to a single snapshot record
-//    every manifest_compact_threshold deltas); obsolete SSTs are
-//    unlinked only after the delta that retires them is durable and no
-//    in-flight read still holds them.
+//  * Every flush, compaction and redesign, and every clean close,
+//    rewrites the MANIFEST as one CRC-framed record naming every live
+//    SST (MANIFEST.tmp, fsync, rename, directory fsync); obsolete SSTs
+//    are unlinked only after the MANIFEST without them is durable and
+//    no in-flight read still holds them.
 //  * SSTs carry a CRC32C per data block in the index handle; a
 //    flipped byte surfaces as a Corruption status (SeekResult::status,
 //    VerifyChecksums), never as silently wrong bytes.
@@ -117,9 +117,6 @@ struct ReadOptions {
   /// Read as of this pinned horizon; null reads the latest committed
   /// state (the default).
   const Snapshot* snapshot = nullptr;
-  /// Verify the per-block CRC32C on data-block reads that miss the
-  /// cache. The in-block checksum is always verified.
-  bool verify_checksums = true;
 };
 
 struct DbOptions {
@@ -148,9 +145,6 @@ struct DbOptions {
   /// thread of its own. Kept only because perfbench prints the default
   /// into its env line; it goes with the next perfbench change.
   size_t background_threads = 2;
-  /// MANIFEST delta records appended since the last full snapshot before
-  /// the log is compacted back into one snapshot record.
-  size_t manifest_compact_threshold = 16;
   /// Builds every SST's filter under its spec's bits-per-key, the same
   /// budget at every level. Null = no filters.
   std::shared_ptr<FilterPolicy> filter_policy;
@@ -187,8 +181,7 @@ struct DbStats {
   uint64_t filter_rebuilds = 0;  // recovery fallbacks: block missing/corrupt
   uint64_t wal_replayed = 0;     // records re-applied by Db::Open
   uint64_t wal_rotations = 0;    // segment files rotated in
-  uint64_t manifest_deltas = 0;     // delta records appended
-  uint64_t manifest_snapshots = 0;  // snapshot rewrites (incl. compaction)
+  uint64_t manifest_snapshots = 0;  // MANIFEST writes: tree edits, close
   uint64_t queue_sampled = 0;    // empty queries recorded in the sample queue
   uint64_t write_stalls = 0;     // writer batches that hit the imm limit
   uint64_t stall_wait_us = 0;    // total time writers spent stalled
@@ -240,16 +233,16 @@ class Db {
   static std::pair<std::unique_ptr<Db>, Status> Create(DbOptions options);
 
   /// Reopens a database previously closed (or killed) in `options.dir`:
-  /// replays the MANIFEST delta log, reattaches every SST, reloads
+  /// reads the MANIFEST, reattaches every SST, reloads
   /// persisted filter blocks (stats().filter_loads; rebuilt from keys
   /// only when a block is missing or corrupt), and replays the WAL
   /// segments into the memtable at their recorded seqnos
   /// (stats().wal_replayed) — so recovery reproduces the exact pre-crash
-  /// write order. A missing manifest yields an empty database; a corrupt
-  /// manifest record or unreadable SST fails Open with a non-OK status
-  /// rather than silently dropping data. A torn WAL or MANIFEST tail —
-  /// crash debris from an unacknowledged write — is truncated away, not
-  /// an error.
+  /// write order. A missing manifest yields an empty database; a cut or
+  /// corrupt manifest or an unreadable SST fails Open with a non-OK
+  /// status rather than silently dropping data. A torn WAL tail — crash
+  /// debris from an unacknowledged write — is truncated away, not an
+  /// error.
   static std::pair<std::unique_ptr<Db>, Status> Open(DbOptions options);
 
   /// Flushes the memtable and persists the manifest, so a subsequent
@@ -445,13 +438,6 @@ class Db {
     bool done = false;
   };
 
-  /// One atomic change to the LSM tree, as recorded in the MANIFEST
-  /// delta log: files added (with their level) and file ids retired.
-  struct ManifestEdit {
-    std::vector<std::pair<uint64_t, FilePtr>> added;
-    std::vector<uint64_t> deleted;
-  };
-
   /// Creates the directory and starts the maintenance thread; opens no
   /// file (Create and Open set up the WAL).
   explicit Db(DbOptions options);
@@ -483,10 +469,9 @@ class Db {
   /// Fills `result`; the first read error lands in result->status and
   /// each one counts in stats_.read_errors. No empty-query accounting:
   /// callers own that.
-  void SeekLoop(const ReadView& view, const ReadOptions& ro,
-                std::string_view lo, std::string_view hi,
-                const uint32_t* verdicts, ReadSources* sources,
-                SeekResult* result);
+  void SeekLoop(const ReadView& view, std::string_view lo,
+                std::string_view hi, const uint32_t* verdicts,
+                ReadSources* sources, SeekResult* result);
 
   /// Empty-result bookkeeping shared by Seek and MultiSeek: counts the
   /// empty seek and offers the query to the sample queue.
@@ -541,28 +526,24 @@ class Db {
   bool PrepareFlush(bool force);
   void SetBackgroundError(Status s, bool clear_on_ok);
 
-  // --- MANIFEST delta log ---
+  // --- MANIFEST ---
   std::string ManifestPath() const { return options_.dir + "/MANIFEST"; }
   std::string WalSegmentPath(uint64_t n) const {
     return options_.dir + "/WAL-" + std::to_string(n);
   }
-  /// Appends one CRC-framed delta record (fsync'd); rewrites the log as
-  /// a single snapshot every manifest_compact_threshold deltas.
-  Status AppendManifestDelta(const ManifestEdit& edit);
-  /// Atomically replaces the MANIFEST with one snapshot of the tree.
-  /// `pending` (may be null) is an edit not yet installed in the
-  /// current version — manifest writes happen before the in-memory
-  /// install, so a snapshot taken mid-edit must fold it in or the
-  /// edit's files vanish from the recovered state.
-  Status WriteManifestSnapshot(const ManifestEdit* pending = nullptr);
-  /// Rebuilds the tree (and filters) from the MANIFEST delta log, then
-  /// replays the WAL segments into the memtable.
+  /// Atomically replaces the MANIFEST with one record naming `levels`
+  /// (durable on return). A job calls it with the level lists it is
+  /// about to install, before installing them.
+  Status WriteManifest(const std::vector<std::vector<FilePtr>>& levels);
+  /// Rebuilds the tree (and filters) from the MANIFEST, then replays the
+  /// WAL segments into the memtable.
   Status RecoverAll();
-  Status RecoverManifest(bool* needs_rewrite);
+  Status RecoverManifest();
   Status ReplayWalSegments();
   /// Unlinks *.sst files the recovered manifest does not reference —
-  /// debris of a crash between a manifest append and the matching
-  /// unlink (or SST write); without this each crash leaks disk forever.
+  /// debris of a crash between an SST write and the MANIFEST naming it,
+  /// or between a MANIFEST write and the matching unlink; without this
+  /// each crash leaks disk forever. Also removes a MANIFEST.tmp.
   void RemoveOrphanSsts();
 
   /// Reattaches one recovered SST: opens the reader, loads the persisted
@@ -597,17 +578,17 @@ class Db {
   // Callers hold maint_mu_.
   /// Runs picked jobs until the picker has none.
   Status RunMaintenanceLocked(bool compact_all);
-  /// Merges, writes the outputs, appends the MANIFEST delta, installs the
-  /// edit through ApplyEdit and retires the inputs.
+  /// Merges and writes the outputs, computes the new level lists through
+  /// ApplyEdit, writes them to the MANIFEST, installs them and retires
+  /// the inputs.
   Status RunJobLocked(const Job& job);
-  /// The one rule that turns an edit into level lists, for the live
-  /// install, the snapshot fold and recovery. Retired ids leave every
-  /// level. Added L0 files go, in edit order, where the first L0 file
-  /// the edit retires was, or at the front: L0 stays newest-first.
-  /// Levels >= 1 stay sorted by smallest key. Returns how many files
-  /// were retired.
-  static size_t ApplyEdit(const ManifestEdit& edit,
-                          std::vector<std::vector<FilePtr>>* levels);
+  /// The one rule that turns a job into level lists. `retired` files
+  /// leave every level. `added` files go to level `output`: at L0, in
+  /// order, where the first retired L0 file was, or at the front, so L0
+  /// stays newest-first; levels >= 1 stay sorted by smallest key.
+  static void ApplyEdit(const std::vector<FilePtr>& retired, size_t output,
+                        const std::vector<FilePtr>& added,
+                        std::vector<std::vector<FilePtr>>* levels);
   void DeleteObsoleteWalSegments();
   uint64_t LevelLimitBytes(size_t level) const;
   static uint64_t LevelBytes(const Version& v, size_t level);
@@ -685,8 +666,6 @@ class Db {
   // Starts at 1, so every built design has an epoch >= 1.
   std::atomic<uint64_t> design_epoch_{1};
   std::vector<size_t> compact_cursor_;  // round-robin pick per level
-  int manifest_fd_ = -1;
-  size_t manifest_deltas_since_snapshot_ = 0;
 
   std::unique_ptr<AtomicStats> stats_;
 

@@ -244,11 +244,10 @@ Status SstReader::ReadDataBlock(size_t block_index, BlockReader* out,
   if (!ReadRaw(handle.offset, handle.size, &disk)) {
     return Status::IOError(Errno("cannot read data block: " + path_));
   }
-  // Every block read from disk is verified here, once. With
-  // verify_checksums=false only the handle CRC over the on-disk bytes is
-  // skipped; the in-block checksum and offset checks in Init always run,
-  // so nothing unverified is used or cached.
-  if (opts.verify_checksums && Crc32c(disk) != handle.crc) {
+  // Every block read from disk is verified here, once: the handle CRC
+  // over the on-disk bytes, then the in-block checksum and offset checks
+  // in Init. Nothing unverified is used or cached.
+  if (Crc32c(disk) != handle.crc) {
     return Status::Corruption("data block CRC mismatch: " + path_);
   }
   auto payload = std::make_shared<std::string>();

@@ -48,9 +48,8 @@ struct SstStats {
   uint64_t bytes_written = 0;
 };
 
-/// Per-read knobs threaded down from ReadOptions at the Db layer.
+/// Per-read knobs for SST data-block reads.
 struct BlockReadOptions {
-  bool verify_checksums = true;  // check the handle CRC on a cache miss
   // Look the block up in, and insert it into, the block cache.
   // Compaction and VerifyChecksums set this false: they must observe the
   // on-disk bytes, not a previously verified copy.
@@ -259,8 +258,7 @@ class SstReader {
  private:
   friend class Iterator;
   // Compaction/verification reads: always verified, never cached.
-  static constexpr BlockReadOptions kNoCacheRead{
-      /*verify_checksums=*/true, /*use_cache=*/false};
+  static constexpr BlockReadOptions kNoCacheRead{/*use_cache=*/false};
   struct BlockHandle {
     uint64_t offset = 0;
     uint64_t size = 0;

@@ -1,5 +1,5 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41 reflected to 0x82F63B78) —
-// the per-block checksum used by the WAL, the MANIFEST delta log, and the
+// the per-block checksum used by the WAL, the MANIFEST, and the
 // SST index handles.
 //
 // Chosen over the Murmur3/ClHash checksums used elsewhere because the
@@ -39,9 +39,9 @@ bool Crc32cUsesHardware();
 uint32_t Crc32cPortable(const void* data, size_t n);
 
 /// Appends the length-prefixed CRC frame shared by the WAL and the
-/// MANIFEST delta log (docs/FORMAT.md "Record framing"):
+/// MANIFEST (docs/FORMAT.md "Record framing"):
 ///   u32 length | u32 crc32c(payload) | payload
-/// One definition so the two logs can never drift apart.
+/// One definition so the two files can never drift apart.
 inline void AppendCrcFrame(std::string* out, std::string_view payload) {
   char header[8];
   const uint32_t length = static_cast<uint32_t>(payload.size());

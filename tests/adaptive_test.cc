@@ -10,9 +10,10 @@
 //    it (the policy's Build over the keys and the sample queries)
 //    round-trips Serialize -> Deserialize -> Serialize bit-identically,
 //    for every registered family.
-//  * Format refusal: a handcrafted older (v2 pre-MVCC or v3
-//    pre-provenance) MANIFEST fails Open as NotSupported, naming the
-//    version it found, and is left untouched.
+//  * Format refusal: a handcrafted older (v2 pre-MVCC, v3
+//    pre-provenance, or v4 snapshot-plus-delta-log) MANIFEST fails Open
+//    as NotSupported, naming the version it found, and is left
+//    untouched.
 
 #include <gtest/gtest.h>
 
@@ -313,9 +314,9 @@ void WriteFile(const std::string& path, const std::string& content) {
   out.write(content.data(), static_cast<std::streamsize>(content.size()));
 }
 
-// Parses the single v4 snapshot record a clean close leaves behind and
-// re-encodes it as a `version` record: same tree, no per-file provenance,
-// and (version 2) no last_seqno.
+// Parses the single v5 record a clean close leaves behind and re-encodes
+// it as a `version` record: same tree; before version 4 no per-file
+// provenance, and (version 2) no last_seqno.
 std::string DowngradeManifest(const std::string& manifest,
                               uint64_t version_out) {
   std::string_view cursor(manifest);
@@ -330,7 +331,7 @@ std::string DowngradeManifest(const std::string& manifest,
   uint64_t magic = 0, version = 0, next_id = 0, last_seqno = 0, n_levels = 0;
   EXPECT_TRUE(GetFixed64(&payload, &magic));
   EXPECT_TRUE(GetFixed64(&payload, &version));
-  EXPECT_EQ(version, 4u);
+  EXPECT_EQ(version, 5u);
   EXPECT_TRUE(GetFixed64(&payload, &next_id));
   EXPECT_TRUE(GetFixed64(&payload, &last_seqno));
   EXPECT_TRUE(GetFixed64(&payload, &n_levels));
@@ -354,16 +355,17 @@ std::string DowngradeManifest(const std::string& manifest,
       EXPECT_TRUE(GetLengthPrefixed(&payload, &largest));
       EXPECT_TRUE(GetFixed64(&payload, &n_entries));
       EXPECT_TRUE(GetFixed64(&payload, &file_size));
-      // Skip the 7 v4 provenance/counter words.
-      for (int skip = 0; skip < 7; ++skip) {
-        uint64_t ignored = 0;
-        EXPECT_TRUE(GetFixed64(&payload, &ignored));
-      }
       PutFixed64(&out, id);
       PutLengthPrefixed(&out, smallest);
       PutLengthPrefixed(&out, largest);
       PutFixed64(&out, n_entries);
       PutFixed64(&out, file_size);
+      // The 7 provenance/counter words, kept from version 4 on.
+      for (int word = 0; word < 7; ++word) {
+        uint64_t value = 0;
+        EXPECT_TRUE(GetFixed64(&payload, &value));
+        if (version_out >= 4) PutFixed64(&out, value);
+      }
     }
   }
   std::string framed;
@@ -383,12 +385,23 @@ TEST(AdaptiveManifestTest, OlderManifestVersionIsNotSupported) {
     ASSERT_TRUE(db->Flush().ok());
     ASSERT_TRUE(db->CompactAll().ok());
     db->WaitForBackground();
-  }  // clean close snapshots a v4 MANIFEST
+  }  // clean close writes a v5 MANIFEST
 
   const std::string manifest_path = dir + "/MANIFEST";
   const std::string current = ReadFile(manifest_path);
-  for (uint64_t version : {uint64_t{2}, uint64_t{3}}) {
-    const std::string old = DowngradeManifest(current, version);
+  // A version-4 MANIFEST could hold delta records (kind 2) after its
+  // snapshot; it is refused as a whole, deltas or not.
+  std::string v4_delta_payload(1, '\x02');
+  PutFixed64(&v4_delta_payload, 0);
+  std::string v4_with_delta = DowngradeManifest(current, 4);
+  AppendCrcFrame(&v4_with_delta, v4_delta_payload);
+  const std::vector<std::pair<uint64_t, std::string>> olds = {
+      {2, DowngradeManifest(current, 2)},
+      {3, DowngradeManifest(current, 3)},
+      {4, DowngradeManifest(current, 4)},
+      {4, v4_with_delta},
+  };
+  for (const auto& [version, old] : olds) {
     WriteFile(manifest_path, old);
     auto [db, status] = Db::Open(options);
     EXPECT_EQ(db, nullptr);
@@ -397,7 +410,7 @@ TEST(AdaptiveManifestTest, OlderManifestVersionIsNotSupported) {
                                      std::to_string(version)),
               std::string::npos)
         << status.ToString();
-    // Refusal rewrites nothing: the old log is still there, byte for byte.
+    // Refusal rewrites nothing: the old file is still there, byte for byte.
     EXPECT_EQ(ReadFile(manifest_path), old);
   }
   // Nor did it touch the tree: with the current MANIFEST back in place,

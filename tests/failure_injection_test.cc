@@ -182,18 +182,22 @@ void FillAndClose(const DbOptions& options) {
   ASSERT_TRUE(db->CompactAll().ok());
 }
 
+// The MANIFEST is only ever renamed into place whole, so a cut anywhere
+// — inside the 8-byte frame header or inside the payload — is damage.
 TEST(ManifestFailure, TruncationRejectedAtOpen) {
   auto options = FailDbOptions("trunc");
   FillAndClose(options);
   const std::string manifest = options.dir + "/MANIFEST";
   std::string content = ReadFile(manifest);
-  ASSERT_FALSE(content.empty());
-  for (double frac : {0.1, 0.6, 0.95}) {
-    WriteFile(manifest,
-              content.substr(0, static_cast<size_t>(content.size() * frac)));
+  ASSERT_GT(content.size(), 8u);
+  const size_t n = content.size();
+  for (size_t cut : {size_t{0}, size_t{3}, size_t{7}, size_t{8}, n / 10,
+                     n * 6 / 10, n * 95 / 100, n - 1}) {
+    WriteFile(manifest, content.substr(0, cut));
     auto [db, status] = Db::Open(options);
-    EXPECT_EQ(db, nullptr) << "frac=" << frac;
-    EXPECT_FALSE(status.ok()) << "frac=" << frac;
+    EXPECT_EQ(db, nullptr) << "cut=" << cut;
+    EXPECT_TRUE(status.IsCorruption()) << "cut=" << cut << " "
+                                       << status.ToString();
   }
   // Restoring the manifest restores the database.
   WriteFile(manifest, content);
@@ -215,16 +219,17 @@ TEST(ManifestFailure, EveryBitflipRejectedAtOpen) {
     corrupt[pos] ^= static_cast<char>(1 + rng.NextBelow(255));
     WriteFile(manifest, corrupt);
     auto [db, status] = Db::Open(options);
-    // The checksum covers every byte: any flip is a detected, explained
-    // failure (a flip in the final record may instead parse as a torn
-    // tail, which recovery truncates away — the database then opens with
-    // the pre-delta state; both outcomes are loud, never silent).
-    if (db != nullptr) {
-      EXPECT_TRUE(status.ok()) << "trial " << trial;
-    } else {
-      EXPECT_FALSE(status.ok()) << "trial " << trial << " pos " << pos;
-    }
+    // The frame's length and CRC cover every byte of the one record:
+    // any flip fails Open, and is reported as damage.
+    EXPECT_EQ(db, nullptr) << "trial " << trial << " pos " << pos;
+    EXPECT_TRUE(status.IsCorruption())
+        << "trial " << trial << " pos " << pos << " " << status.ToString();
   }
+  // Restoring the bytes restores the database.
+  WriteFile(manifest, content);
+  auto [db, status] = Db::Open(options);
+  ASSERT_NE(db, nullptr) << status.ToString();
+  EXPECT_EQ(db->TotalKeys(), 2000u);
 }
 
 TEST(ManifestFailure, MissingSstFileNamedInManifestFailsOpen) {
@@ -320,23 +325,20 @@ TEST(BlockCacheVerifyOnce, BlockFailingItsChecksumIsNeverCached) {
   BlockReader good;
   ASSERT_TRUE(good.Init(payload));
   const std::string key(good.KeyAt(0));
-  // The in-block checksum is the payload's last four bytes. Swapping one
-  // non-zero byte for another keeps the RLE encoding the same length.
-  payload.back() = payload.back() == 'x' ? 'y' : 'x';
-  const std::string disk = RleCompress(payload);
-  ASSERT_EQ(disk.size(), size);
-  content.replace(offset, size, disk);
+  // Flip the block's last on-disk byte: the handle CRC over the on-disk
+  // bytes no longer matches. (Block.ChecksumDetectsCorruption covers
+  // the in-block checksum that Init verifies after it.)
+  content[offset + size - 1] ^= 0x01;
   WriteFile(path, content);
 
   auto [db, status] = Db::Open(options);
   ASSERT_NE(db, nullptr) << status.ToString();
-  ReadOptions ro;
-  ro.verify_checksums = false;  // skip the handle CRC; the block still fails
   const uint64_t inserts = db->cache().stats().inserts;
   for (int attempt = 0; attempt < 2; ++attempt) {
-    SeekResult r = db->Seek(key, key, ro);
+    SeekResult r = db->Seek(key, key);
     EXPECT_TRUE(r.status.IsCorruption()) << attempt << r.status.ToString();
-    EXPECT_NE(r.status.message().find("checksum mismatch"), std::string::npos)
+    EXPECT_NE(r.status.message().find("data block CRC mismatch"),
+              std::string::npos)
         << r.status.ToString();
     EXPECT_EQ(db->cache().stats().inserts, inserts) << attempt;
   }
@@ -360,8 +362,7 @@ TEST(BlockCacheVerifyOnce, RepeatSeekSharesTheVerifiedBlock) {
   EXPECT_EQ(after.inserts, before.inserts);
 
   // The same entry read straight from disk, bypassing the cache.
-  constexpr BlockReadOptions kDiskRead{/*verify_checksums=*/true,
-                                       /*use_cache=*/false};
+  constexpr BlockReadOptions kDiskRead{/*use_cache=*/false};
   int files_with_key = 0;
   for (uint64_t id = 1; id < 64; ++id) {
     const std::string path = options.dir + "/" + std::to_string(id) + ".sst";

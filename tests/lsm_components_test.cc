@@ -192,14 +192,25 @@ TEST(Block, BuildAndSearch) {
   EXPECT_EQ(reader.LowerBound(EncodeKeyBE(99999)), reader.n_entries());
 }
 
+// Init verifies the in-block checksum, the payload's last four bytes: a
+// changed entry byte or a changed stored checksum fails it, and the
+// reader is left empty. (An SST read checks the handle CRC first; this
+// is the check after it.)
 TEST(Block, ChecksumDetectsCorruption) {
   BlockBuilder builder;
   builder.Add("aaa", "1");
   builder.Add("bbb", "2");
-  std::string payload = builder.Finish();
-  payload[2] ^= 0x40;
+  const std::string good = builder.Finish();
+  for (size_t pos : {size_t{2}, good.size() - 4, good.size() - 1}) {
+    std::string payload = good;
+    payload[pos] ^= 0x40;
+    BlockReader reader;
+    EXPECT_FALSE(reader.Init(std::move(payload))) << pos;
+    EXPECT_EQ(reader.n_entries(), 0u) << pos;
+  }
   BlockReader reader;
-  EXPECT_FALSE(reader.Init(std::move(payload)));
+  ASSERT_TRUE(reader.Init(good));
+  EXPECT_EQ(reader.n_entries(), 2u);
 }
 
 TEST(Sst, WriteReadRoundTrip) {

@@ -1,17 +1,22 @@
 // BatchServer smoke tests: concurrent loopback connections round-trip
 // MultiSeek batches through the wire protocol and match direct Seek
 // results; a client that pipelines hundreds of batches without waiting
-// gets every reply, in order; protocol errors get an error frame and a
-// closed connection.
+// gets every reply, in order; a client that pipelines and never reads
+// is throttled once a bounded amount of replies waits for it; protocol
+// errors get an error frame and a closed connection.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -271,6 +276,98 @@ TEST_F(ServerTest, PipelinedBatchesAnswerInOrder) {
   }
   EXPECT_EQ(server_->stats().batches_served, static_cast<uint64_t>(kBatches));
   EXPECT_EQ(server_->stats().protocol_errors, 0u);
+}
+
+TEST_F(ServerTest, ClientThatNeverReadsIsThrottled) {
+  StartServer();
+  int fd = ConnectLoopback(server_->port());
+  ASSERT_GE(fd, 0);
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  ASSERT_EQ(::fcntl(fd, F_SETFL, flags | O_NONBLOCK), 0);
+
+  std::string ping, pings;
+  WireEncodePingRequest(&ping);
+  while (pings.size() + ping.size() <= (64u << 10)) pings += ping;
+
+  // Pipeline pings and read nothing. The server stops reading once its
+  // unsent replies pass its cap, so the socket buffers fill and the
+  // client's sends stall long before 64 MiB.
+  constexpr size_t kSendLimit = size_t{64} << 20;
+  size_t sent = 0;
+  bool stalled = false;
+  while (sent < kSendLimit && !stalled) {
+    pollfd p{fd, POLLOUT, 0};
+    const int ready = ::poll(&p, 1, /*timeout_ms=*/500);
+    ASSERT_GE(ready, 0) << std::strerror(errno);
+    if (ready == 0) {
+      stalled = true;
+      break;
+    }
+    const size_t at = sent % pings.size();
+    const ssize_t w = ::write(fd, pings.data() + at, pings.size() - at);
+    if (w > 0) {
+      sent += static_cast<size_t>(w);
+    } else {
+      ASSERT_TRUE(errno == EAGAIN || errno == EINTR) << std::strerror(errno);
+    }
+  }
+  ASSERT_TRUE(stalled) << "sent " << sent << " bytes without a stall";
+
+  // Now read: exactly one pong per ping, finishing any ping cut short
+  // by the last write.
+  std::string pong;
+  WireEncodePongResponse(&pong);
+  ASSERT_EQ(pong.size(), ping.size());
+  size_t to_send = (ping.size() - sent % ping.size()) % ping.size();
+  const size_t expected = (sent + to_send) / ping.size() * pong.size();
+  size_t received = 0;
+  std::vector<char> buf(64 << 10);
+  while (received < expected || to_send > 0) {
+    pollfd p{fd, static_cast<short>(POLLIN | (to_send > 0 ? POLLOUT : 0)), 0};
+    ASSERT_GT(::poll(&p, 1, /*timeout_ms=*/10000), 0)
+        << "received " << received << " of " << expected << " bytes";
+    if (to_send > 0 && (p.revents & POLLOUT) != 0) {
+      const size_t at = sent % pings.size();
+      const ssize_t w = ::write(fd, pings.data() + at, to_send);
+      if (w > 0) {
+        sent += static_cast<size_t>(w);
+        to_send -= static_cast<size_t>(w);
+      }
+    }
+    if ((p.revents & POLLIN) != 0) {
+      const ssize_t r = ::read(fd, buf.data(), buf.size());
+      ASSERT_NE(r, 0) << "server closed the connection";
+      if (r < 0) {
+        ASSERT_TRUE(errno == EAGAIN || errno == EINTR) << std::strerror(errno);
+        continue;
+      }
+      for (ssize_t i = 0; i < r; ++i, ++received) {
+        if (buf[static_cast<size_t>(i)] != pong[received % pong.size()]) {
+          FAIL() << "reply byte " << received << " is not part of a pong";
+        }
+      }
+      ASSERT_LE(received, expected);
+    }
+  }
+
+  // Nothing more is queued, and the connection still serves.
+  char byte;
+  EXPECT_EQ(::read(fd, &byte, 1), -1);
+  EXPECT_EQ(errno, EAGAIN);
+  ASSERT_EQ(::fcntl(fd, F_SETFL, flags), 0);
+  std::string payload;
+  ASSERT_TRUE(SendAll(fd, ping));
+  ASSERT_TRUE(RecvFrame(fd, &payload));
+  EXPECT_EQ(WirePeekOp(payload), kWireOpPong);
+  const std::vector<QueryBatch> plan = MakePlan(300, 1, 16);
+  std::string request;
+  WireEncodeMultiSeekRequest(plan[0], &request);
+  std::vector<MultiSeekResult> results;
+  ASSERT_TRUE(SendAll(fd, request));
+  ASSERT_TRUE(RecvFrame(fd, &payload));
+  ASSERT_TRUE(WireDecodeResultsResponse(payload, &results));
+  EXPECT_EQ(results.size(), plan[0].size());
+  ::close(fd);
 }
 
 TEST_F(ServerTest, MalformedFrameGetsErrorAndClose) {

@@ -7,8 +7,9 @@
 //    and truncated away, never half-applied;
 //  * a flipped data-block byte surfaces as a non-OK Status from
 //    VerifyChecksums (and read_errors in Seek), never a wrong answer;
-//  * a torn MANIFEST delta is dropped and the WAL still covers the
-//    writes; a corrupted complete delta record fails Open loudly.
+//  * a crash before a new MANIFEST is renamed into place leaves the old
+//    one, and the WAL still covers the writes the new one would have
+//    carried; the staging file and the unnamed SST are swept away.
 //
 // Since the MVCC rework the WAL is a sequence of numbered segments
 // (WAL-<n>), rotated at flush; records carry the group-commit seqno.
@@ -524,123 +525,67 @@ TEST(DbCrashRecovery, FlippedDataBlockByteSurfacesAsCorruptionStatus) {
 }
 
 // ---------------------------------------------------------------------------
-// MANIFEST delta log: torn tail recovered via the WAL; damage is loud.
+// MANIFEST: a crash before the rename is covered by the WAL.
 // ---------------------------------------------------------------------------
 
-TEST(DbCrashRecovery, TornManifestDeltaIsCoveredByTheWal) {
-  auto options = CrashDbOptions("manifest_torn");
-  options.manifest_compact_threshold = 1000;  // keep every delta in the log
+TEST(DbCrashRecovery, CrashBeforeManifestRenameIsCoveredByTheWal) {
+  auto options = CrashDbOptions("manifest_rename");
   const std::string manifest = options.dir + "/MANIFEST";
   // Deterministic single-threaded schedule: the first flush rotates
   // WAL-1 out, so generation 2 lands in segment WAL-2.
   const std::string wal_path = options.dir + "/WAL-2";
+  std::string manifest_before_flush;
   std::string wal_before_flush;
-  size_t manifest_before_flush = 0;
+  std::string flushed_manifest;
   {
     auto [db, st] = Db::Create(options);
     ASSERT_TRUE(st.ok());
-    // Generation 1: flushed and durable via the manifest snapshot.
+    // Generation 1: flushed and named by the MANIFEST.
     for (uint64_t i = 0; i < 500; ++i) {
       ASSERT_TRUE(db->Put(EncodeKeyBE(i), "gen1").ok());
     }
     ASSERT_TRUE(db->Flush().ok());
-    manifest_before_flush = ReadFile(manifest).size();
-    // Generation 2: acknowledged into the WAL, then flushed (appending a
-    // delta record and retiring the segment).
+    manifest_before_flush = ReadFile(manifest);
+    // Generation 2: acknowledged into the WAL, then flushed (a new
+    // MANIFEST naming the new SST, and the segment retired).
     for (uint64_t i = 500; i < 900; ++i) {
       ASSERT_TRUE(db->Put(EncodeKeyBE(i), "gen2").ok());
     }
     wal_before_flush = ReadFile(wal_path);
     ASSERT_TRUE(db->Flush().ok());
+    flushed_manifest = ReadFile(manifest);
     db->TEST_CrashClose();
   }
-  // Simulate the crash landing mid-flush: the delta record was torn in
-  // the middle of its append and the WAL reset never happened.
-  std::string content = ReadFile(manifest);
-  ASSERT_GT(content.size(), manifest_before_flush);
-  const size_t torn_size =
-      manifest_before_flush + (content.size() - manifest_before_flush) / 2;
-  WriteFile(manifest, content.substr(0, torn_size));
+  ASSERT_FALSE(manifest_before_flush.empty());
+  ASSERT_NE(flushed_manifest, manifest_before_flush);
   ASSERT_FALSE(wal_before_flush.empty());
+  // Simulate the crash landing mid-flush: the generation-2 SST is
+  // written, the new MANIFEST only half staged in MANIFEST.tmp, the old
+  // MANIFEST still in place and the WAL segment not yet retired.
+  WriteFile(manifest, manifest_before_flush);
+  const std::string staged = options.dir + "/MANIFEST.tmp";
+  WriteFile(staged, flushed_manifest.substr(0, flushed_manifest.size() / 2));
   WriteFile(wal_path, wal_before_flush);
+  std::vector<std::string> orphans;
+  for (uint64_t id = 1; id < 64; ++id) {
+    const std::string path = options.dir + "/" + std::to_string(id) + ".sst";
+    if (::access(path.c_str(), F_OK) == 0) orphans.push_back(path);
+  }
+  ASSERT_EQ(orphans.size(), 2u);  // one per generation
+  orphans.erase(orphans.begin());  // generation 1's file is still named
 
   auto [db, status] = Db::Open(options);
   ASSERT_NE(db, nullptr) << status.ToString();
-  // The torn delta was dropped; the WAL replay brings generation 2 back.
-  EXPECT_GT(db->stats().wal_replayed, 0u);
+  // The WAL replay brings generation 2 back.
+  EXPECT_EQ(db->stats().wal_replayed, 400u);
   for (uint64_t i = 0; i < 900; ++i) {
-    ASSERT_TRUE(db->Seek(EncodeKeyBE(i), EncodeKeyBE(i)).found)
-        << "lost key " << i;
+    SeekResult r = db->Seek(EncodeKeyBE(i), EncodeKeyBE(i));
+    ASSERT_TRUE(r.found) << "lost key " << i;
+    EXPECT_EQ(r.value, i < 500 ? "gen1" : "gen2");
   }
-}
-
-TEST(DbCrashRecovery, CorruptedCompleteDeltaRecordFailsOpenLoudly) {
-  auto options = CrashDbOptions("manifest_delta_flip");
-  options.manifest_compact_threshold = 1000;
-  const std::string manifest = options.dir + "/MANIFEST";
-  size_t snapshot_size = 0;
-  {
-    auto [db, st] = Db::Create(options);
-    ASSERT_TRUE(st.ok());
-    for (uint64_t i = 0; i < 400; ++i) {
-      ASSERT_TRUE(db->Put(EncodeKeyBE(i), "a").ok());
-    }
-    ASSERT_TRUE(db->Flush().ok());  // snapshot (first manifest write)
-    snapshot_size = ReadFile(manifest).size();
-    for (uint64_t i = 400; i < 800; ++i) {
-      ASSERT_TRUE(db->Put(EncodeKeyBE(i), "b").ok());
-    }
-    ASSERT_TRUE(db->Flush().ok());  // appends a delta record
-    for (uint64_t i = 800; i < 1200; ++i) {
-      ASSERT_TRUE(db->Put(EncodeKeyBE(i), "c").ok());
-    }
-    ASSERT_TRUE(db->Flush().ok());  // a second delta: the first is now
-    db->TEST_CrashClose();          // unambiguously mid-log
-  }
-  std::string content = ReadFile(manifest);
-  ASSERT_GT(content.size(), snapshot_size + 16);
-  // Flip a byte inside the FIRST delta record's payload — a complete
-  // mid-log frame. That is damage (history rewritten), not a torn
-  // append, and recovery must refuse rather than guess.
-  std::string corrupt = content;
-  corrupt[snapshot_size + 12] ^= 0x01;
-  WriteFile(manifest, corrupt);
-
-  {
-    auto [db, status] = Db::Open(options);
-    EXPECT_EQ(db, nullptr);
-    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
-  }
-
-  // Restoring the bytes restores the database.
-  WriteFile(manifest, content);
-  auto [db, status] = Db::Open(options);
-  ASSERT_NE(db, nullptr) << status.ToString();
-  EXPECT_EQ(db->TotalKeys(), 1200u);
-}
-
-TEST(DbCrashRecovery, ManifestDeltaLogCompactsBackToOneSnapshot) {
-  auto options = CrashDbOptions("manifest_compact");
-  options.manifest_compact_threshold = 4;
-  {
-    auto [db, st] = Db::Create(options);
-    ASSERT_TRUE(st.ok());
-    for (int gen = 0; gen < 12; ++gen) {
-      for (uint64_t i = 0; i < 64; ++i) {
-        ASSERT_TRUE(
-            db->Put(EncodeKeyBE(static_cast<uint64_t>(gen) * 1000 + i), "g")
-                .ok());
-      }
-      ASSERT_TRUE(db->Flush().ok());
-    }
-    // 12 flushes with a threshold of 4: the log was folded into a fresh
-    // snapshot at least twice, and deltas were appended in between.
-    EXPECT_GT(db->stats().manifest_snapshots, 1u);
-    EXPECT_GT(db->stats().manifest_deltas, 0u);
-  }
-  auto [db, status] = Db::Open(options);
-  ASSERT_NE(db, nullptr) << status.ToString();
-  EXPECT_EQ(db->TotalKeys(), 12u * 64u);
+  // Both debris files are gone.
+  EXPECT_NE(::access(staged.c_str(), F_OK), 0);
+  EXPECT_NE(::access(orphans[0].c_str(), F_OK), 0) << orphans[0];
 }
 
 // (level, file id) of every live SST in DesignInfo's order: L0
@@ -656,7 +601,6 @@ TEST(DbCrashRecovery, RecoveredTreeMatchesTheLiveTree) {
   options.memtable_bytes = 4 << 20;  // only Flush() flushes
   options.l0_compaction_trigger = 100;  // only CompactAll() compacts L0
   options.l1_size_bytes = 64 << 20;
-  options.manifest_compact_threshold = 1000;  // deltas carry every edit
   // A weak filter and hair-trigger drift thresholds: the first false
   // positive flags its file for a redesign.
   options.filter_policy = MakeFilterPolicy("proteus:bpk=2");
@@ -668,8 +612,8 @@ TEST(DbCrashRecovery, RecoveredTreeMatchesTheLiveTree) {
   std::unique_ptr<Db> db = std::move(created);
 
   // The live tree must come back file for file and in order, both from
-  // the MANIFEST's deltas (a crash) and from its final snapshot (a
-  // clean close). The reopened Db carries on with the next step.
+  // the MANIFEST the last edit wrote (a crash) and from the one a clean
+  // close writes. The reopened Db carries on with the next step.
   auto expect_recovered = [&](const std::string& step) {
     db->WaitForBackground();
     const auto live = TreeShape(*db);
