@@ -54,29 +54,25 @@ BENCHMARK(BM_ClHashString)->Arg(8)->Arg(32)->Arg(256);
 
 void BM_BloomProbe(benchmark::State& state) {
   auto keys = GenerateKeys(Dataset::kUniform, 100000, 3);
-  const bool blocked = state.range(0) != 0;
   BloomFilter bf(keys.size() * 12,
-                 BloomFilter::OptimalHashes(keys.size() * 12, keys.size()),
-                 blocked);
+                 BloomFilter::OptimalHashes(keys.size() * 12, keys.size()));
   for (uint64_t k : keys) bf.InsertInt(k);
   Rng rng(4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(bf.MayContainInt(rng.Next()));
   }
 }
-BENCHMARK(BM_BloomProbe)->Arg(0)->Arg(1)
-    ->ArgName("blocked");
+BENCHMARK(BM_BloomProbe);
 
 void BM_BloomMultiProbe(benchmark::State& state) {
   // The batched probe kernel behind every MultiMayContain path, in the
-  // regime it actually runs in: one per-SST blocked filter (100k keys at
+  // regime it actually runs in: one per-SST filter (100k keys at
   // 14 bpk ≈ 170 KB) that stays L2-resident across a query batch. avx2=0
   // forces the scalar fallback, so the {0,64} vs {1,64} pair is the
   // dispatch win; batch=1 shows the kernel's fixed overhead.
   auto keys = GenerateKeys(Dataset::kUniform, 100000, 3);
   BloomFilter bf(keys.size() * 14,
-                 BloomFilter::OptimalHashes(keys.size() * 14, keys.size()),
-                 /*blocked=*/true);
+                 BloomFilter::OptimalHashes(keys.size() * 14, keys.size()));
   for (uint64_t k : keys) bf.InsertInt(k);
   const size_t batch = static_cast<size_t>(state.range(1));
   const bool prev = SetForceScalar(state.range(0) == 0);
@@ -140,9 +136,8 @@ void BM_PrefixBloomWalk(benchmark::State& state) {
   // The Proteus inner loop: a multi-prefix walk over consecutive l2
   // prefixes (hash + probe per prefix, pipelined with prefetch).
   auto keys = GenerateKeys(Dataset::kUniform, 100000, 3);
-  const bool blocked = state.range(0) != 0;
-  const uint64_t span = static_cast<uint64_t>(state.range(1));
-  PrefixBloom pb(keys, keys.size() * 12, 54, blocked);
+  const uint64_t span = static_cast<uint64_t>(state.range(0));
+  PrefixBloom pb(keys, keys.size() * 12, 54);
   Rng rng(41);
   for (auto _ : state) {
     uint64_t lo = rng.Next();
@@ -153,12 +148,7 @@ void BM_PrefixBloomWalk(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(span));
 }
-BENCHMARK(BM_PrefixBloomWalk)
-    ->ArgNames({"blocked", "prefixes"})
-    ->Args({0, 16})
-    ->Args({1, 16})
-    ->Args({0, 64})
-    ->Args({1, 64});
+BENCHMARK(BM_PrefixBloomWalk)->ArgName("prefixes")->Arg(16)->Arg(64);
 
 void BM_TwoPbfCoarseWalk(benchmark::State& state) {
   // The 2PBF coarse walk: one bf1 probe per l1 prefix overlapping the
@@ -166,10 +156,9 @@ void BM_TwoPbfCoarseWalk(benchmark::State& state) {
   // uniformly, so with 100k keys in a 64-bit domain nearly every coarse
   // probe is negative and the walk itself dominates.
   auto keys = GenerateKeys(Dataset::kUniform, 100000, 19);
-  const bool blocked = state.range(0) != 0;
-  const uint64_t span = static_cast<uint64_t>(state.range(1));
+  const uint64_t span = static_cast<uint64_t>(state.range(0));
   auto filter = TwoPbfFilter::BuildWithConfig(
-      keys, TwoPbfFilter::Config{48, 60, 0.5}, 12.0, blocked);
+      keys, TwoPbfFilter::Config{48, 60, 0.5}, 12.0);
   Rng rng(20);
   for (auto _ : state) {
     uint64_t lo = rng.Next();
@@ -180,12 +169,7 @@ void BM_TwoPbfCoarseWalk(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(span));
 }
-BENCHMARK(BM_TwoPbfCoarseWalk)
-    ->ArgNames({"blocked", "prefixes"})
-    ->Args({0, 16})
-    ->Args({1, 16})
-    ->Args({0, 64})
-    ->Args({1, 64});
+BENCHMARK(BM_TwoPbfCoarseWalk)->ArgName("prefixes")->Arg(16)->Arg(64);
 
 void BM_RankSelect(benchmark::State& state) {
   Rng rng(5);

@@ -14,11 +14,11 @@ namespace proteus {
 
 namespace {
 
-// Blocked-layout probe positions. Probe i reads a 9-bit field of h2 as
+// Probe positions. Probe i reads a 9-bit field of h2 as
 // its bit inside the 512-bit block: seven fields fit in a 64-bit word,
 // and after every seventh probe the word is re-mixed with one xorshift64
 // step (Marsaglia 2003) for the next seven. The positions are thus
-// independent draws, which is what TheoreticalFprBlocked's Poisson-block
+// independent draws, which is what TheoreticalFpr's Poisson-block
 // model assumes; an arithmetic progression h2 + i*step makes two keys
 // in one block collide on many probes at once and overshoots the model
 // by 1.4x at 12 bits per key and by 2.8x at 16. The AVX2 kernel below
@@ -35,9 +35,9 @@ inline uint64_t Remix(uint64_t x) {
 }
 
 /// The in-block bit positions one (h1, h2) pair probes, in order.
-class BlockedPositions {
+class ProbePositions {
  public:
-  explicit BlockedPositions(uint64_t h2) : word_(h2), pos_(h2) {}
+  explicit ProbePositions(uint64_t h2) : word_(h2), pos_(h2) {}
 
   uint64_t bit() const { return pos_ & (BloomFilter::kBlockBits - 1); }
 
@@ -58,14 +58,11 @@ class BlockedPositions {
 
 }  // namespace
 
-BloomFilter::BloomFilter(uint64_t n_bits, uint32_t n_hashes, bool blocked)
-    : n_bits_(std::max<uint64_t>(n_bits, blocked ? kBlockBits : 64)),
-      n_hashes_(std::clamp<uint32_t>(n_hashes, 1, kMaxHashes)),
-      blocked_(blocked) {
-  if (blocked_) {
-    n_bits_ = (n_bits_ + kBlockBits - 1) / kBlockBits * kBlockBits;
-  }
-  words_.assign((n_bits_ + 63) / 64, 0);
+BloomFilter::BloomFilter(uint64_t n_bits, uint32_t n_hashes)
+    : n_bits_(std::max<uint64_t>(
+          (n_bits + kBlockBits - 1) / kBlockBits * kBlockBits, kBlockBits)),
+      n_hashes_(std::clamp<uint32_t>(n_hashes, 1, kMaxHashes)) {
+  words_.assign(n_bits_ / 64, 0);
 }
 
 uint32_t BloomFilter::OptimalHashes(uint64_t m_bits, uint64_t n_items) {
@@ -76,18 +73,6 @@ uint32_t BloomFilter::OptimalHashes(uint64_t m_bits, uint64_t n_items) {
 }
 
 double BloomFilter::TheoreticalFpr(uint64_t m_bits, uint64_t n_items) {
-  if (n_items == 0) return 0.0;
-  if (m_bits == 0) return 1.0;
-  uint32_t k = OptimalHashes(m_bits, n_items);
-  // Eq. 6 of the paper: p = (1 - e^{-ln 2})^k == 0.5^k when k is the
-  // unclamped optimum; with the clamp we evaluate the general formula.
-  double m = static_cast<double>(m_bits);
-  double n = static_cast<double>(n_items);
-  return std::pow(1.0 - std::exp(-static_cast<double>(k) * n / m),
-                  static_cast<double>(k));
-}
-
-double BloomFilter::TheoreticalFprBlocked(uint64_t m_bits, uint64_t n_items) {
   if (n_items == 0) return 0.0;
   if (m_bits == 0) return 1.0;
   // The CPFPR design sweeps evaluate thousands of configs but only ~65
@@ -135,38 +120,24 @@ double BloomFilter::TheoreticalFprBlocked(uint64_t m_bits, uint64_t n_items) {
 
 void BloomFilter::InsertHash(uint64_t h1, uint64_t h2) {
   if (words_.empty()) return;  // default-constructed: nothing to set
-  if (blocked_) {
-    uint64_t* block = words_.data() + BlockIndex(h1) * 8;
-    BlockedPositions pos(h2);
-    for (uint32_t i = 0; i < n_hashes_; ++i, pos.Next()) {
-      const uint64_t bit = pos.bit();
-      block[bit >> 6] |= uint64_t{1} << (bit & 63);
-    }
-    return;
-  }
-  for (uint32_t i = 0; i < n_hashes_; ++i) {
-    uint64_t bit = BitIndex(h1, h2, i);
-    words_[bit >> 6] |= uint64_t{1} << (bit & 63);
+  uint64_t* block = words_.data() + BlockIndex(h1) * 8;
+  ProbePositions pos(h2);
+  for (uint32_t i = 0; i < n_hashes_; ++i, pos.Next()) {
+    const uint64_t bit = pos.bit();
+    block[bit >> 6] |= uint64_t{1} << (bit & 63);
   }
 }
 
 bool BloomFilter::MayContainHash(uint64_t h1, uint64_t h2) const {
   // Conservative answer for a default-constructed (empty) filter; also
   // keeps a corrupt blob that smuggled an empty filter into a probed slot
-  // from dividing by zero below.
+  // from reading a block that is not there.
   if (words_.empty()) return true;
-  if (blocked_) {
-    const uint64_t* block = words_.data() + BlockIndex(h1) * 8;
-    BlockedPositions pos(h2);
-    for (uint32_t i = 0; i < n_hashes_; ++i, pos.Next()) {
-      const uint64_t bit = pos.bit();
-      if (((block[bit >> 6] >> (bit & 63)) & 1) == 0) return false;
-    }
-    return true;
-  }
-  for (uint32_t i = 0; i < n_hashes_; ++i) {
-    uint64_t bit = BitIndex(h1, h2, i);
-    if (((words_[bit >> 6] >> (bit & 63)) & 1) == 0) return false;
+  const uint64_t* block = words_.data() + BlockIndex(h1) * 8;
+  ProbePositions pos(h2);
+  for (uint32_t i = 0; i < n_hashes_; ++i, pos.Next()) {
+    const uint64_t bit = pos.bit();
+    if (((block[bit >> 6] >> (bit & 63)) & 1) == 0) return false;
   }
   return true;
 }
@@ -181,11 +152,11 @@ __attribute__((target("avx2"))) inline __m256i Remix256(__m256i x) {
   return _mm256_xor_si256(x, _mm256_slli_epi64(x, 17));
 }
 
-/// AVX2 batch probe of the blocked layout: 8 queries per iteration as two
-/// interleaved 4-lane streams, so eight independent gathers are in flight
-/// while each probe's shift/test resolves. Per probe round each lane
+/// AVX2 batch probe: 8 queries per iteration as two interleaved 4-lane
+/// streams, so eight independent gathers are in flight while each probe's
+/// shift/test resolves. Per probe round each lane
 /// takes bit = pos & 511 inside its own 512-bit block, exactly as
-/// BlockedPositions does (pos shifts down one 9-bit field per probe, and
+/// ProbePositions does (pos shifts down one 9-bit field per probe, and
 /// every seventh probe re-mixes the word), gathers the containing word,
 /// and ANDs the tested bit into an accumulator; one testz pair
 /// early-exits the probe loop once all 8 lanes have failed.
@@ -193,7 +164,7 @@ __attribute__((target("avx2"))) inline __m256i Remix256(__m256i x) {
 /// with scalar 128-bit multiplies (AVX2 has no 64x64 high-half multiply;
 /// the gathers dominate regardless). Returns how many queries were
 /// resolved — always a multiple of 8; the caller finishes the tail.
-__attribute__((target("avx2"))) size_t MultiContainBlockedAvx2(
+__attribute__((target("avx2"))) size_t MultiContainAvx2(
     const uint64_t* words, uint64_t n_blocks, uint32_t n_hashes,
     const uint64_t* h1, const uint64_t* h2, size_t n, uint8_t* out) {
   const long long* base = reinterpret_cast<const long long*>(words);
@@ -287,13 +258,9 @@ void BloomFilter::MultiContainHash(const uint64_t* h1, const uint64_t* h2,
   }
   size_t i = 0;
 #if PROTEUS_HAVE_AVX2_KERNELS
-  // The standard layout reduces each probe mod n_bits_ — an arbitrary
-  // 64-bit modulo with no efficient AVX2 form — so only the blocked
-  // layout (one multiply-shift block pick, then power-of-two masks)
-  // has a vector kernel.
-  if (blocked_ && SimdAvx2Enabled()) {
-    i = MultiContainBlockedAvx2(words_.data(), words_.size() / 8, n_hashes_,
-                                h1, h2, n, out);
+  if (SimdAvx2Enabled()) {
+    i = MultiContainAvx2(words_.data(), words_.size() / 8, n_hashes_, h1,
+                         h2, n, out);
   }
 #endif
   // Scalar fallback and tail: the whole batch's hashes are in hand, so
@@ -305,9 +272,9 @@ void BloomFilter::MultiContainHash(const uint64_t* h1, const uint64_t* h2,
 }
 
 void BloomFilter::AppendTo(std::string* out) const {
-  // Unblocked filters write the original format: blobs from before the
-  // blocked layout existed remain bit-identical and keep parsing.
-  const uint64_t format = blocked_ ? uint64_t{kBlockedFormat} << 32 : 0;
+  // The empty filter keeps tag 0, so the blobs of a pure-trie Proteus or a
+  // 2PBF without a coarse filter are unchanged from the standard-layout era.
+  const uint64_t format = words_.empty() ? 0 : uint64_t{kBlockedFormat} << 32;
   uint64_t header[2] = {n_bits_, format | n_hashes_};
   out->append(reinterpret_cast<const char*>(header), sizeof(header));
   out->append(reinterpret_cast<const char*>(words_.data()),
@@ -321,24 +288,21 @@ bool BloomFilter::ParseFrom(std::string_view* in, BloomFilter* out) {
   const uint64_t n_bits = header[0];
   const uint32_t format = static_cast<uint32_t>(header[1] >> 32);
   const uint32_t n_hashes = static_cast<uint32_t>(header[1]);
-  // Only the current blocked layout parses. Tag 1 is the retired
-  // arithmetic-progression layout: read with today's positions it would
-  // answer false negatives, so it is rejected like a future tag, and the
-  // Db rebuilds such an SST's filter from the file's keys.
-  if (format != 0 && format != kBlockedFormat) return false;
-  const bool blocked = format == kBlockedFormat;
-  // The constructor only produces n_bits == 0 (default-constructed, never
-  // probed), >= 64 unblocked, or a whole number of blocks; anything else
-  // is corruption.
-  if (blocked && (n_bits < kBlockBits || n_bits % kBlockBits != 0)) {
+  // Only the empty filter (tag 0, no bits) and the blocked layout (tag 2,
+  // a whole number of blocks) parse. A non-empty tag 0 is the retired
+  // standard layout and tag 1 the retired arithmetic-progression blocked
+  // layout: read with today's positions either would answer false
+  // negatives, so they are rejected like a future tag, and the Db
+  // rebuilds such an SST's filter from the file's keys.
+  if (n_bits == 0) {
+    if (format != 0) return false;
+  } else if (format != kBlockedFormat || n_bits % kBlockBits != 0) {
     return false;
   }
-  if (!blocked && n_bits != 0 && n_bits < 64) return false;
-  uint64_t n_words = (n_bits + 63) / 64;
+  const uint64_t n_words = n_bits / 64;
   if (in->size() < 16 + n_words * 8) return false;
   out->n_bits_ = n_bits;
   out->n_hashes_ = n_hashes;
-  out->blocked_ = blocked;
   out->words_.resize(n_words);
   if (n_words > 0) {
     std::memcpy(out->words_.data(), in->data() + 16, n_words * 8);

@@ -5,37 +5,29 @@
 namespace proteus {
 namespace {
 
-/// Shared "bpk"/"blocked" parameter handling for both key kinds.
-bool ParseBpk(const FilterSpec& spec, double* bpk, bool* blocked,
-              std::string* error) {
-  if (!spec.ExpectKeys({"bpk", "blocked"}, error)) return false;
+/// Shared "bpk" parameter handling for both key kinds.
+bool ParseBpk(const FilterSpec& spec, double* bpk, std::string* error) {
+  if (!spec.ExpectKeys({"bpk"}, error)) return false;
   if (!spec.GetDouble("bpk", 12.0, bpk, error)) return false;
   if (*bpk <= 0.0) {
     if (error != nullptr) *error = "bloom bpk must be positive";
     return false;
   }
-  uint32_t blocked_u32;
-  if (!spec.GetUint32("blocked", 1, &blocked_u32, error)) return false;
-  if (blocked_u32 > 1) {
-    if (error != nullptr) *error = "bloom blocked must be 0 or 1";
-    return false;
-  }
-  *blocked = blocked_u32 != 0;
   return true;
 }
 
-BloomFilter MakeBloom(uint64_t n_keys, double bits_per_key, bool blocked) {
+BloomFilter MakeBloom(uint64_t n_keys, double bits_per_key) {
   uint64_t bits = static_cast<uint64_t>(bits_per_key *
                                         static_cast<double>(n_keys));
-  return BloomFilter(bits, BloomFilter::OptimalHashes(bits, n_keys), blocked);
+  return BloomFilter(bits, BloomFilter::OptimalHashes(bits, n_keys));
 }
 
 }  // namespace
 
 std::unique_ptr<BloomIntFilter> BloomIntFilter::Build(
-    const std::vector<uint64_t>& keys, double bits_per_key, bool blocked) {
+    const std::vector<uint64_t>& keys, double bits_per_key) {
   auto filter = std::make_unique<BloomIntFilter>();
-  filter->bf_ = MakeBloom(keys.size(), bits_per_key, blocked);
+  filter->bf_ = MakeBloom(keys.size(), bits_per_key);
   for (uint64_t k : keys) filter->bf_.InsertInt(k);
   return filter;
 }
@@ -43,16 +35,15 @@ std::unique_ptr<BloomIntFilter> BloomIntFilter::Build(
 std::unique_ptr<BloomIntFilter> BloomIntFilter::BuildFromSpec(
     const FilterSpec& spec, FilterBuilder& builder, std::string* error) {
   double bpk;
-  bool blocked;
-  if (!ParseBpk(spec, &bpk, &blocked, error)) return nullptr;
-  return Build(builder.keys(), bpk, blocked);
+  if (!ParseBpk(spec, &bpk, error)) return nullptr;
+  return Build(builder.keys(), bpk);
 }
 
 void BloomIntFilter::MultiMayContain(const uint64_t* lo, const uint64_t* hi,
                                      size_t n, uint8_t* out) const {
   // Compact the point queries' hashes into stack chunks and resolve each
-  // chunk through the multi-query kernel (AVX2 gathers on blocked
-  // filters, the pipelined scalar loop otherwise — see
+  // chunk through the multi-query kernel (AVX2 gathers where the CPU
+  // has them, the pipelined scalar loop otherwise — see
   // BloomFilter::MultiContainHash). Non-point queries answer true without
   // touching the filter and without occupying a chunk slot.
   constexpr size_t kChunk = 64;
@@ -89,9 +80,9 @@ std::unique_ptr<BloomIntFilter> BloomIntFilter::DeserializePayload(
 }
 
 std::unique_ptr<BloomStrFilter> BloomStrFilter::Build(
-    const std::vector<std::string>& keys, double bits_per_key, bool blocked) {
+    const std::vector<std::string>& keys, double bits_per_key) {
   auto filter = std::make_unique<BloomStrFilter>();
-  filter->bf_ = MakeBloom(keys.size(), bits_per_key, blocked);
+  filter->bf_ = MakeBloom(keys.size(), bits_per_key);
   for (const std::string& k : keys) filter->bf_.InsertBytes(k);
   return filter;
 }
@@ -99,9 +90,8 @@ std::unique_ptr<BloomStrFilter> BloomStrFilter::Build(
 std::unique_ptr<BloomStrFilter> BloomStrFilter::BuildFromSpec(
     const FilterSpec& spec, StrFilterBuilder& builder, std::string* error) {
   double bpk;
-  bool blocked;
-  if (!ParseBpk(spec, &bpk, &blocked, error)) return nullptr;
-  return Build(builder.keys(), bpk, blocked);
+  if (!ParseBpk(spec, &bpk, error)) return nullptr;
+  return Build(builder.keys(), bpk);
 }
 
 void BloomStrFilter::MultiMayContain(const std::string_view* lo,

@@ -30,8 +30,7 @@ class BloomIntFilter : public RangeFilter {
   static constexpr uint32_t kFamilyId = 8;
 
   static std::unique_ptr<BloomIntFilter> Build(
-      const std::vector<uint64_t>& keys, double bits_per_key,
-      bool blocked = true);
+      const std::vector<uint64_t>& keys, double bits_per_key);
   static std::unique_ptr<BloomIntFilter> BuildFromSpec(const FilterSpec& spec,
                                                        FilterBuilder& builder,
                                                        std::string* error);
@@ -42,7 +41,7 @@ class BloomIntFilter : public RangeFilter {
   }
   /// Batched point probes: point queries' hashes are compacted into
   /// stack chunks and resolved through BloomFilter::MultiContainHash
-  /// (AVX2 multi-query gathers on blocked filters).
+  /// (AVX2 multi-query gathers where the CPU has them).
   void MultiMayContain(const uint64_t* lo, const uint64_t* hi, size_t n,
                        uint8_t* out) const override;
   uint64_t SizeBits() const override { return bf_.SizeBits(); }
@@ -63,8 +62,7 @@ class BloomStrFilter : public StrRangeFilter {
   static constexpr uint32_t kFamilyId = 9;
 
   static std::unique_ptr<BloomStrFilter> Build(
-      const std::vector<std::string>& keys, double bits_per_key,
-      bool blocked = true);
+      const std::vector<std::string>& keys, double bits_per_key);
   static std::unique_ptr<BloomStrFilter> BuildFromSpec(
       const FilterSpec& spec, StrFilterBuilder& builder, std::string* error);
 

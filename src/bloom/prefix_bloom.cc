@@ -18,11 +18,10 @@ inline uint64_t SaltedLen(uint64_t seed, uint32_t l) {
 }  // namespace
 
 PrefixBloom::PrefixBloom(const std::vector<uint64_t>& sorted_keys,
-                         uint64_t n_bits, uint32_t prefix_len, bool blocked)
+                         uint64_t n_bits, uint32_t prefix_len)
     : prefix_len_(prefix_len) {
   n_items_ = CountUniquePrefixes(sorted_keys, prefix_len);
-  bf_ = BloomFilter(n_bits, BloomFilter::OptimalHashes(n_bits, n_items_),
-                    blocked);
+  bf_ = BloomFilter(n_bits, BloomFilter::OptimalHashes(n_bits, n_items_));
   uint64_t prev = 0;
   bool first = true;
   for (uint64_t key : sorted_keys) {
@@ -154,8 +153,7 @@ void PrefixBloom::MultiMayContain(const uint64_t* lo, const uint64_t* hi,
 }
 
 StrPrefixBloom::StrPrefixBloom(const std::vector<std::string>& sorted_keys,
-                               uint64_t n_bits, uint32_t prefix_len,
-                               bool blocked)
+                               uint64_t n_bits, uint32_t prefix_len)
     : prefix_len_(prefix_len) {
   // Count unique prefixes first (keys are sorted, so equal prefixes are
   // adjacent), then insert.
@@ -170,8 +168,7 @@ StrPrefixBloom::StrPrefixBloom(const std::vector<std::string>& sorted_keys,
       first = false;
     }
   }
-  bf_ = BloomFilter(n_bits, BloomFilter::OptimalHashes(n_bits, n_items_),
-                    blocked);
+  bf_ = BloomFilter(n_bits, BloomFilter::OptimalHashes(n_bits, n_items_));
   first = true;
   prev.clear();
   for (const std::string& key : sorted_keys) {

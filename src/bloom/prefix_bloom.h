@@ -32,10 +32,9 @@ class PrefixBloom {
   PrefixBloom() = default;
 
   /// Builds a filter of `n_bits` bits over the `prefix_len`-bit prefixes of
-  /// `sorted_keys` (duplicated prefixes are inserted once). `blocked`
-  /// selects the cache-line-blocked probe layout.
+  /// `sorted_keys` (duplicated prefixes are inserted once).
   PrefixBloom(const std::vector<uint64_t>& sorted_keys, uint64_t n_bits,
-              uint32_t prefix_len, bool blocked = false);
+              uint32_t prefix_len);
 
   /// Probes the single l-bit prefix that `prefix_value` denotes
   /// (right-aligned, as produced by PrefixBits64).
@@ -108,7 +107,7 @@ class StrPrefixBloom {
   StrPrefixBloom() = default;
 
   StrPrefixBloom(const std::vector<std::string>& sorted_keys, uint64_t n_bits,
-                 uint32_t prefix_len, bool blocked = false);
+                 uint32_t prefix_len);
 
   /// Probes one prefix given as a padded ceil(l/8)-byte buffer (the output
   /// format of StrPrefix / StrPrefixBytes).

@@ -8,20 +8,13 @@ namespace proteus {
 
 std::unique_ptr<OnePbfFilter> OnePbfFilter::BuildFromSpec(
     const FilterSpec& spec, FilterBuilder& builder, std::string* error) {
-  if (!spec.ExpectKeys({"bpk", "prefix", "blocked"}, error)) return nullptr;
+  if (!spec.ExpectKeys({"bpk", "prefix"}, error)) return nullptr;
   double bpk;
   if (!spec.GetDouble("bpk", 12.0, &bpk, error)) return nullptr;
   if (bpk <= 0.0) {
     if (error != nullptr) *error = "onepbf bpk must be positive";
     return nullptr;
   }
-  uint32_t blocked;
-  if (!spec.GetUint32("blocked", 1, &blocked, error)) return nullptr;
-  if (blocked > 1) {
-    if (error != nullptr) *error = "onepbf blocked must be 0 or 1";
-    return nullptr;
-  }
-
   if (spec.Has("prefix")) {
     uint32_t prefix_len;
     if (!spec.GetUint32("prefix", 64, &prefix_len, error)) return nullptr;
@@ -29,32 +22,29 @@ std::unique_ptr<OnePbfFilter> OnePbfFilter::BuildFromSpec(
       if (error != nullptr) *error = "onepbf prefix must be in [1, 64]";
       return nullptr;
     }
-    return BuildWithConfig(builder.keys(), prefix_len, bpk, blocked != 0);
+    return BuildWithConfig(builder.keys(), prefix_len, bpk);
   }
 
   const CpfprModel* model = builder.DesignOrNull();
   if (model == nullptr) {
     // Full-key Bloom fallback.
-    return BuildWithConfig(builder.keys(), 64, bpk, blocked != 0);
+    return BuildWithConfig(builder.keys(), 64, bpk);
   }
   uint64_t budget = static_cast<uint64_t>(
       bpk * static_cast<double>(builder.keys().size()));
-  OnePbfDesign design = model->SelectOnePbf(
-      budget, blocked != 0 ? BloomProbeMode::kBlocked
-                           : BloomProbeMode::kStandard);
-  auto filter =
-      BuildWithConfig(builder.keys(), design.prefix_len, bpk, blocked != 0);
+  OnePbfDesign design = model->SelectOnePbf(budget);
+  auto filter = BuildWithConfig(builder.keys(), design.prefix_len, bpk);
   filter->modeled_fpr_ = design.expected_fpr;
   return filter;
 }
 
 std::unique_ptr<OnePbfFilter> OnePbfFilter::BuildWithConfig(
     const std::vector<uint64_t>& sorted_keys, uint32_t prefix_len,
-    double bits_per_key, bool blocked_bloom) {
+    double bits_per_key) {
   auto filter = std::unique_ptr<OnePbfFilter>(new OnePbfFilter());
   uint64_t budget = static_cast<uint64_t>(
       bits_per_key * static_cast<double>(sorted_keys.size()));
-  filter->bf_ = PrefixBloom(sorted_keys, budget, prefix_len, blocked_bloom);
+  filter->bf_ = PrefixBloom(sorted_keys, budget, prefix_len);
   return filter;
 }
 

@@ -34,7 +34,7 @@ class OnePbfFilter : public RangeFilter {
   /// Forced prefix length (Figure 4a sweeps).
   static std::unique_ptr<OnePbfFilter> BuildWithConfig(
       const std::vector<uint64_t>& sorted_keys, uint32_t prefix_len,
-      double bits_per_key, bool blocked_bloom = false);
+      double bits_per_key);
 
   bool MayContain(uint64_t lo, uint64_t hi) const override;
   /// Batched across queries: narrow queries' prefixes are flattened into

@@ -26,21 +26,10 @@ bool ParseBudget(const FilterSpec& spec, const FilterBuilder& builder,
 
 std::unique_ptr<ProteusFilter> ProteusFilter::BuildFromSpec(
     const FilterSpec& spec, FilterBuilder& builder, std::string* error) {
-  if (!spec.ExpectKeys({"bpk", "trie", "bloom", "blocked"}, error)) {
-    return nullptr;
-  }
+  if (!spec.ExpectKeys({"bpk", "trie", "bloom"}, error)) return nullptr;
   double bpk;
   uint64_t budget;
   if (!ParseBudget(spec, builder, &bpk, &budget, error)) return nullptr;
-  uint32_t blocked;
-  if (!spec.GetUint32("blocked", 1, &blocked, error)) return nullptr;
-  if (blocked > 1) {
-    if (error != nullptr) *error = "proteus blocked must be 0 or 1";
-    return nullptr;
-  }
-  const BloomProbeMode mode =
-      blocked != 0 ? BloomProbeMode::kBlocked : BloomProbeMode::kStandard;
-
   if (spec.Has("trie") || spec.Has("bloom")) {
     Config config;
     if (!spec.GetUint32("trie", 0, &config.trie_depth, error) ||
@@ -51,26 +40,24 @@ std::unique_ptr<ProteusFilter> ProteusFilter::BuildFromSpec(
       if (error != nullptr) *error = "proteus trie/bloom lengths must be <= 64";
       return nullptr;
     }
-    return BuildWithConfig(builder.keys(), config, bpk, blocked != 0);
+    return BuildWithConfig(builder.keys(), config, bpk);
   }
 
   const CpfprModel* model = builder.DesignOrNull();
   if (model == nullptr) {
     // No workload signal: default to a full-key prefix Bloom filter.
-    return BuildWithConfig(builder.keys(), Config{0, 64}, bpk, blocked != 0);
+    return BuildWithConfig(builder.keys(), Config{0, 64}, bpk);
   }
-  ProteusDesign design = model->SelectProteus(budget, mode);
-  auto filter =
-      BuildWithConfig(builder.keys(),
-                      Config{design.trie_depth, design.bf_prefix_len}, bpk,
-                      blocked != 0);
+  ProteusDesign design = model->SelectProteus(budget);
+  auto filter = BuildWithConfig(
+      builder.keys(), Config{design.trie_depth, design.bf_prefix_len}, bpk);
   filter->modeled_fpr_ = design.expected_fpr;
   return filter;
 }
 
 std::unique_ptr<ProteusFilter> ProteusFilter::BuildWithConfig(
     const std::vector<uint64_t>& sorted_keys, Config config,
-    double bits_per_key, bool blocked_bloom) {
+    double bits_per_key) {
   auto filter = std::unique_ptr<ProteusFilter>(new ProteusFilter());
   filter->config_ = config;
   uint64_t budget = static_cast<uint64_t>(
@@ -82,8 +69,7 @@ std::unique_ptr<ProteusFilter> ProteusFilter::BuildWithConfig(
   if (config.bf_prefix_len > 0) {
     uint64_t trie_bits = filter->trie_.SizeBits();
     uint64_t bf_bits = budget > trie_bits ? budget - trie_bits : 64;
-    filter->bf_ = PrefixBloom(sorted_keys, bf_bits, config.bf_prefix_len,
-                              blocked_bloom);
+    filter->bf_ = PrefixBloom(sorted_keys, bf_bits, config.bf_prefix_len);
   }
   return filter;
 }

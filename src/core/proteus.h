@@ -11,12 +11,12 @@
 //
 // Construction goes through the shared FilterBuilder flow
 // (Sample() -> Design() -> Build()); BuildWithConfig remains for forced
-// configurations (Figure 4c sweeps, tests). Spec parameters:
-//   bpk     — memory budget in bits per key (default 12)
-//   trie    — forced trie depth l1 (skips the model)
-//   bloom   — forced Bloom prefix length l2 (skips the model)
-//   blocked — 0|1: cache-line-blocked Bloom probes (default 1; the CPFPR
-//             model prices the blocked layout's FPR into its selection)
+// configurations (Figure 4c sweeps, tests). The Bloom filter is
+// cache-line blocked, and the CPFPR model prices that layout's FPR into
+// its selection. Spec parameters:
+//   bpk   — memory budget in bits per key (default 12)
+//   trie  — forced trie depth l1 (skips the model)
+//   bloom — forced Bloom prefix length l2 (skips the model)
 
 #ifndef PROTEUS_CORE_PROTEUS_H_
 #define PROTEUS_CORE_PROTEUS_H_
@@ -59,7 +59,7 @@ class ProteusFilter : public RangeFilter {
   /// budget after the (measured) trie.
   static std::unique_ptr<ProteusFilter> BuildWithConfig(
       const std::vector<uint64_t>& sorted_keys, Config config,
-      double bits_per_key, bool blocked_bloom = false);
+      double bits_per_key);
 
   bool MayContain(uint64_t lo, uint64_t hi) const override;
   /// Batch form: the queries' trie descents run in lockstep through

@@ -11,7 +11,7 @@ namespace proteus {
 std::unique_ptr<ProteusStrFilter> ProteusStrFilter::BuildFromSpec(
     const FilterSpec& spec, StrFilterBuilder& builder, std::string* error) {
   if (!spec.ExpectKeys({"bpk", "max_key_bits", "stride", "trie_grid", "trie",
-                        "bloom", "blocked"},
+                        "bloom"},
                        error)) {
     return nullptr;
   }
@@ -21,15 +21,10 @@ std::unique_ptr<ProteusStrFilter> ProteusStrFilter::BuildFromSpec(
     if (error != nullptr) *error = "proteus-str bpk must be positive";
     return nullptr;
   }
-  uint32_t max_key_bits, stride, trie_grid, blocked;
+  uint32_t max_key_bits, stride, trie_grid;
   if (!spec.GetUint32("max_key_bits", 0, &max_key_bits, error) ||
       !spec.GetUint32("stride", 1, &stride, error) ||
-      !spec.GetUint32("trie_grid", 0, &trie_grid, error) ||
-      !spec.GetUint32("blocked", 1, &blocked, error)) {
-    return nullptr;
-  }
-  if (blocked > 1) {
-    if (error != nullptr) *error = "proteus-str blocked must be 0 or 1";
+      !spec.GetUint32("trie_grid", 0, &trie_grid, error)) {
     return nullptr;
   }
   if (max_key_bits == 0) {
@@ -48,51 +43,47 @@ std::unique_ptr<ProteusStrFilter> ProteusStrFilter::BuildFromSpec(
         !spec.GetUint32("bloom", 0, &config.bf_prefix_len, error)) {
       return nullptr;
     }
-    return BuildWithConfig(builder.keys(), config, bpk, blocked != 0);
+    return BuildWithConfig(builder.keys(), config, bpk);
   }
 
   if (builder.samples().empty()) {
     // No workload signal: default to a full-padded-key prefix Bloom filter.
     return BuildWithConfig(builder.keys(),
-                           Config{0, max_key_bits, max_key_bits}, bpk,
-                           blocked != 0);
+                           Config{0, max_key_bits, max_key_bits}, bpk);
   }
   StrCpfprOptions options;
   options.bloom_grid = std::max<uint32_t>(1, 128 / std::max<uint32_t>(1, stride));
   if (trie_grid > 0) options.trie_grid = trie_grid;  // 0 = model default
   return BuildFromModel(builder.keys(),
-                        builder.Design(max_key_bits, options), bpk,
-                        blocked != 0);
+                        builder.Design(max_key_bits, options), bpk);
 }
 
 std::unique_ptr<ProteusStrFilter> ProteusStrFilter::BuildSelfDesigned(
     const std::vector<std::string>& sorted_keys,
     const std::vector<StrRangeQuery>& sample_queries, double bits_per_key,
-    uint32_t max_key_bits, StrCpfprOptions model_options, bool blocked_bloom) {
+    uint32_t max_key_bits, StrCpfprOptions model_options) {
   StrCpfprModel model(sorted_keys, sample_queries, max_key_bits,
                       model_options);
-  return BuildFromModel(sorted_keys, model, bits_per_key, blocked_bloom);
+  return BuildFromModel(sorted_keys, model, bits_per_key);
 }
 
 std::unique_ptr<ProteusStrFilter> ProteusStrFilter::BuildFromModel(
     const std::vector<std::string>& sorted_keys, const StrCpfprModel& model,
-    double bits_per_key, bool blocked_bloom) {
+    double bits_per_key) {
   uint64_t budget = static_cast<uint64_t>(
       bits_per_key * static_cast<double>(sorted_keys.size()));
-  ProteusDesign design = model.SelectProteus(
-      budget, blocked_bloom ? BloomProbeMode::kBlocked
-                            : BloomProbeMode::kStandard);
+  ProteusDesign design = model.SelectProteus(budget);
   auto filter = BuildWithConfig(
       sorted_keys,
       Config{design.trie_depth, design.bf_prefix_len, model.max_bits()},
-      bits_per_key, blocked_bloom);
+      bits_per_key);
   filter->modeled_fpr_ = design.expected_fpr;
   return filter;
 }
 
 std::unique_ptr<ProteusStrFilter> ProteusStrFilter::BuildWithConfig(
     const std::vector<std::string>& sorted_keys, Config config,
-    double bits_per_key, bool blocked_bloom) {
+    double bits_per_key) {
   auto filter = std::unique_ptr<ProteusStrFilter>(new ProteusStrFilter());
   filter->config_ = config;
   uint64_t budget = static_cast<uint64_t>(
@@ -104,8 +95,7 @@ std::unique_ptr<ProteusStrFilter> ProteusStrFilter::BuildWithConfig(
   if (config.bf_prefix_len > 0) {
     uint64_t trie_bits = filter->trie_.SizeBits();
     uint64_t bf_bits = budget > trie_bits ? budget - trie_bits : 64;
-    filter->bf_ = StrPrefixBloom(sorted_keys, bf_bits, config.bf_prefix_len,
-                                 blocked_bloom);
+    filter->bf_ = StrPrefixBloom(sorted_keys, bf_bits, config.bf_prefix_len);
   }
   return filter;
 }

@@ -1,11 +1,10 @@
 // Proteus over variable-length string keys (Section 7): the same hybrid
 // trie + prefix Bloom filter, with bit-level prefixes of the padded key
-// space and lexicographic order.
+// space and lexicographic order. The Bloom filter is cache-line blocked.
 //
 // Spec parameters: bpk (default 12); max_key_bits (default: longest key,
 // rounded up to whole bytes); stride (coarsens the Bloom-prefix search
-// grid: grid = 128 / stride); trie/bloom force the configuration;
-// blocked=0|1 selects cache-line-blocked Bloom probes (default 1).
+// grid: grid = 128 / stride); trie/bloom force the configuration.
 
 #ifndef PROTEUS_CORE_PROTEUS_STR_H_
 #define PROTEUS_CORE_PROTEUS_STR_H_
@@ -47,19 +46,19 @@ class ProteusStrFilter : public StrRangeFilter {
   static std::unique_ptr<ProteusStrFilter> BuildSelfDesigned(
       const std::vector<std::string>& sorted_keys,
       const std::vector<StrRangeQuery>& sample_queries, double bits_per_key,
-      uint32_t max_key_bits, StrCpfprOptions model_options = StrCpfprOptions(),
-      bool blocked_bloom = false);
+      uint32_t max_key_bits,
+      StrCpfprOptions model_options = StrCpfprOptions());
 
   /// Self-designing build over an already-derived model (the
   /// StrFilterBuilder cache hands the same model to every build with the
   /// same geometry instead of re-deriving it per build).
   static std::unique_ptr<ProteusStrFilter> BuildFromModel(
       const std::vector<std::string>& sorted_keys, const StrCpfprModel& model,
-      double bits_per_key, bool blocked_bloom = false);
+      double bits_per_key);
 
   static std::unique_ptr<ProteusStrFilter> BuildWithConfig(
       const std::vector<std::string>& sorted_keys, Config config,
-      double bits_per_key, bool blocked_bloom = false);
+      double bits_per_key);
 
   bool MayContain(std::string_view lo, std::string_view hi) const override;
   uint64_t SizeBits() const override;

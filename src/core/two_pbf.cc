@@ -11,22 +11,13 @@ namespace proteus {
 
 std::unique_ptr<TwoPbfFilter> TwoPbfFilter::BuildFromSpec(
     const FilterSpec& spec, FilterBuilder& builder, std::string* error) {
-  if (!spec.ExpectKeys({"bpk", "l1", "l2", "frac1", "blocked"}, error)) {
-    return nullptr;
-  }
+  if (!spec.ExpectKeys({"bpk", "l1", "l2", "frac1"}, error)) return nullptr;
   double bpk;
   if (!spec.GetDouble("bpk", 12.0, &bpk, error)) return nullptr;
   if (bpk <= 0.0) {
     if (error != nullptr) *error = "twopbf bpk must be positive";
     return nullptr;
   }
-  uint32_t blocked;
-  if (!spec.GetUint32("blocked", 1, &blocked, error)) return nullptr;
-  if (blocked > 1) {
-    if (error != nullptr) *error = "twopbf blocked must be 0 or 1";
-    return nullptr;
-  }
-
   if (spec.Has("l1") || spec.Has("l2") || spec.Has("frac1")) {
     Config config;
     if (!spec.GetUint32("l1", 0, &config.l1, error) ||
@@ -42,42 +33,37 @@ std::unique_ptr<TwoPbfFilter> TwoPbfFilter::BuildFromSpec(
       if (error != nullptr) *error = "twopbf l1/l2 must be in [0, 64] / [1, 64]";
       return nullptr;
     }
-    return BuildWithConfig(builder.keys(), config, bpk, blocked != 0);
+    return BuildWithConfig(builder.keys(), config, bpk);
   }
 
   const CpfprModel* model = builder.DesignOrNull();
   if (model == nullptr) {
-    return BuildWithConfig(builder.keys(), Config{0, 64, 0.5}, bpk,
-                           blocked != 0);
+    return BuildWithConfig(builder.keys(), Config{0, 64, 0.5}, bpk);
   }
   uint64_t budget = static_cast<uint64_t>(
       bpk * static_cast<double>(builder.keys().size()));
-  TwoPbfDesign design = model->SelectTwoPbf(
-      budget, blocked != 0 ? BloomProbeMode::kBlocked
-                           : BloomProbeMode::kStandard);
+  TwoPbfDesign design = model->SelectTwoPbf(budget);
   auto filter = BuildWithConfig(
-      builder.keys(), Config{design.l1, design.l2, design.frac1}, bpk,
-      blocked != 0);
+      builder.keys(), Config{design.l1, design.l2, design.frac1}, bpk);
   filter->modeled_fpr_ = design.expected_fpr;
   return filter;
 }
 
 std::unique_ptr<TwoPbfFilter> TwoPbfFilter::BuildWithConfig(
     const std::vector<uint64_t>& sorted_keys, Config config,
-    double bits_per_key, bool blocked_bloom) {
+    double bits_per_key) {
   auto filter = std::unique_ptr<TwoPbfFilter>(new TwoPbfFilter());
   filter->config_ = config;
   uint64_t budget = static_cast<uint64_t>(
       bits_per_key * static_cast<double>(sorted_keys.size()));
   if (config.l1 == 0) {
-    filter->bf2_ = PrefixBloom(sorted_keys, budget, config.l2, blocked_bloom);
+    filter->bf2_ = PrefixBloom(sorted_keys, budget, config.l2);
     return filter;
   }
   uint64_t m1 = static_cast<uint64_t>(static_cast<double>(budget) *
                                       config.frac1);
-  filter->bf1_ = PrefixBloom(sorted_keys, m1, config.l1, blocked_bloom);
-  filter->bf2_ = PrefixBloom(sorted_keys, budget - m1, config.l2,
-                             blocked_bloom);
+  filter->bf1_ = PrefixBloom(sorted_keys, m1, config.l1);
+  filter->bf2_ = PrefixBloom(sorted_keys, budget - m1, config.l2);
   return filter;
 }
 

@@ -41,7 +41,7 @@ class TwoPbfFilter : public RangeFilter {
 
   static std::unique_ptr<TwoPbfFilter> BuildWithConfig(
       const std::vector<uint64_t>& sorted_keys, Config config,
-      double bits_per_key, bool blocked_bloom = false);
+      double bits_per_key);
 
   bool MayContain(uint64_t lo, uint64_t hi) const override;
   /// Batched coarse walk: narrow queries' l1-prefixes are flattened into

@@ -370,12 +370,10 @@ struct RelaxedCounter {
   X(compactions)                                                       \
   X(filter_build_ns)                                                   \
   X(filter_bits_built)                                                 \
-  X(keys_filtered)                                                     \
   X(filter_loads)                                                      \
   X(filter_rebuilds)                                                   \
   X(wal_replayed)                                                      \
   X(wal_rotations)                                                     \
-  X(manifest_snapshots)                                                \
   X(queue_sampled)                                                     \
   X(write_stalls)                                                      \
   X(stall_wait_us)                                                     \
@@ -390,31 +388,11 @@ struct Db::AtomicStats {
   PROTEUS_DB_STAT_FIELDS(PROTEUS_DB_STAT_DEF)
 #undef PROTEUS_DB_STAT_DEF
 
-  // Per-level check / probe / false-positive breakdown (index = level).
-  RelaxedCounter level_filter_checks[kMaxLevels];
-  RelaxedCounter level_sst_seeks[kMaxLevels];
-  RelaxedCounter level_fp_files[kMaxLevels];
-
   DbStats Snapshot() const {
     DbStats out;
 #define PROTEUS_DB_STAT_COPY(name) out.name = name.load();
     PROTEUS_DB_STAT_FIELDS(PROTEUS_DB_STAT_COPY)
 #undef PROTEUS_DB_STAT_COPY
-    size_t deepest = 0;
-    for (size_t i = 0; i < kMaxLevels; ++i) {
-      if (level_filter_checks[i].load() != 0 ||
-          level_sst_seeks[i].load() != 0) {
-        deepest = i + 1;
-      }
-    }
-    out.level_filter_checks.resize(deepest);
-    out.level_sst_seeks.resize(deepest);
-    out.level_fp_files.resize(deepest);
-    for (size_t i = 0; i < deepest; ++i) {
-      out.level_filter_checks[i] = level_filter_checks[i].load();
-      out.level_sst_seeks[i] = level_sst_seeks[i].load();
-      out.level_fp_files[i] = level_fp_files[i].load();
-    }
     return out;
   }
 
@@ -422,11 +400,6 @@ struct Db::AtomicStats {
 #define PROTEUS_DB_STAT_RESET(name) name.reset();
     PROTEUS_DB_STAT_FIELDS(PROTEUS_DB_STAT_RESET)
 #undef PROTEUS_DB_STAT_RESET
-    for (size_t i = 0; i < kMaxLevels; ++i) {
-      level_filter_checks[i].reset();
-      level_sst_seeks[i].reset();
-      level_fp_files[i].reset();
-    }
   }
 };
 
@@ -836,7 +809,6 @@ Status Db::FinishFile(SstWriter* writer, std::vector<std::string>* keys,
       meta->design_signature = design_signature;
       meta->design_samples = design_samples;
       stats_->filter_bits_built += meta->filter->SizeBits();
-      stats_->keys_filtered += keys->size();
       // Persist the filter in the SST itself so reopening the database
       // deserializes it instead of rebuilding from keys.
       std::string blob;
@@ -1101,22 +1073,8 @@ void Db::ApplyEdit(const std::vector<FilePtr>& retired, size_t output,
   }
 }
 
-void Db::NoteFilterChecks(const FileMeta& f, uint64_t n) {
-  f.checks.fetch_add(n, std::memory_order_relaxed);
-  const auto level = static_cast<size_t>(f.level);
-  if (level < kMaxLevels) stats_->level_filter_checks[level] += n;
-}
-
-void Db::NoteSstProbe(const FileMeta& f) {
-  f.probes.fetch_add(1, std::memory_order_relaxed);
-  const auto level = static_cast<size_t>(f.level);
-  if (level < kMaxLevels) ++stats_->level_sst_seeks[level];
-}
-
 void Db::NoteFalsePositive(const FileMeta& f) {
   f.false_positives.fetch_add(1, std::memory_order_relaxed);
-  const auto level = static_cast<size_t>(f.level);
-  if (level < kMaxLevels) ++stats_->level_fp_files[level];
 
   if (!options_.adaptive_redesign || f.filter == nullptr) return;
   if (f.drift_flagged.load(std::memory_order_relaxed)) return;
@@ -1248,7 +1206,6 @@ Status Db::WriteManifest(const std::vector<std::vector<FilePtr>>& levels) {
     return Status::IOError(Errno("cannot rename manifest into place"));
   }
   SyncDir(options_.dir);
-  ++stats_->manifest_snapshots;
   return Status::OK();
 }
 
@@ -1365,11 +1322,13 @@ Status Db::LoadFile(const FilePtr& meta) {
       // the block damage as read errors).
       std::vector<std::string> keys;
       keys.reserve(meta->n_entries);
-      const bool all_keys = meta->reader->ForEach(
-          [&keys](std::string_view k, std::string_view) {
-            if (keys.empty() || keys.back() != k) keys.emplace_back(k);
-          });
-      if (all_keys) {
+      SstReader::Iterator it(meta->reader.get());
+      for (; it.Valid(); it.Next()) {
+        if (keys.empty() || keys.back() != it.key()) {
+          keys.emplace_back(it.key());
+        }
+      }
+      if (it.status().ok()) {
         Stopwatch timer;
         meta->filter =
             options_.filter_policy->Build(keys, query_queue_.Snapshot());
@@ -1377,7 +1336,6 @@ Status Db::LoadFile(const FilePtr& meta) {
         if (meta->filter != nullptr) {
           ++stats_->filter_rebuilds;
           stats_->filter_bits_built += meta->filter->SizeBits();
-          stats_->keys_filtered += keys.size();
           // The rebuilt filter replaces the persisted design; its manifest
           // provenance (modeled FPR in particular) no longer applies.
           meta->modeled_fpr = meta->filter->ModeledFpr().value_or(-1.0);
@@ -1631,7 +1589,7 @@ void Db::SeekLoop(const ReadView& view, std::string_view lo,
       s.checked = true;
       ++stats_->filter_checks;
       if (f.filter != nullptr) {
-        NoteFilterChecks(f, 1);
+        f.checks.fetch_add(1, std::memory_order_relaxed);
         if (!f.filter->MayContain(std::max(at, std::string_view(f.smallest)),
                                   std::min(hi, std::string_view(f.largest)))) {
           ++stats_->filter_negatives;
@@ -1644,7 +1602,7 @@ void Db::SeekLoop(const ReadView& view, std::string_view lo,
     int rc;
     if (!s.seeked) {
       ++stats_->sst_seeks;
-      NoteSstProbe(f);
+      f.probes.fetch_add(1, std::memory_order_relaxed);
       s.cur.Init(f.reader.get(), bro, view.snapshot);
       rc = s.cur.Seek(at, hi, &read_status);
       s.seeked = true;
@@ -1820,7 +1778,7 @@ void Db::MultiSeek(const QueryBatch& batch,
     stats_->filter_checks += group.size();
     pass.assign(group.size(), 1);
     if (f.filter != nullptr) {
-      NoteFilterChecks(f, group.size());
+      f.checks.fetch_add(group.size(), std::memory_order_relaxed);
       if (group.size() == 1) {
         pass[0] = f.filter->MayContain(clip_lo[0], clip_hi[0]) ? 1 : 0;
       } else {

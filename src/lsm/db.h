@@ -176,12 +176,10 @@ struct DbStats {
   uint64_t compactions = 0;
   uint64_t filter_build_ns = 0;
   uint64_t filter_bits_built = 0;
-  uint64_t keys_filtered = 0;   // keys covered by built filters
   uint64_t filter_loads = 0;    // filters deserialized from SST blocks
   uint64_t filter_rebuilds = 0;  // recovery fallbacks: block missing/corrupt
   uint64_t wal_replayed = 0;     // records re-applied by Db::Open
   uint64_t wal_rotations = 0;    // segment files rotated in
-  uint64_t manifest_snapshots = 0;  // MANIFEST writes: tree edits, close
   uint64_t queue_sampled = 0;    // empty queries recorded in the sample queue
   uint64_t write_stalls = 0;     // writer batches that hit the imm limit
   uint64_t stall_wait_us = 0;    // total time writers spent stalled
@@ -190,23 +188,6 @@ struct DbStats {
 
   /// Bytes reserved by the live memtables' arenas (active + immutable).
   uint64_t memtable_arena_bytes = 0;
-
-  /// Per-level breakdown of filter checks / sst_seeks /
-  /// false_positive_files (index = level; sized to the deepest level
-  /// that saw filter traffic). Checks count only files that have a
-  /// filter.
-  std::vector<uint64_t> level_filter_checks;
-  std::vector<uint64_t> level_sst_seeks;
-  std::vector<uint64_t> level_fp_files;
-
-  /// Observed per-file FPR: of the filter passes that led to an SST
-  /// probe, the fraction that found nothing in range — the live
-  /// counterpart of the CPFPR model's predicted FPR.
-  double ObservedFileFpr() const {
-    return sst_seeks == 0 ? 0.0
-                          : static_cast<double>(false_positive_files) /
-                                static_cast<double>(sst_seeks);
-  }
 };
 
 /// One range query's outcome: the smallest live key in [lo, hi] visible
@@ -362,15 +343,6 @@ class Db {
     uint64_t false_positives = 0;    // of those, probes finding nothing
     uint64_t filter_bits = 0;
     bool drift_flagged = false;
-
-    /// Live FPR: false positives over empty-range checks (see
-    /// drift.h's ObservedFpr; same formula).
-    double ObservedFpr() const {
-      const uint64_t true_positives = probes - false_positives;
-      if (checks <= true_positives) return 0.0;
-      return static_cast<double>(false_positives) /
-             static_cast<double>(checks - true_positives);
-    }
   };
 
   /// One entry per live SST, L0 first.
@@ -385,8 +357,8 @@ class Db {
     uint64_t file_size = 0;
     std::unique_ptr<SstReader> reader;
     std::unique_ptr<SstFilter> filter;
-    // The level the file lives at (set at install/recovery) — feeds the
-    // per-level stats and lets a redesign rewrite in place.
+    // The level the file lives at (set at install/recovery), as
+    // DesignInfo reports it.
     int level = 0;
     // Design provenance, persisted in the MANIFEST (negative doubles =
     // not available).
@@ -488,13 +460,9 @@ class Db {
   Status FinishFile(SstWriter* writer, std::vector<std::string>* keys,
                     const std::string& path, int target_level, FilePtr* out);
 
-  /// Read-path accounting: `f`'s filter answered `n` queries.
-  void NoteFilterChecks(const FileMeta& f, uint64_t n);
-  /// A filter pass probed `f` on disk.
-  void NoteSstProbe(const FileMeta& f);
-  /// ... and the probe found nothing in range (a false positive). Feeds
-  /// the drift detector; a firing latches f.drift_flagged and wakes
-  /// background maintenance.
+  /// A filter pass probed `f` on disk and found nothing in range (a false
+  /// positive). Feeds the drift detector; a firing latches
+  /// f.drift_flagged and wakes background maintenance.
   void NoteFalsePositive(const FileMeta& f);
 
   /// Charges the filter's pinned bytes to the block cache.

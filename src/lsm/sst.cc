@@ -66,8 +66,6 @@ void SstWriter::FlushBlock() {
   index_block_.Add(last_key_in_block_, handle);
   file_buffer_.append(on_disk);
   offset_ += on_disk.size();
-  ++stats_.blocks_written;
-  stats_.bytes_written += on_disk.size();
 }
 
 Status SstWriter::Finish() {

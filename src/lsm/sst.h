@@ -43,11 +43,6 @@
 
 namespace proteus {
 
-struct SstStats {
-  uint64_t blocks_written = 0;
-  uint64_t bytes_written = 0;
-};
-
 /// Per-read knobs for SST data-block reads.
 struct BlockReadOptions {
   // Look the block up in, and insert it into, the block cache.
@@ -83,7 +78,6 @@ class SstWriter {
   uint64_t file_size() const { return offset_; }
   const std::string& smallest() const { return smallest_; }
   const std::string& largest() const { return largest_; }
-  const SstStats& stats() const { return stats_; }
 
  private:
   void FlushBlock();
@@ -98,7 +92,6 @@ class SstWriter {
   uint64_t offset_ = 0;
   uint64_t n_entries_ = 0;
   std::string smallest_, largest_, last_key_in_block_;
-  SstStats stats_;
 };
 
 class SstReader {
@@ -191,22 +184,10 @@ class SstReader {
   /// failure as a Corruption/IOError status.
   Status VerifyChecksums() const;
 
-  /// Streams all entries in order (compaction path; bypasses the cache).
-  template <typename Fn>
-  bool ForEach(Fn&& fn) const {
-    for (size_t b = 0; b < index_.n_entries(); ++b) {
-      BlockReader block;
-      if (!ReadDataBlock(b, &block, kNoCacheRead).ok()) return false;
-      for (size_t i = 0; i < block.n_entries(); ++i) {
-        fn(block.KeyAt(i), block.ValueAt(i));
-      }
-    }
-    return true;
-  }
-
   const std::string& path() const { return path_; }
 
-  /// Streaming cursor over all entries in key order (compaction merge).
+  /// Streaming cursor over all entries in key order (compaction merge,
+  /// filter rebuild on open; bypasses the cache).
   /// A data block that fails its CRC/checksum STOPS the iterator
   /// (Valid() goes false) and is reported through status() — silently
   /// skipping a block here would let compaction drop keys and then

@@ -21,11 +21,8 @@ double PowOneMinus(double p, double n) {
 
 }  // namespace
 
-double CpfprModel::BloomFpr(uint64_t m_bits, uint64_t n_items,
-                            BloomProbeMode mode) {
-  if (n_items == 0) return 0.0;
-  if (m_bits == 0) return 1.0;
-  return BloomFilter::TheoreticalFpr(m_bits, n_items, mode);
+double CpfprModel::BloomFpr(uint64_t m_bits, uint64_t n_items) {
+  return BloomFilter::TheoreticalFpr(m_bits, n_items);
 }
 
 uint32_t CpfprModel::BinIndex(uint64_t regions) {
@@ -196,10 +193,9 @@ void CpfprModel::GatherTwoPbf(const QueryRecord& rec,
   }
 }
 
-double CpfprModel::OnePbfFpr(uint32_t prefix_len, uint64_t mem_bits,
-                             BloomProbeMode mode) const {
+double CpfprModel::OnePbfFpr(uint32_t prefix_len, uint64_t mem_bits) const {
   if (n_samples_ == 0 || prefix_len == 0 || prefix_len > 64) return 1.0;
-  double p = BloomFpr(mem_bits, key_stats_.k_counts[prefix_len], mode);
+  double p = BloomFpr(mem_bits, key_stats_.k_counts[prefix_len]);
   double fp = static_cast<double>(lcp_ge_[prefix_len]);
   const Bin* bins = &one_bins_[prefix_len * kBins];
   for (uint32_t b = 0; b < kBins; ++b) {
@@ -211,7 +207,7 @@ double CpfprModel::OnePbfFpr(uint32_t prefix_len, uint64_t mem_bits,
 }
 
 double CpfprModel::ProteusFpr(uint32_t trie_depth, uint32_t bf_len,
-                              uint64_t mem_bits, BloomProbeMode mode) const {
+                              uint64_t mem_bits) const {
   if (n_samples_ == 0) return 1.0;
   uint64_t trie_bits = 0;
   if (trie_depth > 0) {
@@ -225,10 +221,10 @@ double CpfprModel::ProteusFpr(uint32_t trie_depth, uint32_t bf_len,
            static_cast<double>(n_samples_);
   }
   if (bf_len <= trie_depth || bf_len > 64) return kInfeasible;
-  if (trie_depth == 0) return OnePbfFpr(bf_len, mem_bits, mode);
+  if (trie_depth == 0) return OnePbfFpr(bf_len, mem_bits);
 
   uint64_t bf_mem = mem_bits - trie_bits;
-  double p = BloomFpr(bf_mem, key_stats_.k_counts[bf_len], mode);
+  double p = BloomFpr(bf_mem, key_stats_.k_counts[bf_len]);
   double fp = static_cast<double>(lcp_ge_[bf_len]);  // lcp >= l2: always FP
   const Bin* bins =
       &proteus_bins_[(static_cast<size_t>(trie_depth) * 65 + bf_len) * kBins];
@@ -263,16 +259,16 @@ double CpfprModel::EndFactor(double p1, double p2, const TwoBin& bin) const {
 }
 
 double CpfprModel::TwoPbfFpr(uint32_t l1, uint32_t l2, double frac1,
-                             uint64_t mem_bits, BloomProbeMode mode) const {
+                             uint64_t mem_bits) const {
   if (n_samples_ == 0 || l2 == 0 || l2 > 64) return 1.0;
   if (l1 == 0) {
-    return OnePbfFpr(l2, mem_bits, mode);  // degenerate: single filter
+    return OnePbfFpr(l2, mem_bits);  // degenerate: single filter
   }
   if (l1 >= l2) return kInfeasible;
   uint64_t m1 = static_cast<uint64_t>(static_cast<double>(mem_bits) * frac1);
   uint64_t m2 = mem_bits - m1;
-  double p1 = BloomFpr(m1, key_stats_.k_counts[l1], mode);
-  double p2 = BloomFpr(m2, key_stats_.k_counts[l2], mode);
+  double p1 = BloomFpr(m1, key_stats_.k_counts[l1]);
+  double p2 = BloomFpr(m2, key_stats_.k_counts[l2]);
   // Middle regions: fully contained l1 regions, each triggering 2^{l2-l1}
   // second-filter probes when the first filter false-positives. Eq. 4's
   // binomial sum in closed form.
@@ -294,10 +290,10 @@ double CpfprModel::TwoPbfFpr(uint32_t l1, uint32_t l2, double frac1,
   return fp / static_cast<double>(n_samples_);
 }
 
-double CpfprModel::OnePbfFprExact(uint32_t prefix_len, uint64_t mem_bits,
-                                  BloomProbeMode mode) const {
+double CpfprModel::OnePbfFprExact(uint32_t prefix_len,
+                                  uint64_t mem_bits) const {
   if (n_samples_ == 0 || prefix_len == 0 || prefix_len > 64) return 1.0;
-  double p = BloomFpr(mem_bits, key_stats_.k_counts[prefix_len], mode);
+  double p = BloomFpr(mem_bits, key_stats_.k_counts[prefix_len]);
   double fp = 0;
   for (const QueryRecord& rec : records_) {
     if (rec.lcp() >= prefix_len) {
@@ -312,8 +308,7 @@ double CpfprModel::OnePbfFprExact(uint32_t prefix_len, uint64_t mem_bits,
 }
 
 double CpfprModel::ProteusFprExact(uint32_t trie_depth, uint32_t bf_len,
-                                   uint64_t mem_bits,
-                                   BloomProbeMode mode) const {
+                                   uint64_t mem_bits) const {
   if (n_samples_ == 0) return 1.0;
   uint64_t trie_bits = 0;
   if (trie_depth > 0) {
@@ -326,8 +321,8 @@ double CpfprModel::ProteusFprExact(uint32_t trie_depth, uint32_t bf_len,
            static_cast<double>(n_samples_);
   }
   if (bf_len <= trie_depth || bf_len > 64) return kInfeasible;
-  if (trie_depth == 0) return OnePbfFprExact(bf_len, mem_bits, mode);
-  double p = BloomFpr(mem_bits - trie_bits, key_stats_.k_counts[bf_len], mode);
+  if (trie_depth == 0) return OnePbfFprExact(bf_len, mem_bits);
+  double p = BloomFpr(mem_bits - trie_bits, key_stats_.k_counts[bf_len]);
   double fp = 0;
   for (const QueryRecord& rec : records_) {
     uint32_t lcp = rec.lcp();
@@ -343,21 +338,20 @@ double CpfprModel::ProteusFprExact(uint32_t trie_depth, uint32_t bf_len,
   return fp / static_cast<double>(n_samples_);
 }
 
-ProteusDesign CpfprModel::SelectProteus(uint64_t mem_bits,
-                                        BloomProbeMode mode) const {
+ProteusDesign CpfprModel::SelectProteus(uint64_t mem_bits) const {
   ProteusDesign best;
   best.expected_fpr = 1.0;
   best.trie_depth = 0;
   best.bf_prefix_len = 0;
   for (uint32_t l1 = 0; l1 <= 64; ++l1) {
     if (l1 > 0 && trie_model_.TrieSizeBits(l1) > mem_bits) break;
-    double trie_only = ProteusFpr(l1, 0, mem_bits, mode);
+    double trie_only = ProteusFpr(l1, 0, mem_bits);
     if (trie_only <= best.expected_fpr) {
       best = {l1, 0, trie_only,
               l1 > 0 ? trie_model_.TrieSizeBits(l1) : 0};
     }
     for (uint32_t l2 = l1 + 1; l2 <= 64; ++l2) {
-      double fpr = ProteusFpr(l1, l2, mem_bits, mode);
+      double fpr = ProteusFpr(l1, l2, mem_bits);
       if (fpr <= best.expected_fpr) {
         best = {l1, l2, fpr, l1 > 0 ? trie_model_.TrieSizeBits(l1) : 0};
       }
@@ -366,33 +360,31 @@ ProteusDesign CpfprModel::SelectProteus(uint64_t mem_bits,
   return best;
 }
 
-OnePbfDesign CpfprModel::SelectOnePbf(uint64_t mem_bits,
-                                      BloomProbeMode mode) const {
+OnePbfDesign CpfprModel::SelectOnePbf(uint64_t mem_bits) const {
   OnePbfDesign best;
   best.expected_fpr = 1.0;
   best.prefix_len = 64;
   for (uint32_t l = 1; l <= 64; ++l) {
-    double fpr = OnePbfFpr(l, mem_bits, mode);
+    double fpr = OnePbfFpr(l, mem_bits);
     if (fpr <= best.expected_fpr) best = {l, fpr};
   }
   return best;
 }
 
-TwoPbfDesign CpfprModel::SelectTwoPbf(uint64_t mem_bits,
-                                      BloomProbeMode mode) const {
+TwoPbfDesign CpfprModel::SelectTwoPbf(uint64_t mem_bits) const {
   TwoPbfDesign best;
   best.expected_fpr = 1.0;
   best.l1 = 0;
   best.l2 = 64;
   // Single-filter degenerate candidates first.
   for (uint32_t l2 = 1; l2 <= 64; ++l2) {
-    double fpr = OnePbfFpr(l2, mem_bits, mode);
+    double fpr = OnePbfFpr(l2, mem_bits);
     if (fpr <= best.expected_fpr) best = {0, l2, 0.0, fpr};
   }
   for (double frac : {0.4, 0.5, 0.6}) {
     for (uint32_t l1 = 1; l1 <= 63; ++l1) {
       for (uint32_t l2 = l1 + 1; l2 <= 64; ++l2) {
-        double fpr = TwoPbfFpr(l1, l2, frac, mem_bits, mode);
+        double fpr = TwoPbfFpr(l1, l2, frac, mem_bits);
         if (fpr <= best.expected_fpr) best = {l1, l2, frac, fpr};
       }
     }

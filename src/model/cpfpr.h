@@ -19,6 +19,10 @@
 //  * Query prefix counts are binned into exponentially sized bins
 //    (Section 4.3, "Calculate Configuration FPRs"); exact unbinned
 //    evaluation is also provided for the binning ablation.
+//  * Each Bloom filter's FPR is that of the cache-line-blocked layout every
+//    filter is built with (BloomFpr), which sits mildly above the paper's
+//    Eq. 6; the selected design stays calibrated only if the model prices
+//    what the filter actually pays.
 
 #ifndef PROTEUS_MODEL_CPFPR_H_
 #define PROTEUS_MODEL_CPFPR_H_
@@ -72,50 +76,38 @@ class CpfprModel {
              const std::vector<RangeQuery>& empty_samples);
 
   // --- Expected FPR of explicit configurations (Figure 4 matrices). ---
-  //
-  // Every evaluation takes the Bloom probe layout the built filter will
-  // use; the blocked layout trades one cache miss per probe for a mildly
-  // higher per-probe FPR, and the model must price that in for the
-  // selected design to stay calibrated.
 
   /// Proteus (Eq. 5). trie_depth == 0 -> pure BF; bf_len == 0 -> pure trie.
-  double ProteusFpr(uint32_t trie_depth, uint32_t bf_len, uint64_t mem_bits,
-                    BloomProbeMode mode = BloomProbeMode::kStandard) const;
+  double ProteusFpr(uint32_t trie_depth, uint32_t bf_len,
+                    uint64_t mem_bits) const;
 
   /// 1PBF (Eq. 1).
-  double OnePbfFpr(uint32_t prefix_len, uint64_t mem_bits,
-                   BloomProbeMode mode = BloomProbeMode::kStandard) const;
+  double OnePbfFpr(uint32_t prefix_len, uint64_t mem_bits) const;
 
   /// 2PBF (Eq. 4, closed form). frac1 = share of memory for the l1 filter.
-  double TwoPbfFpr(uint32_t l1, uint32_t l2, double frac1, uint64_t mem_bits,
-                   BloomProbeMode mode = BloomProbeMode::kStandard) const;
+  double TwoPbfFpr(uint32_t l1, uint32_t l2, double frac1,
+                   uint64_t mem_bits) const;
 
   // --- Unbinned (exact-expectation) variants, for the binning ablation. --
 
   double ProteusFprExact(uint32_t trie_depth, uint32_t bf_len,
-                         uint64_t mem_bits,
-                         BloomProbeMode mode = BloomProbeMode::kStandard) const;
-  double OnePbfFprExact(uint32_t prefix_len, uint64_t mem_bits,
-                        BloomProbeMode mode = BloomProbeMode::kStandard) const;
+                         uint64_t mem_bits) const;
+  double OnePbfFprExact(uint32_t prefix_len, uint64_t mem_bits) const;
 
   // --- Algorithm 1: configuration selection. ---
 
-  ProteusDesign SelectProteus(
-      uint64_t mem_bits, BloomProbeMode mode = BloomProbeMode::kStandard) const;
-  OnePbfDesign SelectOnePbf(
-      uint64_t mem_bits, BloomProbeMode mode = BloomProbeMode::kStandard) const;
+  ProteusDesign SelectProteus(uint64_t mem_bits) const;
+  OnePbfDesign SelectOnePbf(uint64_t mem_bits) const;
   /// Tests the paper's three memory allocations (40/60, 50/50, 60/40).
-  TwoPbfDesign SelectTwoPbf(
-      uint64_t mem_bits, BloomProbeMode mode = BloomProbeMode::kStandard) const;
+  TwoPbfDesign SelectTwoPbf(uint64_t mem_bits) const;
 
   const TrieMemoryModel& trie_model() const { return trie_model_; }
   uint64_t n_samples() const { return n_samples_; }
 
-  /// Bloom filter FPR for m bits holding n items (Eq. 6 with the k <= 32
-  /// clamp evaluated through the general formula), under the given probe
-  /// layout.
-  static double BloomFpr(uint64_t m_bits, uint64_t n_items,
-                         BloomProbeMode mode = BloomProbeMode::kStandard);
+  /// Bloom filter FPR for m bits holding n items: Eq. 6 (with the k <= 32
+  /// clamp evaluated through the general formula) per 512-bit block,
+  /// averaged over the block load (BloomFilter::TheoreticalFpr).
+  static double BloomFpr(uint64_t m_bits, uint64_t n_items);
 
  private:
   struct Bin {

@@ -114,8 +114,7 @@ uint64_t StrCpfprModel::Regions(const Record& r, size_t g1, uint32_t l1,
 }
 
 double StrCpfprModel::ProteusFpr(uint32_t trie_depth, uint32_t bf_len,
-                                 uint64_t mem_bits,
-                                 BloomProbeMode mode) const {
+                                 uint64_t mem_bits) const {
   if (records_.empty()) return 1.0;
   uint64_t trie_bits = 0;
   if (trie_depth > 0) {
@@ -134,7 +133,7 @@ double StrCpfprModel::ProteusFpr(uint32_t trie_depth, uint32_t bf_len,
   const size_t g1 = GridIndex(trie_depth);
   const uint32_t l1 = trie_depth == 0 ? 0 : trie_grid_[g1];
   double p = CpfprModel::BloomFpr(mem_bits - trie_bits,
-                                  key_stats_.k_counts[bf_len], mode);
+                                  key_stats_.k_counts[bf_len]);
   double fp = 0;
   for (const Record& r : records_) {
     if (l1 > 0 && r.lcp < l1) continue;  // resolved in the trie
@@ -149,19 +148,18 @@ double StrCpfprModel::ProteusFpr(uint32_t trie_depth, uint32_t bf_len,
   return fp / static_cast<double>(records_.size());
 }
 
-ProteusDesign StrCpfprModel::SelectProteus(uint64_t mem_bits,
-                                           BloomProbeMode mode) const {
+ProteusDesign StrCpfprModel::SelectProteus(uint64_t mem_bits) const {
   ProteusDesign best;
   best.expected_fpr = 1.0;
   for (uint32_t l1 : trie_grid_) {
     if (l1 > 0 && trie_model_.TrieSizeBits(l1) > mem_bits) break;
-    double trie_only = ProteusFpr(l1, 0, mem_bits, mode);
+    double trie_only = ProteusFpr(l1, 0, mem_bits);
     if (trie_only <= best.expected_fpr) {
       best = {l1, 0, trie_only, l1 > 0 ? trie_model_.TrieSizeBits(l1) : 0};
     }
     for (uint32_t l2 : bloom_grid_) {
       if (l2 <= l1) continue;
-      double fpr = ProteusFpr(l1, l2, mem_bits, mode);
+      double fpr = ProteusFpr(l1, l2, mem_bits);
       if (fpr <= best.expected_fpr) {
         best = {l1, l2, fpr, l1 > 0 ? trie_model_.TrieSizeBits(l1) : 0};
       }

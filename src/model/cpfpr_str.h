@@ -41,13 +41,11 @@ class StrCpfprModel {
                 StrCpfprOptions options = StrCpfprOptions());
 
   /// Expected FPR of a (trie depth, Bloom prefix length) configuration.
-  /// Both lengths are snapped to the evaluation grid. `mode` names the
-  /// Bloom probe layout the built filter will use.
-  double ProteusFpr(uint32_t trie_depth, uint32_t bf_len, uint64_t mem_bits,
-                    BloomProbeMode mode = BloomProbeMode::kStandard) const;
+  /// Both lengths are snapped to the evaluation grid.
+  double ProteusFpr(uint32_t trie_depth, uint32_t bf_len,
+                    uint64_t mem_bits) const;
 
-  ProteusDesign SelectProteus(
-      uint64_t mem_bits, BloomProbeMode mode = BloomProbeMode::kStandard) const;
+  ProteusDesign SelectProteus(uint64_t mem_bits) const;
 
   uint32_t max_bits() const { return max_bits_; }
   const TrieMemoryModel& trie_model() const { return trie_model_; }

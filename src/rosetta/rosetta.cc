@@ -42,19 +42,11 @@ std::vector<double> EmptyNodeFp(uint32_t min_level,
 
 std::unique_ptr<RosettaFilter> RosettaFilter::BuildFromSpec(
     const FilterSpec& spec, FilterBuilder& builder, std::string* error) {
-  if (!spec.ExpectKeys({"bpk", "blocked"}, error)) return nullptr;
+  if (!spec.ExpectKeys({"bpk"}, error)) return nullptr;
   double bpk;
-  uint32_t blocked;
-  if (!spec.GetDouble("bpk", 12.0, &bpk, error) ||
-      !spec.GetUint32("blocked", 1, &blocked, error)) {
-    return nullptr;
-  }
+  if (!spec.GetDouble("bpk", 12.0, &bpk, error)) return nullptr;
   if (bpk <= 0.0) {
     if (error != nullptr) *error = "rosetta bpk must be positive";
-    return nullptr;
-  }
-  if (blocked > 1) {
-    if (error != nullptr) *error = "rosetta blocked must be 0 or 1";
     return nullptr;
   }
   if (builder.samples().empty()) {
@@ -62,16 +54,14 @@ std::unique_ptr<RosettaFilter> RosettaFilter::BuildFromSpec(
     std::vector<RangeQuery> point = {
         {builder.keys().empty() ? 0 : builder.keys().front(),
          builder.keys().empty() ? 0 : builder.keys().front()}};
-    return BuildSelfConfigured(builder.keys(), point, bpk, blocked != 0);
+    return BuildSelfConfigured(builder.keys(), point, bpk);
   }
-  return BuildSelfConfigured(builder.keys(), builder.samples(), bpk,
-                             blocked != 0);
+  return BuildSelfConfigured(builder.keys(), builder.samples(), bpk);
 }
 
 std::unique_ptr<RosettaFilter> RosettaFilter::BuildSelfConfigured(
     const std::vector<uint64_t>& sorted_keys,
-    const std::vector<RangeQuery>& sample_queries, double bits_per_key,
-    bool blocked_bloom) {
+    const std::vector<RangeQuery>& sample_queries, double bits_per_key) {
   // Deepest level needed: ranges up to R require levels from
   // 64 - ceil(log2(R)).
   uint64_t max_range = 1;
@@ -112,10 +102,7 @@ std::unique_ptr<RosettaFilter> RosettaFilter::BuildSelfConfigured(
     for (uint32_t l = min_level; l <= 64; ++l) {
       uint64_t m = static_cast<uint64_t>(static_cast<double>(budget) *
                                          weights[l - min_level] / total_w);
-      level_fpr[l - min_level] = CpfprModel::BloomFpr(
-          m, k_counts[l],
-          blocked_bloom ? BloomProbeMode::kBlocked
-                        : BloomProbeMode::kStandard);
+      level_fpr[l - min_level] = CpfprModel::BloomFpr(m, k_counts[l]);
     }
     std::vector<double> f = EmptyNodeFp(min_level, level_fpr);
 
@@ -156,7 +143,6 @@ std::unique_ptr<RosettaFilter> RosettaFilter::BuildSelfConfigured(
   Config config;
   config.min_level = min_level;
   config.level_weights = std::move(best_weights);
-  config.blocked_bloom = blocked_bloom;
   return BuildWithConfig(sorted_keys, config, bits_per_key);
 }
 
@@ -175,8 +161,7 @@ std::unique_ptr<RosettaFilter> RosettaFilter::BuildWithConfig(
     uint64_t m =
         static_cast<uint64_t>(static_cast<double>(budget) * w / total_w);
     if (m < 64) continue;  // level left unfiltered
-    filter->filters_[l - config.min_level] =
-        PrefixBloom(sorted_keys, m, l, config.blocked_bloom);
+    filter->filters_[l - config.min_level] = PrefixBloom(sorted_keys, m, l);
   }
   return filter;
 }

@@ -14,7 +14,9 @@
 // across levels is chosen from a set of allocation profiles (uniform
 // through strongly bottom-heavy) by a closed-form FPR estimate on the
 // samples. In line with the original's findings, the bottom-heavy
-// profiles win almost always.
+// profiles win almost always. Every level's Bloom filter is cache-line
+// blocked, the same layout as Proteus's, and the profile estimator prices
+// that layout's FPR.
 
 #ifndef PROTEUS_ROSETTA_ROSETTA_H_
 #define PROTEUS_ROSETTA_ROSETTA_H_
@@ -40,21 +42,17 @@ class RosettaFilter : public RangeFilter {
   struct Config {
     uint32_t min_level = 64;                // top used level
     std::vector<double> level_weights;      // index 0 = min_level ... 64
-    bool blocked_bloom = false;             // cache-line-blocked probe layout
   };
 
-  /// Registry/FilterBuilder hook. Spec parameters: bpk (default 12);
-  /// blocked=0|1 selects cache-line-blocked Bloom probes (default 1).
+  /// Registry/FilterBuilder hook. Spec parameters: bpk (default 12).
   static std::unique_ptr<RosettaFilter> BuildFromSpec(const FilterSpec& spec,
                                                       FilterBuilder& builder,
                                                       std::string* error);
 
-  /// Self-configuring build from sample queries (the paper's setup). The
-  /// profile estimator uses the FPR formula matching the probe layout.
+  /// Self-configuring build from sample queries (the paper's setup).
   static std::unique_ptr<RosettaFilter> BuildSelfConfigured(
       const std::vector<uint64_t>& sorted_keys,
-      const std::vector<RangeQuery>& sample_queries, double bits_per_key,
-      bool blocked_bloom = false);
+      const std::vector<RangeQuery>& sample_queries, double bits_per_key);
 
   /// Forced configuration (tests / ablations).
   static std::unique_ptr<RosettaFilter> BuildWithConfig(

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "bloom/bloom_filter.h"
 #include "core/filter_builder.h"
 #include "core/one_pbf.h"
 #include "core/proteus.h"
@@ -286,14 +287,13 @@ class ReferenceModel {
     }
   }
 
-  double OnePbfFpr(uint32_t l, uint64_t mem, BloomProbeMode mode) const {
+  double OnePbfFpr(uint32_t l, uint64_t mem) const {
     if (n_ == 0 || l == 0 || l > 64) return 1.0;
-    double p = CpfprModel::BloomFpr(mem, stats_.k_counts[l], mode);
+    double p = CpfprModel::BloomFpr(mem, stats_.k_counts[l]);
     return Sum(&one_[l * kBins], lcp_ge_[l], p);
   }
 
-  double ProteusFpr(uint32_t l1, uint32_t l2, uint64_t mem,
-                    BloomProbeMode mode) const {
+  double ProteusFpr(uint32_t l1, uint32_t l2, uint64_t mem) const {
     if (n_ == 0) return 1.0;
     uint64_t trie_bits = 0;
     if (l1 > 0) {
@@ -306,19 +306,18 @@ class ReferenceModel {
                            static_cast<double>(n_);
     }
     if (l2 <= l1 || l2 > 64) return CpfprModel::kInfeasible;
-    if (l1 == 0) return OnePbfFpr(l2, mem, mode);
-    double p = CpfprModel::BloomFpr(mem - trie_bits, stats_.k_counts[l2], mode);
+    if (l1 == 0) return OnePbfFpr(l2, mem);
+    double p = CpfprModel::BloomFpr(mem - trie_bits, stats_.k_counts[l2]);
     return Sum(&proteus_[(l1 * 65 + l2) * kBins], lcp_ge_[l2], p);
   }
 
-  double TwoPbfFpr(uint32_t l1, uint32_t l2, double frac1, uint64_t mem,
-                   BloomProbeMode mode) const {
+  double TwoPbfFpr(uint32_t l1, uint32_t l2, double frac1, uint64_t mem) const {
     if (n_ == 0 || l2 == 0 || l2 > 64) return 1.0;
-    if (l1 == 0) return OnePbfFpr(l2, mem, mode);
+    if (l1 == 0) return OnePbfFpr(l2, mem);
     if (l1 >= l2) return CpfprModel::kInfeasible;
     uint64_t m1 = static_cast<uint64_t>(static_cast<double>(mem) * frac1);
-    double p1 = CpfprModel::BloomFpr(m1, stats_.k_counts[l1], mode);
-    double p2 = CpfprModel::BloomFpr(mem - m1, stats_.k_counts[l2], mode);
+    double p1 = CpfprModel::BloomFpr(m1, stats_.k_counts[l1]);
+    double p2 = CpfprModel::BloomFpr(mem - m1, stats_.k_counts[l2]);
     double mid = (1.0 - p1) +
                  p1 * PowOneMinus(p2, std::pow(2.0, static_cast<double>(
                                                         l2 - l1)));
@@ -471,18 +470,14 @@ void ExpectBitwiseEqualToReference(const std::vector<uint64_t>& keys,
   for (double bpk : {8.0, 14.0, 20.0}) {
     uint64_t mem =
         static_cast<uint64_t>(bpk * static_cast<double>(keys.size()));
-    for (BloomProbeMode mode :
-         {BloomProbeMode::kStandard, BloomProbeMode::kBlocked}) {
-      for (uint32_t l1 = 0; l1 <= 64; ++l1) {
-        for (uint32_t l2 = 0; l2 <= 64; ++l2) {
-          check("Proteus", l1, l2, model.ProteusFpr(l1, l2, mem, mode),
-                ref.ProteusFpr(l1, l2, mem, mode));
-          check("2PBF", l1, l2, model.TwoPbfFpr(l1, l2, 0.4, mem, mode),
-                ref.TwoPbfFpr(l1, l2, 0.4, mem, mode));
-        }
-        check("1PBF", 0, l1, model.OnePbfFpr(l1, mem, mode),
-              ref.OnePbfFpr(l1, mem, mode));
+    for (uint32_t l1 = 0; l1 <= 64; ++l1) {
+      for (uint32_t l2 = 0; l2 <= 64; ++l2) {
+        check("Proteus", l1, l2, model.ProteusFpr(l1, l2, mem),
+              ref.ProteusFpr(l1, l2, mem));
+        check("2PBF", l1, l2, model.TwoPbfFpr(l1, l2, 0.4, mem),
+              ref.TwoPbfFpr(l1, l2, 0.4, mem));
       }
+      check("1PBF", 0, l1, model.OnePbfFpr(l1, mem), ref.OnePbfFpr(l1, mem));
     }
   }
   EXPECT_EQ(mismatches, 0u) << "of " << checked << "; first: " << first;
@@ -552,9 +547,14 @@ TEST(CpfprModel, DeferredTwoPbfGatherIsRaceFree) {
   EXPECT_EQ(got_fpr, want_fpr);
 }
 
-TEST(CpfprModel, BloomFprMatchesEqSix) {
-  // 10 bits per item, k = 7: p = (1 - e^{-7/10})^7 ~ 0.00819.
-  EXPECT_NEAR(CpfprModel::BloomFpr(10000, 1000), 0.00819, 0.0005);
+TEST(CpfprModel, BloomFprPricesTheBlockedLayout) {
+  // The model prices the layout every filter is built with. At 10 bits
+  // per item, k = 7, Eq. 6 over the whole array gives
+  // p = (1 - e^{-7/10})^7 ~ 0.00819; uneven block loads cost more.
+  const double p = CpfprModel::BloomFpr(10000, 1000);
+  EXPECT_EQ(p, BloomFilter::TheoreticalFpr(10000, 1000));
+  EXPECT_GT(p, 0.00819);
+  EXPECT_LT(p, 2 * 0.00819);
   EXPECT_EQ(CpfprModel::BloomFpr(0, 10), 1.0);
   EXPECT_EQ(CpfprModel::BloomFpr(100, 0), 0.0);
 }

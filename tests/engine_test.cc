@@ -412,13 +412,5 @@ TEST(QueryEngineTest, ReportsBatchStats) {
   }
 }
 
-TEST(DbStatsTest, ObservedFileFprCountsFalsePositives) {
-  DbStats s;
-  EXPECT_EQ(s.ObservedFileFpr(), 0.0);
-  s.sst_seeks = 8;
-  s.false_positive_files = 2;
-  EXPECT_DOUBLE_EQ(s.ObservedFileFpr(), 0.25);
-}
-
 }  // namespace
 }  // namespace proteus

@@ -10,7 +10,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "lsm/block_cache.h"
 #include "lsm/db.h"
@@ -299,8 +302,8 @@ std::string FirstSst(const DbOptions& options) {
   return "";
 }
 
-// The (offset, size) of a file's first data block, from its index block.
-std::pair<uint64_t, uint64_t> FirstDataBlock(const std::string& file) {
+// The (offset, size) of each of a file's data blocks, from its index block.
+std::vector<std::pair<uint64_t, uint64_t>> DataBlocks(const std::string& file) {
   const char* footer = file.data() + file.size() - kFooterV2Size;
   std::string index_payload;
   EXPECT_TRUE(RleDecompress(std::string_view(file).substr(
@@ -309,8 +312,75 @@ std::pair<uint64_t, uint64_t> FirstDataBlock(const std::string& file) {
   BlockReader index;
   EXPECT_TRUE(index.Init(std::move(index_payload)));
   EXPECT_GT(index.n_entries(), 0u);
-  const char* handle = index.ValueAt(0).data();
-  return {LoadFixed64(handle), LoadFixed64(handle + 8)};
+  std::vector<std::pair<uint64_t, uint64_t>> blocks;
+  for (size_t i = 0; i < index.n_entries(); ++i) {
+    const char* handle = index.ValueAt(i).data();
+    blocks.emplace_back(LoadFixed64(handle), LoadFixed64(handle + 8));
+  }
+  return blocks;
+}
+
+TEST(FilterBlockFailure, DamagedFilterAndDataBlockLeaveTheFileUnfiltered) {
+  // A file whose filter block AND a data block are damaged cannot have its
+  // filter rebuilt: the key scan stops at the unreadable block, and a
+  // filter over the keys before it would answer false negatives for the
+  // keys after it. The file reopens unfiltered; its damaged block reads
+  // as Corruption and every other block, before and after it, still
+  // serves its keys.
+  auto options = FailDbOptions("filter_and_data");
+  FillAndClose(options);
+  const std::string path = FirstSst(options);
+  ASSERT_FALSE(path.empty());
+  const uint64_t file_id = std::stoull(path.substr(options.dir.size() + 1));
+  std::string content = ReadFile(path);
+  const size_t footer = content.size() - kFooterV2Size;
+  uint64_t filter_size = LoadFixed64(content.data() + footer + 32);
+  ASSERT_GT(filter_size, 0u);
+  filter_size /= 2;  // the filter checksum no longer matches
+  std::memcpy(content.data() + footer + 32, &filter_size, 8);
+  const auto blocks = DataBlocks(content);
+  ASSERT_GE(blocks.size(), 3u);
+  const auto [offset, size] = blocks[blocks.size() / 2];
+  std::string payload;
+  ASSERT_TRUE(RleDecompress(content.substr(offset, size), &payload));
+  BlockReader block;
+  ASSERT_TRUE(block.Init(payload));
+  std::set<std::string> damaged_keys;
+  for (size_t i = 0; i < block.n_entries(); ++i) {
+    damaged_keys.emplace(block.KeyAt(i));
+  }
+  content[offset + size - 1] ^= 0x01;
+  WriteFile(path, content);
+
+  auto [db, status] = Db::Open(options);
+  ASSERT_NE(db, nullptr) << status.ToString();
+  const auto infos = db->DesignInfo();
+  ASSERT_FALSE(infos.empty());
+  bool seen = false;
+  for (const auto& info : infos) {
+    if (info.file_id != file_id) continue;
+    seen = true;
+    EXPECT_EQ(info.filter_bits, 0u);
+  }
+  ASSERT_TRUE(seen);
+  EXPECT_EQ(db->stats().filter_rebuilds, 0u);
+  EXPECT_EQ(db->stats().filter_loads, infos.size() - 1);
+
+  size_t intact = 0;
+  for (uint64_t i = 0; i < 2000; ++i) {
+    const std::string key = EncodeKeyBE(i * 6);
+    SeekResult r = db->Seek(key, key);
+    if (damaged_keys.count(key) != 0) {
+      EXPECT_TRUE(r.status.IsCorruption()) << i << " " << r.status.ToString();
+      continue;
+    }
+    ASSERT_TRUE(r.status.ok()) << i << " " << r.status.ToString();
+    ASSERT_TRUE(r.found) << "false negative at " << i;
+    EXPECT_EQ(r.value, "value" + std::to_string(i));
+    ++intact;
+  }
+  EXPECT_EQ(intact, 2000 - damaged_keys.size());
+  EXPECT_FALSE(damaged_keys.empty());
 }
 
 TEST(BlockCacheVerifyOnce, BlockFailingItsChecksumIsNeverCached) {
@@ -319,7 +389,7 @@ TEST(BlockCacheVerifyOnce, BlockFailingItsChecksumIsNeverCached) {
   const std::string path = FirstSst(options);
   ASSERT_FALSE(path.empty());
   std::string content = ReadFile(path);
-  const auto [offset, size] = FirstDataBlock(content);
+  const auto [offset, size] = DataBlocks(content).front();
   std::string payload;
   ASSERT_TRUE(RleDecompress(content.substr(offset, size), &payload));
   BlockReader good;

@@ -291,6 +291,18 @@ TEST(MakeFilterPolicy, BadSpecsFailAtCreationTime) {
     EXPECT_EQ(policy, nullptr) << spec;
     EXPECT_TRUE(status.IsInvalidArgument()) << spec;
   }
+  // Every Bloom filter is cache-line blocked: the key that once chose the
+  // layout is unknown to each of the seven Bloom-backed grammars.
+  for (const char* spec :
+       {"bloom:blocked=1", "bloom-str:blocked=1", "onepbf:blocked=1",
+        "twopbf:blocked=1", "proteus:bpk=14,blocked=0",
+        "proteus-str:blocked=1", "rosetta:blocked=1"}) {
+    Status status;
+    EXPECT_EQ(MakeFilterPolicy(spec, &status), nullptr) << spec;
+    EXPECT_TRUE(status.IsInvalidArgument()) << spec;
+    EXPECT_NE(status.ToString().find("\"blocked\""), std::string::npos)
+        << spec << ": " << status.ToString();
+  }
 }
 
 }  // namespace

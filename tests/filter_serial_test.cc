@@ -88,12 +88,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("proteus:bpk=14", "proteus:trie=16,bloom=48",
                       "proteus:bpk=12,trie=20,bloom=0", "onepbf:bpk=12",
                       "twopbf:bpk=12", "twopbf:l1=12,l2=40,frac1=0.4",
-                      "rosetta:bpk=14", "rosetta:bpk=14,blocked=0",
-                      "surf:mode=base", "surf:mode=real,suffix=8",
-                      "surf:mode=hash,suffix=4", "bloom:bpk=12",
-                      "proteus:bpk=14,blocked=0", "proteus:bpk=14,blocked=1",
-                      "onepbf:bpk=12,blocked=0",
-                      "twopbf:l1=12,l2=40,blocked=1"));
+                      "rosetta:bpk=14", "surf:mode=base",
+                      "surf:mode=real,suffix=8", "surf:mode=hash,suffix=4",
+                      "bloom:bpk=12", "onepbf:prefix=56",
+                      "twopbf:l1=16,l2=48"));
 
 class StrRoundTripTest : public ::testing::TestWithParam<const char*> {};
 
@@ -233,31 +231,8 @@ TEST(FilterSerial, CorruptBlobsFailCleanly) {
   EXPECT_NE(error.find("family"), std::string::npos);
 }
 
-TEST(FilterSerial, UnblockedBloomKeepsLegacyWireFormat) {
-  // An unblocked BloomFilter must serialize byte-for-byte in the original
-  // {u64 n_bits, u64 n_hashes, words...} layout, so blobs written before
-  // the blocked layout existed stay bit-identical and loadable.
-  BloomFilter bf(8192, 5, /*blocked=*/false);
-  bf.InsertInt(42);
-  std::string blob;
-  bf.AppendTo(&blob);
-  ASSERT_GE(blob.size(), 16u);
-  uint64_t header[2];
-  std::memcpy(header, blob.data(), 16);
-  EXPECT_EQ(header[0], bf.n_bits());
-  EXPECT_EQ(header[1], uint64_t{5});  // high 32 bits zero: legacy format
-
-  // A hand-built legacy blob (as an old writer would have produced it)
-  // parses into an unblocked filter.
-  std::string_view view = blob;
-  BloomFilter parsed;
-  ASSERT_TRUE(BloomFilter::ParseFrom(&view, &parsed));
-  EXPECT_FALSE(parsed.blocked());
-  EXPECT_TRUE(parsed.MayContainInt(42));
-}
-
 TEST(FilterSerial, BlockedBloomCarriesVersionedFormat) {
-  BloomFilter bf(8192, 5, /*blocked=*/true);
+  BloomFilter bf(8192, 5);
   bf.InsertInt(43);
   std::string blob;
   bf.AppendTo(&blob);
@@ -268,7 +243,6 @@ TEST(FilterSerial, BlockedBloomCarriesVersionedFormat) {
   std::string_view view = blob;
   BloomFilter parsed;
   ASSERT_TRUE(BloomFilter::ParseFrom(&view, &parsed));
-  EXPECT_TRUE(parsed.blocked());
   EXPECT_TRUE(parsed.MayContainInt(43));
   EXPECT_FALSE(parsed.MayContainInt(44444));
 
@@ -280,58 +254,66 @@ TEST(FilterSerial, BlockedBloomCarriesVersionedFormat) {
 }
 
 TEST(FilterSerial, RetiredBlockedLayoutIsRejectedNotMisread) {
-  // Tag 1 marked the arithmetic-progression blocked layout. Its bits sit
-  // where today's independent in-block positions do not look, so reading
-  // it would answer false negatives; the parser must refuse it instead.
-  // Hand-built the way an old writer laid it out: {n_bits, 1 << 32 | k},
-  // then the block words, here with one key's progression bits set.
+  // Two retired layouts set bits where today's independent in-block
+  // positions do not look, so reading either would answer false
+  // negatives; the parser must refuse both instead. Each blob is
+  // hand-built the way an old writer laid it out: {n_bits, tag << 32 | k},
+  // then the words, here with one key's bits set.
+  //  * tag 1, the arithmetic-progression blocked layout: probe i sets bit
+  //    (h2 + i * (h1 | 1)) mod 512 of the block h1 picks;
+  //  * tag 0, the standard layout: probe i sets bit (h1 + i * h2) mod m.
   const uint64_t n_bits = 4 * BloomFilter::kBlockBits;
   const uint32_t k = 5;
-  std::vector<uint64_t> words(n_bits / 64, 0);
   uint64_t h1 = 0, h2 = 0;
   BloomFilter::HashInt(43, &h1, &h2);
+  auto make_blob = [&](uint64_t tag, auto&& bit_of_probe) {
+    std::vector<uint64_t> words(n_bits / 64, 0);
+    for (uint64_t i = 0; i < k; ++i) {
+      const uint64_t bit = bit_of_probe(i);
+      words[bit / 64] |= uint64_t{1} << (bit % 64);
+    }
+    const uint64_t header[2] = {n_bits, tag << 32 | k};
+    std::string blob(reinterpret_cast<const char*>(header), sizeof(header));
+    blob.append(reinterpret_cast<const char*>(words.data()),
+                words.size() * sizeof(uint64_t));
+    return blob;
+  };
   const uint64_t block =
       static_cast<uint64_t>((static_cast<unsigned __int128>(h1) * 4) >> 64);
-  for (uint64_t i = 0, pos = h2; i < k; ++i, pos += h1 | 1) {
-    const uint64_t bit = pos & (BloomFilter::kBlockBits - 1);
-    words[block * 8 + bit / 64] |= uint64_t{1} << (bit % 64);
-  }
-  const uint64_t header[2] = {n_bits, uint64_t{1} << 32 | k};
-  std::string blob(reinterpret_cast<const char*>(header), sizeof(header));
-  blob.append(reinterpret_cast<const char*>(words.data()),
-              words.size() * sizeof(uint64_t));
+  const std::string progression = make_blob(1, [&](uint64_t i) {
+    return block * BloomFilter::kBlockBits +
+           ((h2 + i * (h1 | 1)) & (BloomFilter::kBlockBits - 1));
+  });
+  const std::string standard =
+      make_blob(0, [&](uint64_t i) { return (h1 + i * h2) % n_bits; });
 
-  std::string_view view = blob;
+  for (const std::string& blob : {progression, standard}) {
+    std::string_view view = blob;
+    BloomFilter parsed;
+    EXPECT_FALSE(BloomFilter::ParseFrom(&view, &parsed));
+
+    // The same bytes under the current tag parse (the guard is the tag,
+    // not the shape), and then do miss the key: what a misread would have
+    // done.
+    std::string retagged = blob;
+    retagged[12] = '\x02';
+    view = retagged;
+    ASSERT_TRUE(BloomFilter::ParseFrom(&view, &parsed));
+    EXPECT_FALSE(parsed.MayContainInt(43));
+  }
+
+  // Tag 0 with no bits is the empty filter (a pure-trie Proteus's, a
+  // 2PBF's without a coarse filter), which is still written with the
+  // all-zero header it always had: it parses, and answers conservatively.
+  std::string empty;
+  BloomFilter().AppendTo(&empty);
+  EXPECT_EQ(empty, std::string(16, '\0'));
+  std::string_view view = empty;
   BloomFilter parsed;
-  EXPECT_FALSE(BloomFilter::ParseFrom(&view, &parsed));
-
-  // The same bytes under the current tag parse (the guard is the tag, not
-  // the shape), and then do miss the key: what a misread would have done.
-  std::string retagged = blob;
-  retagged[12] = '\x02';
-  view = retagged;
   ASSERT_TRUE(BloomFilter::ParseFrom(&view, &parsed));
-  EXPECT_TRUE(parsed.blocked());
-  EXPECT_FALSE(parsed.MayContainInt(43));
-}
-
-TEST(FilterSerial, BlockedAndUnblockedFiltersRoundTripThroughRegistry) {
-  auto keys = GenerateKeys(Dataset::kNormal, 3000, 75);
-  for (const char* spec :
-       {"proteus:trie=16,bloom=48,blocked=1",
-        "proteus:trie=16,bloom=48,blocked=0", "onepbf:prefix=56,blocked=1",
-        "twopbf:l1=16,l2=48,blocked=1"}) {
-    auto filter = FilterBuilder(keys).Build(spec);
-    ASSERT_NE(filter, nullptr) << spec;
-    std::string blob;
-    filter->Serialize(&blob);
-    std::string error;
-    auto restored = Filter::Deserialize(blob, &error);
-    ASSERT_NE(restored, nullptr) << spec << ": " << error;
-    std::string blob2;
-    restored->Serialize(&blob2);
-    EXPECT_EQ(blob, blob2) << spec;
-  }
+  EXPECT_TRUE(view.empty());
+  EXPECT_TRUE(parsed.empty());
+  EXPECT_TRUE(parsed.MayContainInt(43));
 }
 
 TEST(FilterSerial, HugeWireCountsAreRejectedNotAllocated) {

@@ -382,69 +382,76 @@ TEST(DbReopen, CorruptFilterBlocksTriggerRebuildFallback) {
 }
 
 TEST(DbReopen, RetiredBlockedBloomLayoutIsRebuiltNotMisread) {
-  // An SST whose filter carries the retired blocked-Bloom layout (tag 1)
-  // has a valid checksum and a known filter format; only the Bloom parser
-  // refuses it. The Db must rebuild that filter from the file's keys and
-  // keep answering like a std::map, never probe the old bits.
-  auto options = PersistDbOptions("retired_bloom_layout");
-  options.filter_policy = MakeFilterPolicy("bloom:bpk=12");
-  std::map<std::string, std::string> reference;
-  {
-    auto [db, st] = Db::Create(options);
-    ASSERT_TRUE(st.ok());
-    Rng rng(11);
-    FillDb(db.get(), &rng);
-  }
-  for (uint64_t i = 0; i < 2500; ++i) {
-    reference[EncodeKeyBE(i * 10)] =
-        "v" + std::to_string(i) + std::string(40, 'x');
-  }
+  // An SST whose filter carries a retired Bloom layout (tag 1, the
+  // arithmetic-progression blocked layout; tag 0 over a non-empty bit
+  // array, the standard layout) has a valid checksum and a known filter
+  // format; only the Bloom parser refuses it. The Db must rebuild that
+  // filter from the file's keys and keep answering like a std::map, never
+  // probe the old bits.
+  for (const uint32_t retired_tag : {1u, 0u}) {
+    SCOPED_TRACE("tag " + std::to_string(retired_tag));
+    auto options = PersistDbOptions("retired_bloom_layout_" +
+                                    std::to_string(retired_tag));
+    options.filter_policy = MakeFilterPolicy("bloom:bpk=12");
+    std::map<std::string, std::string> reference;
+    {
+      auto [db, st] = Db::Create(options);
+      ASSERT_TRUE(st.ok());
+      Rng rng(11);
+      FillDb(db.get(), &rng);
+    }
+    for (uint64_t i = 0; i < 2500; ++i) {
+      reference[EncodeKeyBE(i * 10)] =
+          "v" + std::to_string(i) + std::string(40, 'x');
+    }
 
-  // The "bloom" family's payload is the bare BloomFilter blob, right after
-  // the 12-byte filter header; its tag is the high half of header word 1.
-  constexpr size_t kTagOffset = 12 + 8 + 4;
-  size_t retagged = 0;
-  for (const std::string& path : ListSstFiles(options.dir)) {
-    std::string content = ReadFile(path);
-    ASSERT_GE(content.size(), kFooterSize);
-    const size_t footer = content.size() - kFooterSize;
-    const uint64_t filter_offset = ReadU64At(content, footer + 24);
-    const uint64_t filter_size = ReadU64At(content, footer + 32);
-    if (filter_size == 0) continue;
-    ASSERT_GT(filter_size, kTagOffset + 4);
-    uint32_t tag;
-    std::memcpy(&tag, content.data() + filter_offset + kTagOffset, 4);
-    ASSERT_EQ(tag, 2u) << path;
-    tag = 1;
-    std::memcpy(content.data() + filter_offset + kTagOffset, &tag, 4);
-    const uint64_t checksum = Murmur3Bytes64(content.data() + filter_offset,
-                                             filter_size, 0xF117E12);
-    std::memcpy(content.data() + footer + 48, &checksum, 8);
-    WriteFile(path, content);
-    ++retagged;
-  }
-  ASSERT_GT(retagged, 0u);
+    // The "bloom" family's payload is the bare BloomFilter blob, right
+    // after the 12-byte filter header; its tag is the high half of header
+    // word 1.
+    constexpr size_t kTagOffset = 12 + 8 + 4;
+    size_t retagged = 0;
+    for (const std::string& path : ListSstFiles(options.dir)) {
+      std::string content = ReadFile(path);
+      ASSERT_GE(content.size(), kFooterSize);
+      const size_t footer = content.size() - kFooterSize;
+      const uint64_t filter_offset = ReadU64At(content, footer + 24);
+      const uint64_t filter_size = ReadU64At(content, footer + 32);
+      if (filter_size == 0) continue;
+      ASSERT_GT(filter_size, kTagOffset + 4);
+      uint32_t tag;
+      std::memcpy(&tag, content.data() + filter_offset + kTagOffset, 4);
+      ASSERT_EQ(tag, 2u) << path;
+      tag = retired_tag;
+      std::memcpy(content.data() + filter_offset + kTagOffset, &tag, 4);
+      const uint64_t checksum = Murmur3Bytes64(content.data() + filter_offset,
+                                               filter_size, 0xF117E12);
+      std::memcpy(content.data() + footer + 48, &checksum, 8);
+      WriteFile(path, content);
+      ++retagged;
+    }
+    ASSERT_GT(retagged, 0u);
 
-  auto [db, status] = Db::Open(options);
-  ASSERT_NE(db, nullptr) << status.ToString();
-  EXPECT_EQ(db->stats().filter_loads, 0u);
-  EXPECT_EQ(db->stats().filter_rebuilds, retagged);
-  EXPECT_GT(db->TotalFilterBits(), 0u);
+    auto [db, status] = Db::Open(options);
+    ASSERT_NE(db, nullptr) << status.ToString();
+    EXPECT_EQ(db->stats().filter_loads, 0u);
+    EXPECT_EQ(db->stats().filter_rebuilds, retagged);
+    EXPECT_GT(db->TotalFilterBits(), 0u);
 
-  for (const auto& [key, value] : reference) {
-    SeekResult r = db->Seek(key, key);
-    ASSERT_TRUE(r.found) << "false negative";
-    EXPECT_EQ(r.value, value);
-  }
-  for (uint64_t i = 0; i < 400; ++i) {
-    const uint64_t lo = (i * 37) % 30000;
-    const uint64_t hi = lo + i % 60;
-    SeekResult r = db->Seek(EncodeKeyBE(lo), EncodeKeyBE(hi));
-    auto it = reference.lower_bound(EncodeKeyBE(lo));
-    const bool want = it != reference.end() && it->first <= EncodeKeyBE(hi);
-    ASSERT_EQ(r.found, want) << "range " << lo << ".." << hi;
-    if (want) {
-      EXPECT_EQ(r.key, it->first);
+    for (const auto& [key, value] : reference) {
+      SeekResult r = db->Seek(key, key);
+      ASSERT_TRUE(r.found) << "false negative";
+      EXPECT_EQ(r.value, value);
+    }
+    for (uint64_t i = 0; i < 400; ++i) {
+      const uint64_t lo = (i * 37) % 30000;
+      const uint64_t hi = lo + i % 60;
+      SeekResult r = db->Seek(EncodeKeyBE(lo), EncodeKeyBE(hi));
+      auto it = reference.lower_bound(EncodeKeyBE(lo));
+      const bool want = it != reference.end() && it->first <= EncodeKeyBE(hi);
+      ASSERT_EQ(r.found, want) << "range " << lo << ".." << hi;
+      if (want) {
+        EXPECT_EQ(r.key, it->first);
+      }
     }
   }
 }

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/filter_builder.h"
 #include "rosetta/rosetta.h"
 #include "util/random.h"
 #include "workload/datasets.h"
@@ -146,46 +145,6 @@ TEST(Rosetta, EmptyRangeFarFromKeysNegative) {
   // starved (the bottom-heavy allocation), so the FPR floor here is about
   // range_size * leaf Bloom FPR ~ 31 * 0.002 ~ 6%.
   EXPECT_LT(fp, 45);
-}
-
-TEST(Rosetta, BlockedLayoutSelfConfigures) {
-  auto keys = GenerateKeys(Dataset::kUniform, 4000, 81);
-  QuerySpec spec;
-  spec.dist = QueryDist::kCorrelated;
-  spec.range_max = uint64_t{1} << 8;
-  auto samples = GenerateQueries(keys, spec, 800, 82);
-  auto blocked =
-      RosettaFilter::BuildSelfConfigured(keys, samples, 14.0, true);
-  auto standard =
-      RosettaFilter::BuildSelfConfigured(keys, samples, 14.0, false);
-  // Same workload, same budget, same level structure: only the Bloom
-  // probe layout (and its FPR correction in the profile estimator)
-  // differs.
-  EXPECT_EQ(blocked->min_level(), standard->min_level());
-  Rng rng(83);
-  for (int i = 0; i < 1000; ++i) {
-    uint64_t k = keys[rng.NextBelow(keys.size())];
-    ASSERT_TRUE(blocked->MayContain(k, k));
-    uint64_t w = rng.NextBelow(uint64_t{1} << 7);
-    ASSERT_TRUE(blocked->MayContain(k >= w ? k - w : 0, k + w));
-  }
-}
-
-TEST(Rosetta, BlockedSpecValidatesAndDefaults) {
-  auto keys = GenerateKeys(Dataset::kUniform, 2000, 84);
-  QuerySpec qspec;
-  qspec.range_max = uint64_t{1} << 6;
-  auto samples = GenerateQueries(keys, qspec, 400, 85);
-  FilterBuilder builder(keys);
-  builder.Sample(samples);
-  std::string error;
-  EXPECT_NE(builder.Build("rosetta:bpk=12", &error), nullptr) << error;
-  EXPECT_NE(builder.Build("rosetta:bpk=12,blocked=0", &error), nullptr)
-      << error;
-  EXPECT_NE(builder.Build("rosetta:bpk=12,blocked=1", &error), nullptr)
-      << error;
-  EXPECT_EQ(builder.Build("rosetta:bpk=12,blocked=2", &error), nullptr);
-  EXPECT_NE(error.find("blocked"), std::string::npos) << error;
 }
 
 }  // namespace

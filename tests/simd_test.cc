@@ -2,8 +2,8 @@
 // must agree bit-for-bit with its scalar fallback and with the per-query
 // reference path, across batch sizes that are not lane multiples (n = 0,
 // 1, 7, 9, 65, ...) and across every filter family's MultiMayContain.
-// Also pins the serialized format: batching is query-side only, so
-// blocked and standard filter blobs must round-trip bit-identically.
+// Also pins the serialized format: batching is query-side only, so filter
+// blobs must round-trip bit-identically.
 
 #include <gtest/gtest.h>
 
@@ -51,54 +51,49 @@ TEST(SimdDispatch, ForceScalarSwitchRoundTrips) {
 }
 
 TEST(BloomMultiContainHash, MatchesScalarAndSingleProbe) {
-  // Blocked probes read seven 9-bit fields of h2 and re-mix it after each
-  // seventh probe; these k straddle every boundary (none, exactly one
-  // word, one field past it, two words, and the 32-probe cap). Half the
-  // queries are inserted items, which must never come back negative.
+  // Probes read seven 9-bit fields of h2 and re-mix it after each seventh
+  // probe; these k straddle every boundary (none, exactly one word, one
+  // field past it, two words, and the 32-probe cap). Half the queries are
+  // inserted items, which must never come back negative.
   Rng rng(101);
-  for (bool blocked : {true, false}) {
-    for (uint32_t k : {1u, 6u, 7u, 8u, 14u, 15u, 32u}) {
-      BloomFilter bf(97013, k, blocked);
-      ASSERT_EQ(bf.n_hashes(), k);
-      std::vector<uint64_t> keys(3000);
-      for (uint64_t& key : keys) {
-        key = rng.Next();
-        bf.InsertInt(key);
+  for (uint32_t k : {1u, 6u, 7u, 8u, 14u, 15u, 32u}) {
+    BloomFilter bf(97013, k);
+    ASSERT_EQ(bf.n_hashes(), k);
+    std::vector<uint64_t> keys(3000);
+    for (uint64_t& key : keys) {
+      key = rng.Next();
+      bf.InsertInt(key);
+    }
+    for (size_t n : kBatchSizes) {
+      std::vector<uint64_t> h1(n), h2(n);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t item =
+            i % 2 == 0 ? keys[rng.NextBelow(keys.size())] : rng.Next();
+        BloomFilter::HashInt(item, &h1[i], &h2[i]);
       }
-      for (size_t n : kBatchSizes) {
-        std::vector<uint64_t> h1(n), h2(n);
-        for (size_t i = 0; i < n; ++i) {
-          const uint64_t item =
-              i % 2 == 0 ? keys[rng.NextBelow(keys.size())] : rng.Next();
-          BloomFilter::HashInt(item, &h1[i], &h2[i]);
+      std::vector<uint8_t> scalar(n, 9), simd(n, 9);
+      {
+        ScopedForceScalar fs(true);
+        bf.MultiContainHash(h1.data(), h2.data(), n, scalar.data());
+      }
+      {
+        ScopedForceScalar fs(false);
+        bf.MultiContainHash(h1.data(), h2.data(), n, simd.data());
+      }
+      size_t negatives = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint8_t ref = bf.MayContainHash(h1[i], h2[i]) ? 1 : 0;
+        ASSERT_EQ(scalar[i], ref) << "k=" << k << " n=" << n << " i=" << i;
+        ASSERT_EQ(simd[i], ref) << "k=" << k << " n=" << n << " i=" << i;
+        if (i % 2 == 0) {
+          ASSERT_EQ(ref, 1) << "false negative: k=" << k << " i=" << i;
         }
-        std::vector<uint8_t> scalar(n, 9), simd(n, 9);
-        {
-          ScopedForceScalar fs(true);
-          bf.MultiContainHash(h1.data(), h2.data(), n, scalar.data());
-        }
-        {
-          ScopedForceScalar fs(false);
-          bf.MultiContainHash(h1.data(), h2.data(), n, simd.data());
-        }
-        size_t negatives = 0;
-        for (size_t i = 0; i < n; ++i) {
-          const uint8_t ref = bf.MayContainHash(h1[i], h2[i]) ? 1 : 0;
-          ASSERT_EQ(scalar[i], ref) << "blocked=" << blocked << " k=" << k
-                                    << " n=" << n << " i=" << i;
-          ASSERT_EQ(simd[i], ref) << "blocked=" << blocked << " k=" << k
-                                  << " n=" << n << " i=" << i;
-          if (i % 2 == 0) {
-            ASSERT_EQ(ref, 1) << "false negative: blocked=" << blocked
-                              << " k=" << k << " i=" << i;
-          }
-          negatives += ref == 0;
-        }
-        // Absent items must be rejected too, or the agreement above
-        // would hold trivially.
-        if (n >= 63) {
-          EXPECT_GT(negatives, 0u) << "blocked=" << blocked << " k=" << k;
-        }
+        negatives += ref == 0;
+      }
+      // Absent items must be rejected too, or the agreement above would
+      // hold trivially.
+      if (n >= 63) {
+        EXPECT_GT(negatives, 0u) << "k=" << k;
       }
     }
   }
@@ -197,63 +192,51 @@ TEST(MultiMayContain, AllIntFamiliesMatchSingleQuery) {
   auto keys = TestKeys(103);
   std::vector<uint64_t> lo, hi;
   TestQueries(104, 200, &lo, &hi);
-  for (bool blocked : {true, false}) {
-    SCOPED_TRACE(blocked ? "blocked" : "standard");
-    ExpectBatchMatchesSingle(
-        *ProteusFilter::BuildWithConfig(keys, {24, 44}, 14.0, blocked), lo,
-        hi);
-    ExpectBatchMatchesSingle(
-        *ProteusFilter::BuildWithConfig(keys, {0, 48}, 14.0, blocked), lo,
-        hi);
-    ExpectBatchMatchesSingle(
-        *ProteusFilter::BuildWithConfig(keys, {20, 0}, 14.0, blocked), lo,
-        hi);
-    ExpectBatchMatchesSingle(
-        *OnePbfFilter::BuildWithConfig(keys, 48, 14.0, blocked), lo, hi);
-    ExpectBatchMatchesSingle(
-        *TwoPbfFilter::BuildWithConfig(keys, {20, 44, 0.4}, 14.0, blocked),
-        lo, hi);
-    ExpectBatchMatchesSingle(
-        *TwoPbfFilter::BuildWithConfig(keys, {0, 48, 0.5}, 14.0, blocked),
-        lo, hi);
-    ExpectBatchMatchesSingle(
-        *RosettaFilter::BuildSelfConfigured(keys, {}, 14.0, blocked), lo,
-        hi);
-    ExpectBatchMatchesSingle(*BloomIntFilter::Build(keys, 14.0, blocked),
-                             lo, hi);
-  }
+  ExpectBatchMatchesSingle(
+      *ProteusFilter::BuildWithConfig(keys, {24, 44}, 14.0), lo, hi);
+  ExpectBatchMatchesSingle(
+      *ProteusFilter::BuildWithConfig(keys, {0, 48}, 14.0), lo, hi);
+  ExpectBatchMatchesSingle(
+      *ProteusFilter::BuildWithConfig(keys, {20, 0}, 14.0), lo, hi);
+  ExpectBatchMatchesSingle(*OnePbfFilter::BuildWithConfig(keys, 48, 14.0), lo,
+                           hi);
+  ExpectBatchMatchesSingle(
+      *TwoPbfFilter::BuildWithConfig(keys, {20, 44, 0.4}, 14.0), lo, hi);
+  ExpectBatchMatchesSingle(
+      *TwoPbfFilter::BuildWithConfig(keys, {0, 48, 0.5}, 14.0), lo, hi);
+  ExpectBatchMatchesSingle(*RosettaFilter::BuildSelfConfigured(keys, {}, 14.0),
+                           lo, hi);
+  ExpectBatchMatchesSingle(*BloomIntFilter::Build(keys, 14.0), lo, hi);
 }
 
 TEST(MultiMayContain, StrBloomMatchesSingleQuery) {
   auto keys = GenerateStrKeys(StrDataset::kUniform, 20000, 12, 105);
-  for (bool blocked : {true, false}) {
-    auto filter = BloomStrFilter::Build(keys, 14.0, blocked);
-    Rng rng(106);
-    const size_t total = 200;
-    std::vector<std::string> storage(total);
-    std::vector<std::string_view> lo(total), hi(total);
-    for (size_t i = 0; i < total; ++i) {
-      storage[i] = i % 3 == 0 ? keys[rng.Next() % keys.size()]
-                              : GenerateStrKeys(StrDataset::kUniform, 1, 12,
-                                                rng.Next())[0];
-      lo[i] = storage[i];
-      hi[i] = storage[i];
+  auto filter = BloomStrFilter::Build(keys, 14.0);
+  Rng rng(106);
+  const size_t total = 200;
+  std::vector<std::string> storage(total);
+  std::vector<std::string_view> lo(total), hi(total);
+  for (size_t i = 0; i < total; ++i) {
+    storage[i] = i % 3 == 0 ? keys[rng.Next() % keys.size()]
+                            : GenerateStrKeys(StrDataset::kUniform, 1, 12,
+                                              rng.Next())[0];
+    lo[i] = storage[i];
+    hi[i] = storage[i];
+  }
+  for (size_t n : kBatchSizes) {
+    std::vector<uint8_t> scalar(n, 9), simd(n, 9);
+    {
+      ScopedForceScalar fs(true);
+      filter->MultiMayContain(lo.data(), hi.data(), n, scalar.data());
     }
-    for (size_t n : kBatchSizes) {
-      std::vector<uint8_t> scalar(n, 9), simd(n, 9);
-      {
-        ScopedForceScalar fs(true);
-        filter->MultiMayContain(lo.data(), hi.data(), n, scalar.data());
-      }
-      {
-        ScopedForceScalar fs(false);
-        filter->MultiMayContain(lo.data(), hi.data(), n, simd.data());
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const uint8_t ref = filter->MayContain(lo[i], hi[i]) ? 1 : 0;
-        ASSERT_EQ(scalar[i], ref) << "blocked=" << blocked << " i=" << i;
-        ASSERT_EQ(simd[i], ref) << "blocked=" << blocked << " i=" << i;
-      }
+    {
+      ScopedForceScalar fs(false);
+      filter->MultiMayContain(lo.data(), hi.data(), n, simd.data());
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint8_t ref = filter->MayContain(lo[i], hi[i]) ? 1 : 0;
+      ASSERT_EQ(scalar[i], ref) << "i=" << i;
+      ASSERT_EQ(simd[i], ref) << "i=" << i;
     }
   }
 }
@@ -264,7 +247,7 @@ TEST(MultiMayContain, StrProteusScalarAndSimdAgree) {
   // agree query by query.
   auto keys = GenerateStrKeys(StrDataset::kUniform, 20000, 12, 107);
   auto filter = ProteusStrFilter::BuildWithConfig(
-      keys, ProteusStrFilter::Config{40, 72, 96}, 14.0, true);
+      keys, ProteusStrFilter::Config{40, 72, 96}, 14.0);
   Rng rng(108);
   for (int i = 0; i < 300; ++i) {
     std::string l = i % 3 == 0
@@ -330,41 +313,36 @@ TEST(MultiSeekGeq, MatchesSeekGeqAndSupportsNext) {
   EXPECT_FALSE(cur.valid());
 }
 
-TEST(SerializedFormat, BlockedAndStandardBlobsRoundTripBitIdentically) {
+TEST(SerializedFormat, BlobsRoundTripBitIdentically) {
   // The SIMD engine is query-side only: serialize -> parse -> serialize
-  // must reproduce the exact bytes for both probe layouts, and the
-  // revived filter must answer identically.
+  // must reproduce the exact bytes, and the revived filter must answer
+  // identically.
   auto keys = TestKeys(111);
   std::vector<uint64_t> lo, hi;
   TestQueries(112, 64, &lo, &hi);
-  for (bool blocked : {true, false}) {
-    std::vector<std::unique_ptr<Filter>> filters;
-    filters.push_back(
-        ProteusFilter::BuildWithConfig(keys, {24, 44}, 14.0, blocked));
-    filters.push_back(
-        TwoPbfFilter::BuildWithConfig(keys, {20, 44, 0.4}, 14.0, blocked));
-    filters.push_back(OnePbfFilter::BuildWithConfig(keys, 48, 14.0, blocked));
-    filters.push_back(RosettaFilter::BuildSelfConfigured(keys, {}, 14.0,
-                                                         blocked));
-    filters.push_back(BloomIntFilter::Build(keys, 14.0, blocked));
-    for (const auto& filter : filters) {
-      std::string blob;
-      filter->Serialize(&blob);
-      std::string error;
-      auto revived = Filter::Deserialize(blob, &error);
-      ASSERT_NE(revived, nullptr) << filter->Name() << ": " << error;
-      std::string blob2;
-      revived->Serialize(&blob2);
-      EXPECT_EQ(blob, blob2) << filter->Name() << " blocked=" << blocked;
-      const auto* rf = dynamic_cast<const RangeFilter*>(revived.get());
-      ASSERT_NE(rf, nullptr);
-      const auto* orig = dynamic_cast<const RangeFilter*>(filter.get());
-      std::vector<uint8_t> got(lo.size());
-      rf->MultiMayContain(lo.data(), hi.data(), lo.size(), got.data());
-      for (size_t i = 0; i < lo.size(); ++i) {
-        ASSERT_EQ(got[i] != 0, orig->MayContain(lo[i], hi[i]))
-            << filter->Name() << " i=" << i;
-      }
+  std::vector<std::unique_ptr<Filter>> filters;
+  filters.push_back(ProteusFilter::BuildWithConfig(keys, {24, 44}, 14.0));
+  filters.push_back(TwoPbfFilter::BuildWithConfig(keys, {20, 44, 0.4}, 14.0));
+  filters.push_back(OnePbfFilter::BuildWithConfig(keys, 48, 14.0));
+  filters.push_back(RosettaFilter::BuildSelfConfigured(keys, {}, 14.0));
+  filters.push_back(BloomIntFilter::Build(keys, 14.0));
+  for (const auto& filter : filters) {
+    std::string blob;
+    filter->Serialize(&blob);
+    std::string error;
+    auto revived = Filter::Deserialize(blob, &error);
+    ASSERT_NE(revived, nullptr) << filter->Name() << ": " << error;
+    std::string blob2;
+    revived->Serialize(&blob2);
+    EXPECT_EQ(blob, blob2) << filter->Name();
+    const auto* rf = dynamic_cast<const RangeFilter*>(revived.get());
+    ASSERT_NE(rf, nullptr);
+    const auto* orig = dynamic_cast<const RangeFilter*>(filter.get());
+    std::vector<uint8_t> got(lo.size());
+    rf->MultiMayContain(lo.data(), hi.data(), lo.size(), got.data());
+    for (size_t i = 0; i < lo.size(); ++i) {
+      ASSERT_EQ(got[i] != 0, orig->MayContain(lo[i], hi[i]))
+          << filter->Name() << " i=" << i;
     }
   }
 }
