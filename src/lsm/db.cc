@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "core/filter.h"
+#include "util/bits.h"
 #include "util/crc32c.h"
 #include "util/posix_io.h"
 #include "util/serial.h"
@@ -1490,16 +1491,26 @@ size_t EntryFile(const Files& files, std::string_view lo) {
       files.begin());
 }
 
+// a < b for keys whose heads (DecodeKeyBE) are given: heads that differ
+// decide, and only equal heads compare the full keys.
+inline bool HeadLess(uint64_t a_head, std::string_view a, uint64_t b_head,
+                     std::string_view b) {
+  return a_head != b_head ? a_head < b_head : a < b;
+}
+
 // MultiSeek's per-batch buffers. Like ReadSources, one set per thread,
 // refilled by every batch and never shrunk; the string_views point into
 // the last batch and are cleared before any use.
 struct BatchBuffers {
+  struct Heads {
+    uint64_t lo, hi;
+  };
+  std::vector<Heads> heads;  // per query, in arrival order
   std::vector<uint32_t> order;
   std::vector<uint32_t> verdicts;
   std::vector<uint32_t> group;
   std::vector<std::string_view> clip_lo, clip_hi;
   std::vector<uint8_t> pass;
-  std::vector<std::pair<uint32_t, uint32_t>> entries;
 };
 
 }  // namespace
@@ -1551,6 +1562,7 @@ SeekResult Db::Seek(std::string_view lo, std::string_view hi,
                     const ReadOptions& options) {
   ++stats_->seeks;
   SeekResult r;
+  if (hi < lo) return r;  // inverted: empty, and no evidence for any filter
   SeekLoop(AcquireReadView(options), lo, hi, nullptr, &ThreadReadSources(),
            &r);
   if (!r.found) RecordEmptySeek(lo, hi);
@@ -1741,14 +1753,30 @@ void Db::MultiSeek(const QueryBatch& batch,
   const ReadView view = AcquireReadView(options);
   const Version& v = *view.version;
 
-  // Key order: ascending lo, ties in arrival order. Sorting on the pair
-  // (lo, index) gives the stable permutation without a stable sort's
-  // temporary buffer.
+  // Every key test below compares heads first. An inverted query
+  // (hi < lo) is answered empty here, like Seek's, and takes no further
+  // part: no filter check, no probe, no sample.
   static thread_local BatchBuffers buffers;
+  std::vector<BatchBuffers::Heads>& heads = buffers.heads;
+  heads.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    heads[i] = {DecodeKeyBE(batch[i].lo), DecodeKeyBE(batch[i].hi)};
+  }
+  auto inverted = [&](size_t qi) {
+    return HeadLess(heads[qi].hi, batch[qi].hi, heads[qi].lo, batch[qi].lo);
+  };
+
+  // Key order: ascending lo, ties in arrival order. Sorting on (lo head,
+  // then the full lo only when heads tie, then index) orders exactly as
+  // (lo, index), since heads are monotone, and gives the stable
+  // permutation without a stable sort's temporary buffer.
   std::vector<uint32_t>& order = buffers.order;
-  order.resize(n);
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
-  std::sort(order.begin(), order.end(), [&batch](uint32_t a, uint32_t b) {
+  order.clear();
+  for (size_t i = 0; i < n; ++i) {
+    if (!inverted(i)) order.push_back(static_cast<uint32_t>(i));
+  }
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    if (heads[a].lo != heads[b].lo) return heads[a].lo < heads[b].lo;
     const int c = batch[a].lo.compare(batch[b].lo);
     return c < 0 || (c == 0 && a < b);
   });
@@ -1767,13 +1795,18 @@ void Db::MultiSeek(const QueryBatch& batch,
   std::vector<std::string_view>& clip_hi = buffers.clip_hi;
   std::vector<uint8_t>& pass = buffers.pass;
   auto check_group = [&](const FileMeta& f, size_t slot) {
+    const uint64_t smallest = DecodeKeyBE(f.smallest);
+    const uint64_t largest = DecodeKeyBE(f.largest);
     clip_lo.clear();
     clip_hi.clear();
     for (uint32_t qi : group) {
-      clip_lo.push_back(std::max(std::string_view(batch[qi].lo),
-                                 std::string_view(f.smallest)));
-      clip_hi.push_back(std::min(std::string_view(batch[qi].hi),
-                                 std::string_view(f.largest)));
+      const StrRangeQuery& q = batch[qi];
+      clip_lo.push_back(HeadLess(heads[qi].lo, q.lo, smallest, f.smallest)
+                            ? std::string_view(f.smallest)
+                            : std::string_view(q.lo));
+      clip_hi.push_back(HeadLess(largest, f.largest, heads[qi].hi, q.hi)
+                            ? std::string_view(f.largest)
+                            : std::string_view(q.hi));
     }
     stats_->filter_checks += group.size();
     pass.assign(group.size(), 1);
@@ -1795,38 +1828,50 @@ void Db::MultiSeek(const QueryBatch& batch,
   };
   for (size_t i = 0; i < v.levels[0].size(); ++i) {
     const FileMeta& f = *v.levels[0][i];
+    const uint64_t smallest = DecodeKeyBE(f.smallest);
+    const uint64_t largest = DecodeKeyBE(f.largest);
     group.clear();
     for (uint32_t qi : order) {
-      if (!(f.largest < batch[qi].lo || f.smallest > batch[qi].hi)) {
+      const StrRangeQuery& q = batch[qi];
+      // Past the file's largest key: so is every later query.
+      if (HeadLess(largest, f.largest, heads[qi].lo, q.lo)) break;
+      if (!HeadLess(heads[qi].hi, q.hi, smallest, f.smallest)) {
         group.push_back(qi);
       }
     }
     if (!group.empty()) check_group(f, i);
   }
-  // (entry file, position in `order`): sorting groups the queries of one
-  // entry file and keeps them in key order.
-  std::vector<std::pair<uint32_t, uint32_t>>& entries = buffers.entries;
+  // One forward walk per sorted level: `order` ascends in lo, so the
+  // entry file (the first whose largest key is at or past lo) never moves
+  // back, and the queries that enter by one file form one run of `order`.
   for (size_t level = 1; level < v.levels.size(); ++level) {
     const auto& files = v.levels[level];
+    if (files.empty()) continue;  // verdict 0: entry file 0, rejected
     const size_t slot = v.levels[0].size() + level - 1;
-    entries.clear();
-    for (uint32_t pos = 0; pos < n; ++pos) {
-      const StrRangeQuery& q = batch[order[pos]];
-      const size_t idx = EntryFile(files, q.lo);
-      verdicts[order[pos] * stride + slot] = static_cast<uint32_t>(2 * idx);
-      if (idx < files.size() && files[idx]->smallest <= q.hi) {
-        entries.emplace_back(static_cast<uint32_t>(idx), pos);
+    size_t idx = 0;
+    uint64_t smallest = DecodeKeyBE(files[0]->smallest);
+    uint64_t largest = DecodeKeyBE(files[0]->largest);
+    group.clear();
+    for (uint32_t qi : order) {
+      const StrRangeQuery& q = batch[qi];
+      while (idx < files.size() &&
+             HeadLess(largest, files[idx]->largest, heads[qi].lo, q.lo)) {
+        if (!group.empty()) {
+          check_group(*files[idx], slot);
+          group.clear();
+        }
+        if (++idx < files.size()) {
+          smallest = DecodeKeyBE(files[idx]->smallest);
+          largest = DecodeKeyBE(files[idx]->largest);
+        }
+      }
+      verdicts[qi * stride + slot] = static_cast<uint32_t>(2 * idx);
+      if (idx < files.size() &&
+          !HeadLess(heads[qi].hi, q.hi, smallest, files[idx]->smallest)) {
+        group.push_back(qi);
       }
     }
-    std::sort(entries.begin(), entries.end());
-    for (size_t e = 0; e < entries.size();) {
-      const uint32_t file = entries[e].first;
-      group.clear();
-      for (; e < entries.size() && entries[e].first == file; ++e) {
-        group.push_back(order[entries[e].second]);
-      }
-      check_group(*files[file], slot);
-    }
+    if (!group.empty()) check_group(*files[idx], slot);
   }
 
   // The read loop once per query, in key order. Empty results feed
@@ -1837,7 +1882,9 @@ void Db::MultiSeek(const QueryBatch& batch,
              &sources, &(*results)[qi]);
   }
   for (size_t qi = 0; qi < n; ++qi) {
-    if (!(*results)[qi].found) RecordEmptySeek(batch[qi].lo, batch[qi].hi);
+    if (!(*results)[qi].found && !inverted(qi)) {
+      RecordEmptySeek(batch[qi].lo, batch[qi].hi);
+    }
   }
 }
 

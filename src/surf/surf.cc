@@ -525,14 +525,6 @@ std::string EncodeKeyBE(uint64_t key) {
   return s;
 }
 
-uint64_t DecodeKeyBE(std::string_view s) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < 8 && i < s.size(); ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(s[i])) << (56 - 8 * i);
-  }
-  return v;
-}
-
 std::unique_ptr<SurfIntFilter> SurfIntFilter::Build(
     const std::vector<uint64_t>& sorted_keys, Surf::Options options) {
   auto filter = std::make_unique<SurfIntFilter>();

@@ -33,6 +33,7 @@
 #include "core/filter_spec.h"
 #include "core/range_filter.h"
 #include "util/bit_vector.h"
+#include "util/bits.h"  // DecodeKeyBE
 #include "util/rank_select.h"
 
 namespace proteus {
@@ -217,9 +218,9 @@ class SurfStrFilter : public StrRangeFilter {
   Surf surf_;
 };
 
-/// Encodes a 64-bit key as an 8-byte big-endian string (order-preserving).
+/// Encodes a 64-bit key as an 8-byte big-endian string (order-preserving);
+/// DecodeKeyBE (util/bits.h) reads it back.
 std::string EncodeKeyBE(uint64_t key);
-uint64_t DecodeKeyBE(std::string_view s);
 
 }  // namespace proteus
 

@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 // BMI2 PDEP fast path for Select64: compiled behind a target attribute
@@ -69,6 +70,19 @@ inline int Select64(uint64_t x, int r) {
 inline int Select64(uint64_t x, int r) { return Select64Portable(x, r); }
 
 #endif  // PROTEUS_SELECT64_HAVE_PDEP
+
+/// A key's head: its first 8 bytes as a big-endian integer, zero-padded
+/// when the key is shorter. Monotone (a < b implies head(a) <= head(b)),
+/// so heads that differ order their keys; equal heads leave it to the
+/// full keys. An 8-byte key's head is the integer EncodeKeyBE wrote.
+inline uint64_t DecodeKeyBE(std::string_view s) {
+  uint64_t v = 0;
+  if (!s.empty()) std::memcpy(&v, s.data(), s.size() < 8 ? s.size() : 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
 
 /// Reverses the bit order of a 64-bit word (bit 0 <-> bit 63).
 inline uint64_t ReverseBits64(uint64_t x) {

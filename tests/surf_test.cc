@@ -305,6 +305,40 @@ TEST(Surf, EncodeDecodeKeyBE) {
   }
   // Order preservation.
   EXPECT_LT(EncodeKeyBE(5), EncodeKeyBE(uint64_t{1} << 40));
+
+  // Any other length: the first 8 bytes, zero-padded when shorter.
+  EXPECT_EQ(DecodeKeyBE(""), 0u);
+  const std::string bytes("\x01\x23\x45\x67\x89\xAB\xCD\xEF\xFF\x00\x11\x22",
+                          12);
+  for (size_t len = 1; len <= 12; ++len) {
+    const uint64_t want = len >= 8 ? 0x0123456789ABCDEFull
+                                   : 0x0123456789ABCDEFull &
+                                         ~(~uint64_t{0} >> (8 * len));
+    EXPECT_EQ(DecodeKeyBE(bytes.substr(0, len)), want) << "length " << len;
+  }
+
+  // Monotone: a < b implies head(a) <= head(b). Over a sorted set of
+  // random byte strings of length 0-12 (bytes from a small alphabet, so
+  // many share prefixes and heads), heads never step down.
+  Rng rng(11);
+  const char alphabet[] = {'\0', '\x01', '\x7f', '\x80', '\xfe', '\xff'};
+  std::set<std::string> keys;
+  for (int i = 0; i < 20000; ++i) {
+    std::string key;
+    const size_t len = rng.NextBelow(13);
+    for (size_t b = 0; b < len; ++b) {
+      key.push_back(rng.NextBelow(2) == 0
+                        ? alphabet[rng.NextBelow(sizeof(alphabet))]
+                        : static_cast<char>(rng.NextBelow(256)));
+    }
+    keys.insert(key);
+  }
+  uint64_t prev = 0;
+  for (const std::string& key : keys) {
+    const uint64_t head = DecodeKeyBE(key);
+    ASSERT_LE(prev, head) << "key of length " << key.size();
+    prev = head;
+  }
 }
 
 }  // namespace
