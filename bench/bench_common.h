@@ -138,9 +138,8 @@ inline std::vector<uint64_t> ParseList(const char* arg, const char* p) {
 inline bool SpecIsStringFamily(const std::string& spec) {
   FilterSpec parsed;
   if (!FilterSpec::Parse(spec, &parsed)) return false;
-  const FilterFamily* family = FilterRegistry::Global().Find(parsed.family());
-  return family != nullptr && family->build_str != nullptr &&
-         family->build_int == nullptr;
+  const FilterFamily* family = FindFilterFamily(parsed.family());
+  return family != nullptr && family->kind == Filter::KeyKind::kStr;
 }
 
 inline std::vector<std::string> EncodeKeysBE(
@@ -239,11 +238,11 @@ class JsonSink {
 };
 
 /// Creates a policy from a spec string, exiting with a message on a bad
-/// spec ("none" yields the no-filter policy).
+/// spec ("none" yields null: no filters).
 inline std::shared_ptr<FilterPolicy> MakePolicyOrDie(const std::string& spec) {
   Status status;
   auto policy = MakeFilterPolicy(spec, &status);
-  if (policy == nullptr) {
+  if (!status.ok()) {
     std::fprintf(stderr, "filter policy spec \"%s\": %s\n", spec.c_str(),
                  status.ToString().c_str());
     std::exit(1);

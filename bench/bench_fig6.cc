@@ -53,7 +53,7 @@ void RunPanel(const Args& args, const Panel& panel) {
   for (double bpk : {8.0, 12.0, 16.0}) {
     struct Entry {
       std::string name;
-      std::string spec;  // FilterRegistry policy spec string
+      std::string spec;  // filter policy spec string
     };
     std::vector<Entry> entries = {
         {"none", "none"},

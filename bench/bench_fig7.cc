@@ -57,7 +57,7 @@ void RunDirection(const Args& args, const Direction& dir, bool instant,
 
   struct Entry {
     std::string name;
-    std::string spec;  // FilterRegistry policy spec string
+    std::string spec;  // filter policy spec string
   };
   std::vector<Entry> entries = {
       {"proteus", "proteus:bpk=14"},

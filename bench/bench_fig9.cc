@@ -112,7 +112,7 @@ void RunDomainsLsm(const Args& args) {
   for (double bpk : {10.0, 14.0, 18.0, 22.0}) {
     struct Entry {
       std::string name;
-      std::string spec;  // FilterRegistry policy spec string
+      std::string spec;  // filter policy spec string
     };
     const uint32_t max_bits = max_bytes * 8;
     std::vector<Entry> entries = {

@@ -13,6 +13,13 @@ The reverse holds too: every backticked `k[A-Z]...` name in the doc must
 be one of the constants checked here, so a constant retired from the
 code cannot linger in the doc.
 
+The filter family table is checked both ways as well: every
+`Row<Class>("name")` of the catalogue in src/core/filter_registry.cc,
+with that class's `kFamilyId` (read per class from the headers the
+catalogue includes), must be a `| id | `name` | ...` row of the table in
+FORMAT.md's "Filter block" section, and that table must hold no other
+row.
+
 Run from the repository root:  python3 scripts/check_format_doc.py
 Exits non-zero (and prints every mismatch) when the doc and code drift.
 """
@@ -65,6 +72,73 @@ MEMBER_RE = re.compile(
 # `kName = value`.
 DOC_NAME_RE = re.compile(r"`(k[A-Z]\w*)")
 
+CATALOGUE = "src/core/filter_registry.cc"
+ROW_RE = re.compile(r'Row<(\w+)>\("([^"]+)"')
+INCLUDE_RE = re.compile(r'#include "([^"]+\.h)"')
+# A class definition (not a forward or friend declaration) or a family id.
+CLASS_OR_ID_RE = re.compile(
+    r"\bclass\s+(\w+)[^;{]*\{|static\s+constexpr\s+uint32_t\s+"
+    r"kFamilyId\s*=\s*(\d+)\s*;"
+)
+# A family table row in the doc: | id | `name` | ...
+DOC_FAMILY_RE = re.compile(r"^\|\s*(\d+)\s*\|\s*`([\w-]+)`\s*\|")
+
+
+def family_ids_by_class(header_text):
+    """Maps each class in a header to the kFamilyId declared in its body
+    (the constant belongs to the most recent class definition above it)."""
+    ids, current = {}, None
+    for m in CLASS_OR_ID_RE.finditer(header_text):
+        if m.group(1):
+            current = m.group(1)
+        elif current is not None and current not in ids:
+            ids[current] = int(m.group(2))
+    return ids
+
+
+def check_family_table(doc_lines, errors):
+    """The catalogue's name -> wire id rows must match the doc's table."""
+    catalogue = (ROOT / CATALOGUE).read_text(encoding="utf-8")
+    rows = ROW_RE.findall(catalogue)
+    if not rows:
+        errors.append(f"{CATALOGUE}: no Row<Class>(\"name\") rows found")
+    ids = {}
+    for header in INCLUDE_RE.findall(catalogue):
+        path = ROOT / "src" / header
+        if path.exists():
+            ids.update(family_ids_by_class(path.read_text(encoding="utf-8")))
+    code = {}
+    for cls, name in rows:
+        if cls not in ids:
+            errors.append(f"{CATALOGUE}: row \"{name}\" names {cls}, which "
+                          f"declares no kFamilyId in an included header")
+            continue
+        code[name] = ids[cls]
+
+    section, doc = False, {}
+    for line in doc_lines:
+        if line.startswith("#"):
+            section = line.strip() == "### Filter block"
+            continue
+        m = DOC_FAMILY_RE.match(line) if section else None
+        if m:
+            name, value = m.group(2), int(m.group(1))
+            if name in doc:
+                errors.append(f"docs/FORMAT.md lists family \"{name}\" twice")
+            doc[name] = value
+    for name, value in code.items():
+        if name not in doc:
+            errors.append(f"docs/FORMAT.md's family table has no row for "
+                          f"\"{name}\" (id {value})")
+        elif doc[name] != value:
+            errors.append(f"docs/FORMAT.md gives family \"{name}\" id "
+                          f"{doc[name]}, the code {value}")
+    for name in doc:
+        if name not in code:
+            errors.append(f"docs/FORMAT.md's family table lists \"{name}\", "
+                          f"which is not a row of {CATALOGUE}")
+    return len(code)
+
 
 def extract_constants(text):
     found = {}
@@ -110,7 +184,10 @@ def main():
                         f"carries its value {literal} (from {rel_path})"
                     )
 
+    n_families = check_family_table(doc_lines, errors)
+
     checked = {name for names in SOURCES.values() for name in names}
+    checked.add("kFamilyId")
     for name in sorted(set(DOC_NAME_RE.findall(doc)) - checked):
         errors.append(
             f"docs/FORMAT.md names `{name}`, which is not a checked format "
@@ -123,7 +200,8 @@ def main():
             print(f"  - {e}")
         return 1
     total = sum(len(v) for v in SOURCES.values())
-    print(f"docs/FORMAT.md matches all {total} format constants in the code")
+    print(f"docs/FORMAT.md matches all {total} format constants and "
+          f"{n_families} filter family ids in the code")
     return 0
 
 

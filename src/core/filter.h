@@ -8,10 +8,10 @@
 //
 // Serialization wire format (versioned):
 //   u32 magic "PFLT" | u32 version | u32 family id | family payload
-// Each filter family registers a payload deserializer with the
-// FilterRegistry under its family id; Filter::Deserialize reads the header
-// and dispatches through the registry, so persisting an SST's filter block
-// and reloading it never rebuilds from keys.
+// Each family's row in the fixed filter catalogue (core/filter_registry.h)
+// holds its payload deserializer under its wire id; Filter::Deserialize
+// reads the header and dispatches through that table, so persisting an
+// SST's filter block and reloading it never rebuilds from keys.
 
 #ifndef PROTEUS_CORE_FILTER_H_
 #define PROTEUS_CORE_FILTER_H_
@@ -56,8 +56,8 @@ class Filter {
   /// detect workload drift.
   virtual std::optional<double> ModeledFpr() const { return std::nullopt; }
 
-  /// Stable identifier of the filter family on the wire (see
-  /// FilterRegistry for the id <-> family mapping).
+  /// Stable identifier of the filter family on the wire (the catalogue
+  /// in core/filter_registry.h maps ids to families).
   virtual uint32_t FamilyId() const = 0;
 
   /// Appends the family payload (everything after the header).

@@ -11,16 +11,25 @@ void SetError(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
 }
 
-const FilterFamily* Resolve(const FilterSpec& spec, std::string* error) {
-  const FilterFamily* family = FilterRegistry::Global().Find(spec.family());
+// The row for the spec's family, when it builds filters of `kind`.
+const FilterFamily* Resolve(const FilterSpec& spec, Filter::KeyKind kind,
+                            std::string* error) {
+  const FilterFamily* family = FindFilterFamily(spec.family());
   if (family == nullptr) {
     std::string known;
-    for (const std::string& name : FilterRegistry::Global().FamilyNames()) {
+    for (const FilterFamily& f : FilterFamilies()) {
       known += known.empty() ? "" : ", ";
-      known += name;
+      known += f.name;
     }
     SetError(error, "unknown filter family \"" + spec.family() +
-                        "\" (registered: " + known + ")");
+                        "\" (families: " + known + ")");
+    return nullptr;
+  }
+  if (family->kind != kind) {
+    SetError(error, "filter family \"" + spec.family() + "\" has no " +
+                        (kind == Filter::KeyKind::kInt ? "integer" : "string") +
+                        "-key builder");
+    return nullptr;
   }
   return family;
 }
@@ -59,14 +68,8 @@ std::unique_ptr<RangeFilter> FilterBuilder::Build(std::string_view spec,
 
 std::unique_ptr<RangeFilter> FilterBuilder::Build(const FilterSpec& spec,
                                                   std::string* error) {
-  const FilterFamily* family = Resolve(spec, error);
-  if (family == nullptr) return nullptr;
-  if (family->build_int == nullptr) {
-    SetError(error, "filter family \"" + spec.family() +
-                        "\" has no integer-key builder");
-    return nullptr;
-  }
-  return family->build_int(spec, *this, error);
+  const FilterFamily* family = Resolve(spec, Filter::KeyKind::kInt, error);
+  return family == nullptr ? nullptr : family->build_int(spec, *this, error);
 }
 
 StrFilterBuilder::StrFilterBuilder(const std::vector<std::string>& sorted_keys)
@@ -104,14 +107,8 @@ std::unique_ptr<StrRangeFilter> StrFilterBuilder::Build(std::string_view spec,
 
 std::unique_ptr<StrRangeFilter> StrFilterBuilder::Build(const FilterSpec& spec,
                                                         std::string* error) {
-  const FilterFamily* family = Resolve(spec, error);
-  if (family == nullptr) return nullptr;
-  if (family->build_str == nullptr) {
-    SetError(error, "filter family \"" + spec.family() +
-                        "\" has no string-key builder");
-    return nullptr;
-  }
-  return family->build_str(spec, *this, error);
+  const FilterFamily* family = Resolve(spec, Filter::KeyKind::kStr, error);
+  return family == nullptr ? nullptr : family->build_str(spec, *this, error);
 }
 
 }  // namespace proteus

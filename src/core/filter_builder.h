@@ -12,8 +12,9 @@
 // Design() runs the CPFPR model over the keys and samples exactly once and
 // caches it; families that model (proteus, onepbf, twopbf) pull it through
 // DesignOrNull(), families that don't (surf, bloom) ignore it. Build()
-// resolves the spec through the FilterRegistry, so the same call works for
-// every registered family.
+// resolves the spec against the filter catalogue (core/filter_registry.h),
+// so the same call works for every integer family; StrFilterBuilder does
+// the same for the string families.
 //
 // The builder borrows `sorted_keys`; the caller keeps the vector alive and
 // unchanged until the last Build() call.
@@ -53,8 +54,9 @@ class FilterBuilder {
   /// fall back to their no-workload default design).
   const CpfprModel* DesignOrNull();
 
-  /// Materializes a filter for the spec via the FilterRegistry. Returns
-  /// null and fills `error` on an unknown family or bad parameters.
+  /// Materializes a filter for the spec via the filter catalogue. Returns
+  /// null and fills `error` on an unknown family, a string family, or bad
+  /// parameters.
   std::unique_ptr<RangeFilter> Build(std::string_view spec,
                                      std::string* error = nullptr);
   std::unique_ptr<RangeFilter> Build(const FilterSpec& spec,

@@ -1,5 +1,6 @@
 #include "core/filter_registry.h"
 
+#include <type_traits>
 #include <utility>
 
 #include "bloom/bloom_range.h"
@@ -18,173 +19,66 @@ void SetError(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
 }
 
-// Captureless lambdas convert to the plain function pointers FilterFamily
-// stores; each just narrows unique_ptr<Family> to the interface type.
+// One catalogue row for filter class T: its wire id, its key kind (from
+// its base, RangeFilter or StrRangeFilter), and hooks forwarding to its
+// static BuildFromSpec and DeserializePayload.
 template <typename T>
-std::unique_ptr<RangeFilter> AsInt(std::unique_ptr<T> f) {
-  return f;
+constexpr FilterFamily Row(std::string_view name, std::string_view alias = {}) {
+  constexpr bool kInt = std::is_base_of_v<RangeFilter, T>;
+  static_assert(kInt != std::is_base_of_v<StrRangeFilter, T>);
+  FilterFamily row{
+      .name = name,
+      .alias = alias,
+      .id = T::kFamilyId,
+      .kind = kInt ? Filter::KeyKind::kInt : Filter::KeyKind::kStr,
+      .build_int = nullptr,
+      .build_str = nullptr,
+      .deserialize = [](std::string_view* in) -> std::unique_ptr<Filter> {
+        return T::DeserializePayload(in);
+      }};
+  if constexpr (kInt) {
+    row.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
+                       std::string* error) -> std::unique_ptr<RangeFilter> {
+      return T::BuildFromSpec(spec, builder, error);
+    };
+  } else {
+    row.build_str = [](const FilterSpec& spec, StrFilterBuilder& builder,
+                       std::string* error) -> std::unique_ptr<StrRangeFilter> {
+      return T::BuildFromSpec(spec, builder, error);
+    };
+  }
+  return row;
 }
-template <typename T>
-std::unique_ptr<StrRangeFilter> AsStr(std::unique_ptr<T> f) {
-  return f;
-}
+
+constexpr FilterFamily kFamilies[] = {
+    Row<ProteusFilter>("proteus"),
+    Row<OnePbfFilter>("onepbf", "1pbf"),
+    Row<TwoPbfFilter>("twopbf", "2pbf"),
+    Row<RosettaFilter>("rosetta"),
+    Row<SurfIntFilter>("surf"),
+    Row<SurfStrFilter>("surf-str"),
+    Row<ProteusStrFilter>("proteus-str"),
+    Row<BloomIntFilter>("bloom"),
+    Row<BloomStrFilter>("bloom-str"),
+};
 
 }  // namespace
 
-FilterRegistry& FilterRegistry::Global() {
-  static FilterRegistry* registry = new FilterRegistry();
-  return *registry;
-}
-
-FilterRegistry::FilterRegistry() {
-  FilterFamily proteus;
-  proteus.name = "proteus";
-  proteus.family_id = ProteusFilter::kFamilyId;
-  proteus.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
-                         std::string* error) {
-    return AsInt(ProteusFilter::BuildFromSpec(spec, builder, error));
-  };
-  proteus.deserialize = [](std::string_view* in) {
-    return std::unique_ptr<Filter>(ProteusFilter::DeserializePayload(in));
-  };
-  Register(std::move(proteus));
-
-  FilterFamily one_pbf;
-  one_pbf.name = "onepbf";
-  one_pbf.aliases = {"1pbf"};
-  one_pbf.family_id = OnePbfFilter::kFamilyId;
-  one_pbf.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
-                         std::string* error) {
-    return AsInt(OnePbfFilter::BuildFromSpec(spec, builder, error));
-  };
-  one_pbf.deserialize = [](std::string_view* in) {
-    return std::unique_ptr<Filter>(OnePbfFilter::DeserializePayload(in));
-  };
-  Register(std::move(one_pbf));
-
-  FilterFamily two_pbf;
-  two_pbf.name = "twopbf";
-  two_pbf.aliases = {"2pbf"};
-  two_pbf.family_id = TwoPbfFilter::kFamilyId;
-  two_pbf.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
-                         std::string* error) {
-    return AsInt(TwoPbfFilter::BuildFromSpec(spec, builder, error));
-  };
-  two_pbf.deserialize = [](std::string_view* in) {
-    return std::unique_ptr<Filter>(TwoPbfFilter::DeserializePayload(in));
-  };
-  Register(std::move(two_pbf));
-
-  FilterFamily rosetta;
-  rosetta.name = "rosetta";
-  rosetta.family_id = RosettaFilter::kFamilyId;
-  rosetta.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
-                         std::string* error) {
-    return AsInt(RosettaFilter::BuildFromSpec(spec, builder, error));
-  };
-  rosetta.deserialize = [](std::string_view* in) {
-    return std::unique_ptr<Filter>(RosettaFilter::DeserializePayload(in));
-  };
-  Register(std::move(rosetta));
-
-  FilterFamily surf;
-  surf.name = "surf";
-  surf.family_id = SurfIntFilter::kFamilyId;
-  surf.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
-                      std::string* error) {
-    return AsInt(SurfIntFilter::BuildFromSpec(spec, builder, error));
-  };
-  surf.deserialize = [](std::string_view* in) {
-    return std::unique_ptr<Filter>(SurfIntFilter::DeserializePayload(in));
-  };
-  Register(std::move(surf));
-
-  FilterFamily surf_str;
-  surf_str.name = "surf-str";
-  surf_str.family_id = SurfStrFilter::kFamilyId;
-  surf_str.build_str = [](const FilterSpec& spec, StrFilterBuilder& builder,
-                          std::string* error) {
-    return AsStr(SurfStrFilter::BuildFromSpec(spec, builder, error));
-  };
-  surf_str.deserialize = [](std::string_view* in) {
-    return std::unique_ptr<Filter>(SurfStrFilter::DeserializePayload(in));
-  };
-  Register(std::move(surf_str));
-
-  FilterFamily proteus_str;
-  proteus_str.name = "proteus-str";
-  proteus_str.family_id = ProteusStrFilter::kFamilyId;
-  proteus_str.build_str = [](const FilterSpec& spec, StrFilterBuilder& builder,
-                             std::string* error) {
-    return AsStr(ProteusStrFilter::BuildFromSpec(spec, builder, error));
-  };
-  proteus_str.deserialize = [](std::string_view* in) {
-    return std::unique_ptr<Filter>(ProteusStrFilter::DeserializePayload(in));
-  };
-  Register(std::move(proteus_str));
-
-  FilterFamily bloom;
-  bloom.name = "bloom";
-  bloom.family_id = BloomIntFilter::kFamilyId;
-  bloom.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
-                       std::string* error) {
-    return AsInt(BloomIntFilter::BuildFromSpec(spec, builder, error));
-  };
-  bloom.deserialize = [](std::string_view* in) {
-    return std::unique_ptr<Filter>(BloomIntFilter::DeserializePayload(in));
-  };
-  Register(std::move(bloom));
-
-  FilterFamily bloom_str;
-  bloom_str.name = "bloom-str";
-  bloom_str.family_id = BloomStrFilter::kFamilyId;
-  bloom_str.build_str = [](const FilterSpec& spec, StrFilterBuilder& builder,
-                           std::string* error) {
-    return AsStr(BloomStrFilter::BuildFromSpec(spec, builder, error));
-  };
-  bloom_str.deserialize = [](std::string_view* in) {
-    return std::unique_ptr<Filter>(BloomStrFilter::DeserializePayload(in));
-  };
-  Register(std::move(bloom_str));
-}
-
-bool FilterRegistry::Register(FilterFamily family) {
-  if (family.name.empty()) return false;
-  if (Find(family.name) != nullptr) return false;
-  for (const std::string& alias : family.aliases) {
-    if (Find(alias) != nullptr) return false;
-  }
-  if (family.family_id != 0 && FindById(family.family_id) != nullptr) {
-    return false;
-  }
-  families_.push_back(std::move(family));
-  return true;
-}
-
-const FilterFamily* FilterRegistry::Find(std::string_view name) const {
-  for (const FilterFamily& f : families_) {
-    if (f.name == name) return &f;
-    for (const std::string& alias : f.aliases) {
-      if (alias == name) return &f;
-    }
+const FilterFamily* FindFilterFamily(std::string_view name) {
+  for (const FilterFamily& f : kFamilies) {
+    if (f.name == name || (!f.alias.empty() && f.alias == name)) return &f;
   }
   return nullptr;
 }
 
-const FilterFamily* FilterRegistry::FindById(uint32_t family_id) const {
-  if (family_id == 0) return nullptr;
-  for (const FilterFamily& f : families_) {
-    if (f.family_id == family_id) return &f;
+const FilterFamily* FindFilterFamily(uint32_t id) {
+  for (const FilterFamily& f : kFamilies) {
+    if (f.id == id) return &f;
   }
   return nullptr;
 }
 
-std::vector<std::string> FilterRegistry::FamilyNames() const {
-  std::vector<std::string> names;
-  names.reserve(families_.size());
-  for (const FilterFamily& f : families_) names.push_back(f.name);
-  return names;
-}
+std::span<const FilterFamily> FilterFamilies() { return kFamilies; }
 
 std::unique_ptr<Filter> Filter::Deserialize(std::string_view in,
                                             std::string* error) {
@@ -203,14 +97,15 @@ std::unique_ptr<Filter> Filter::Deserialize(std::string_view in,
                         std::to_string(version));
     return nullptr;
   }
-  const FilterFamily* family = FilterRegistry::Global().FindById(family_id);
-  if (family == nullptr || family->deserialize == nullptr) {
+  const FilterFamily* family = FindFilterFamily(family_id);
+  if (family == nullptr) {
     SetError(error, "unknown filter family id " + std::to_string(family_id));
     return nullptr;
   }
   auto filter = family->deserialize(&in);
   if (filter == nullptr) {
-    SetError(error, "corrupt \"" + family->name + "\" filter payload");
+    SetError(error, "corrupt \"" + std::string(family->name) +
+                        "\" filter payload");
     return nullptr;
   }
   return filter;

@@ -1,16 +1,19 @@
-// FilterRegistry: the single catalogue of filter families.
+// The filter catalogue: one fixed table of the nine filter families this
+// library builds — Proteus, 1PBF, 2PBF and the SuRF, Rosetta and Bloom
+// baselines they are measured against, in their integer and string forms.
 //
-// Each family registers once — a spec name, a stable serialization id, and
-// build/deserialize hooks — and every consumer (the LSM filter policies,
-// the benchmark harnesses, the examples, Filter::Deserialize) selects
-// filters through spec strings, so adding a filter family needs zero
-// bench/LSM plumbing:
+// Each row holds a spec name, an optional alias, the stable wire id a
+// serialized blob names its family by, the key kind, and the build and
+// deserialize hooks. Every consumer (the LSM filter policy, the benchmark
+// harnesses, the examples, Filter::Deserialize) selects filters through
+// spec strings resolved against this table, so adding a family is one row
+// of the table:
 //
 //   auto f = FilterBuilder(keys).Sample(samples).Build("proteus:bpk=12");
 //   auto g = StrFilterBuilder(str_keys).Build("surf-str:mode=real,suffix=8");
-//   const FilterFamily* family = FilterRegistry::Global().Find("surf");
+//   const FilterFamily* family = FindFilterFamily("surf");
 //
-// Built-in families (each family's BuildFromSpec parses its parameters):
+// Families (each family's BuildFromSpec parses its parameters):
 //   proteus, onepbf (1pbf), twopbf (2pbf), rosetta, surf, bloom   — integer
 //   proteus-str, surf-str, bloom-str                              — string
 
@@ -19,9 +22,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/filter_spec.h"
 #include "core/range_filter.h"
@@ -31,10 +34,11 @@ namespace proteus {
 class FilterBuilder;
 class StrFilterBuilder;
 
-/// One registered filter family. Build hooks receive the parsed spec and a
-/// FilterBuilder holding the keys, the sampled queries, and the (lazily
+/// One row of the catalogue. Build hooks receive the parsed spec and a
+/// builder holding the keys, the sampled queries, and the (lazily
 /// computed, shared) CPFPR model; they return null and fill `error` on bad
-/// parameters.
+/// parameters. Exactly one build hook is set: `build_int` for kInt
+/// families, `build_str` for kStr ones.
 struct FilterFamily {
   using IntBuildFn = std::unique_ptr<RangeFilter> (*)(const FilterSpec& spec,
                                                       FilterBuilder& builder,
@@ -45,35 +49,21 @@ struct FilterFamily {
   /// corruption.
   using DeserializeFn = std::unique_ptr<Filter> (*)(std::string_view* in);
 
-  std::string name;                  // canonical spec name
-  std::vector<std::string> aliases;  // extra spec names
-  uint32_t family_id = 0;            // stable wire id; 0 = not serializable
-  IntBuildFn build_int = nullptr;
-  StrBuildFn build_str = nullptr;
-  DeserializeFn deserialize = nullptr;
+  std::string_view name;   // canonical spec name
+  std::string_view alias;  // extra spec name; empty when none
+  uint32_t id;             // stable wire id
+  Filter::KeyKind kind;
+  IntBuildFn build_int;
+  StrBuildFn build_str;
+  DeserializeFn deserialize;
 };
 
-class FilterRegistry {
- public:
-  /// The process-wide registry, with all built-in families registered.
-  static FilterRegistry& Global();
-
-  /// Registers a family. Returns false (family not added) if its name, an
-  /// alias, or a nonzero family id is already taken. Not thread-safe;
-  /// register custom families during startup.
-  bool Register(FilterFamily family);
-
-  const FilterFamily* Find(std::string_view name) const;
-  const FilterFamily* FindById(uint32_t family_id) const;
-
-  /// Canonical names of all registered families.
-  std::vector<std::string> FamilyNames() const;
-
- private:
-  FilterRegistry();  // registers the built-in families
-
-  std::vector<FilterFamily> families_;
-};
+/// The row whose name or alias is `name`; null when none is.
+const FilterFamily* FindFilterFamily(std::string_view name);
+/// The row whose wire id is `id`; null when none is.
+const FilterFamily* FindFilterFamily(uint32_t id);
+/// All nine rows, in wire-id order.
+std::span<const FilterFamily> FilterFamilies();
 
 }  // namespace proteus
 

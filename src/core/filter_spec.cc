@@ -165,15 +165,4 @@ bool FilterSpec::ExpectKeys(std::initializer_list<std::string_view> allowed,
   return true;
 }
 
-std::string FilterSpec::ToString() const {
-  std::string out = family_;
-  for (size_t i = 0; i < params_.size(); ++i) {
-    out += i == 0 ? ':' : ',';
-    out += params_[i].first;
-    out += '=';
-    out += params_[i].second;
-  }
-  return out;
-}
-
 }  // namespace proteus

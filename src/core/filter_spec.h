@@ -63,9 +63,6 @@ class FilterSpec {
   bool ExpectKeys(std::initializer_list<std::string_view> allowed,
                   std::string* error = nullptr) const;
 
-  /// Canonical "family:k=v,..." form.
-  std::string ToString() const;
-
  private:
   const std::string* FindValue(std::string_view key) const;
 

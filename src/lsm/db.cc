@@ -800,22 +800,15 @@ Status Db::FinishFile(SstWriter* writer, std::vector<std::string>* keys,
     // drift detector later compares the live window against it.
     const double design_signature = query_queue_.Signature();
     const uint64_t design_samples = query_queue_.sampled();
-    Stopwatch timer;
-    meta->filter =
-        options_.filter_policy->Build(*keys, query_queue_.Snapshot());
-    stats_->filter_build_ns += timer.ElapsedNanos();
-    if (meta->filter != nullptr) {
+    if (BuildFilter(*keys, meta.get())) {
       meta->design_epoch = design_epoch_.load(std::memory_order_relaxed);
-      meta->modeled_fpr = meta->filter->ModeledFpr().value_or(-1.0);
       meta->design_signature = design_signature;
       meta->design_samples = design_samples;
-      stats_->filter_bits_built += meta->filter->SizeBits();
       // Persist the filter in the SST itself so reopening the database
       // deserializes it instead of rebuilding from keys.
       std::string blob;
-      if (meta->filter->Serialize(&blob)) {
-        writer->SetFilterBlock(std::move(blob), Filter::kVersion);
-      }
+      meta->filter->Serialize(&blob);
+      writer->SetFilterBlock(std::move(blob), Filter::kVersion);
     }
   }
   Status s = writer->Finish();
@@ -828,6 +821,16 @@ Status Db::FinishFile(SstWriter* writer, std::vector<std::string>* keys,
   if (meta->filter != nullptr) ChargeFilter(*meta);
   *out = std::move(meta);
   return Status::OK();
+}
+
+bool Db::BuildFilter(const std::vector<std::string>& keys, FileMeta* meta) {
+  Stopwatch timer;
+  meta->filter = options_.filter_policy->Build(keys, query_queue_.Snapshot());
+  stats_->filter_build_ns += timer.ElapsedNanos();
+  if (meta->filter == nullptr) return false;
+  stats_->filter_bits_built += meta->filter->SizeBits();
+  meta->modeled_fpr = meta->filter->ModeledFpr().value_or(-1.0);
+  return true;
 }
 
 void Db::ChargeFilter(const FileMeta& meta) {
@@ -1308,9 +1311,7 @@ Status Db::LoadFile(const FilePtr& meta) {
   meta->reader = std::make_unique<SstReader>();
   Status s = meta->reader->Open(meta->path, meta->id, &cache_);
   if (!s.ok()) return s;
-  const bool wants_filters = options_.filter_policy != nullptr &&
-                             options_.filter_policy->Name() != "none";
-  if (wants_filters) {
+  if (options_.filter_policy != nullptr) {
     meta->filter = meta->reader->LoadFilter();
     if (meta->filter != nullptr) {
       ++stats_->filter_loads;
@@ -1329,18 +1330,10 @@ Status Db::LoadFile(const FilePtr& meta) {
           keys.emplace_back(it.key());
         }
       }
-      if (it.status().ok()) {
-        Stopwatch timer;
-        meta->filter =
-            options_.filter_policy->Build(keys, query_queue_.Snapshot());
-        stats_->filter_build_ns += timer.ElapsedNanos();
-        if (meta->filter != nullptr) {
-          ++stats_->filter_rebuilds;
-          stats_->filter_bits_built += meta->filter->SizeBits();
-          // The rebuilt filter replaces the persisted design; its manifest
-          // provenance (modeled FPR in particular) no longer applies.
-          meta->modeled_fpr = meta->filter->ModeledFpr().value_or(-1.0);
-        }
+      // The rebuilt filter replaces the persisted design's modeled FPR;
+      // its epoch, signature and samples stay the MANIFEST's.
+      if (it.status().ok() && BuildFilter(keys, meta.get())) {
+        ++stats_->filter_rebuilds;
       }
     }
   }

@@ -146,7 +146,8 @@ struct DbOptions {
   /// into its env line; it goes with the next perfbench change.
   size_t background_threads = 2;
   /// Builds every SST's filter under its spec's bits-per-key, the same
-  /// budget at every level. Null = no filters.
+  /// budget at every level. Null (what MakeFilterPolicy("none") returns)
+  /// = no filters: none is built, and reopen loads none from disk.
   std::shared_ptr<FilterPolicy> filter_policy;
   SampleQueryQueue::Options queue_options;
   /// Continuous self-design: background maintenance rewrites an SST in
@@ -464,6 +465,11 @@ class Db {
   /// positive). Feeds the drift detector; a firing latches
   /// f.drift_flagged and wakes background maintenance.
   void NoteFalsePositive(const FileMeta& f);
+
+  /// Builds `meta`'s filter over `keys` from the live query window and
+  /// books the build (time, bits, modeled FPR). False when the policy
+  /// built none.
+  bool BuildFilter(const std::vector<std::string>& keys, FileMeta* meta);
 
   /// Charges the filter's pinned bytes to the block cache.
   void ChargeFilter(const FileMeta& meta);

@@ -9,14 +9,14 @@
 //  * Observed-FPR blowout: the filter's live false-positive rate —
 //    false positives over the checks whose range was actually empty for
 //    this file (checks - true-positive probes) — exceeds `fpr_factor`
-//    times the FPR the design model promised (floored at `fpr_floor`,
+//    times the FPR the design model promised (floored at kDriftFprFloor,
 //    so a 0.0001 model estimate does not make a 0.0005 observation look
 //    like drift). The denominator matters: false positives over PROBES
 //    is ~1.0 on any empty-heavy workload regardless of filter quality,
 //    which would re-flag a freshly redesigned file forever.
 //  * Signature shift: the decayed range-shape signature of the sampled
 //    query window (SampleQueryQueue::Signature) moved at least
-//    `signature_bits` away from its value when the filter was designed —
+//    kDriftSignatureBits away from its value when the filter was designed —
 //    or the filter was designed before any query had ever been sampled
 //    and a real window exists now. Requires `min_window_samples` fresh
 //    samples since the design so one odd query cannot trigger it.
@@ -33,16 +33,17 @@
 
 namespace proteus {
 
+/// Modeled-FPR floor for the blowout comparison.
+inline constexpr double kDriftFprFloor = 0.01;
+/// Signature distance (bits of shared lo/hi prefix) that counts as a
+/// range-distribution shift.
+inline constexpr double kDriftSignatureBits = 8.0;
+
 struct DriftOptions {
   /// Observed FPR must exceed this multiple of the modeled FPR.
   double fpr_factor = 4.0;
-  /// Modeled-FPR floor for the blowout comparison.
-  double fpr_floor = 0.01;
   /// Minimum filter passes (SST probes) before either trigger can fire.
   uint64_t min_probes = 256;
-  /// Signature distance (bits of shared lo/hi prefix) that counts as a
-  /// range-distribution shift.
-  double signature_bits = 8.0;
   /// Queries sampled into the window since the design before the
   /// signature trigger may fire.
   uint64_t min_window_samples = 64;
@@ -81,13 +82,13 @@ inline DriftReason DetectDrift(const DriftSignal& s, const DriftOptions& o) {
   if (s.window_samples >= o.min_window_samples && s.live_signature >= 0.0) {
     if (s.design_signature < 0.0 ||
         std::fabs(s.live_signature - s.design_signature) >=
-            o.signature_bits) {
+            kDriftSignatureBits) {
       return DriftReason::kSignatureShift;
     }
   }
   if (s.modeled_fpr >= 0.0 &&
       ObservedFpr(s) >
-          o.fpr_factor * std::max(s.modeled_fpr, o.fpr_floor)) {
+          o.fpr_factor * std::max(s.modeled_fpr, kDriftFprFloor)) {
     return DriftReason::kFprExceeded;
   }
   return DriftReason::kNone;

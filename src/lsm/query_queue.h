@@ -39,9 +39,6 @@ namespace proteus {
 struct SampleQueueOptions {
   size_t capacity = 20000;     // ~320 KB of queries (Section 6.1)
   uint32_t sample_rate = 100;  // record every 100th empty query; 0 = none
-  /// EWMA history weight per sampled query for the range-shape signature
-  /// (0.99 ~ the last ~100 samples dominate).
-  double signature_decay = 0.99;
 };
 
 class SampleQueryQueue {
@@ -49,7 +46,7 @@ class SampleQueryQueue {
   using Options = SampleQueueOptions;
 
   explicit SampleQueryQueue(Options options = Options())
-      : options_(options), signature_(options.signature_decay) {}
+      : options_(options) {}
 
   /// Seeds the queue with an initial sample (bypasses rate limiting).
   void Seed(const std::vector<std::pair<std::string, std::string>>& queries) {

@@ -7,7 +7,7 @@
 // (offset u64, size u64, crc32c u32). The CRC covers the block's on-disk
 // bytes — compression tag included, raw and RLE blocks alike — so a
 // damaged block is rejected before decompression ever looks at it. The
-// filter block is the SstFilter::Serialize wire form of the file's range
+// filter block is the Filter::Serialize wire form of the file's range
 // filter (absent when the file was written without one).
 //
 // Files are multi-version: a user key may appear in several consecutive
@@ -65,7 +65,7 @@ class SstWriter {
   /// MakeSstValueV4 encodings.
   void Add(std::string_view key, std::string_view value);
 
-  /// Attaches the serialized filter (SstFilter::Serialize output) to be
+  /// Attaches the serialized filter (Filter::Serialize output) to be
   /// persisted as the file's filter block. Must precede Finish().
   /// `format` is the filter wire-format version recorded in the footer so
   /// readers can reject blobs they do not understand without parsing them.

@@ -40,29 +40,23 @@ inline uint32_t CommonPrefixBits(std::string_view a, std::string_view b) {
   return bits;
 }
 
-/// EWMA over per-query signatures. `decay` is the weight kept on history
-/// per observation (0.99 ~ a sliding window of ~100 queries).
+/// EWMA over per-query signatures.
 class QuerySignature {
  public:
-  explicit QuerySignature(double decay = 0.99) : decay_(decay) {}
+  /// Weight kept on history per observation (0.99 ~ a sliding window of
+  /// ~100 queries).
+  static constexpr double kDecay = 0.99;
 
   void Observe(std::string_view lo, std::string_view hi) {
     const double s = static_cast<double>(CommonPrefixBits(lo, hi));
-    value_ = count_ == 0 ? s : decay_ * value_ + (1.0 - decay_) * s;
+    value_ = count_ == 0 ? s : kDecay * value_ + (1.0 - kDecay) * s;
     ++count_;
   }
 
   /// The decayed mean signature in bits; negative before any observation.
   double value() const { return count_ == 0 ? -1.0 : value_; }
-  uint64_t count() const { return count_; }
-
-  void Reset() {
-    value_ = 0.0;
-    count_ = 0;
-  }
 
  private:
-  double decay_;
   double value_ = 0.0;
   uint64_t count_ = 0;
 };

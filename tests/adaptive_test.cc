@@ -282,11 +282,11 @@ TEST(AdaptiveSerializeTest, RedesignedBlobsRoundTripBitIdentically) {
     ASSERT_NE(built, nullptr);
 
     std::string blob1;
-    ASSERT_TRUE(built->Serialize(&blob1));
+    built->Serialize(&blob1);
     auto reloaded = DeserializeSstFilter(blob1, &status);
     ASSERT_NE(reloaded, nullptr) << status.ToString();
     std::string blob2;
-    ASSERT_TRUE(reloaded->Serialize(&blob2));
+    reloaded->Serialize(&blob2);
     EXPECT_EQ(blob1, blob2) << "serialized form not a fixed point";
     EXPECT_EQ(built->SizeBits(), reloaded->SizeBits());
 

@@ -293,7 +293,6 @@ class LatchedPolicy : public FilterPolicy {
     cv_.wait(lock, [&] { return open_; });
     return nullptr;
   }
-  std::string Name() const override { return "latched"; }
 
   /// True once a Build is parked at the latch (false after 10 s).
   bool WaitUntilHeld() {

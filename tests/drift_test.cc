@@ -43,8 +43,8 @@ TEST(ObservedFprTest, NoEmptyChecksIsZero) {
 
 // ---------------------------------------------------------------------------
 // DetectDrift: synthetic counters through the documented thresholds.
-// Defaults: fpr_factor 4, fpr_floor 0.01, min_probes 256,
-// signature_bits 8, min_window_samples 64.
+// Defaults: fpr_factor 4, min_probes 256, min_window_samples 64;
+// constants: kDriftFprFloor 0.01, kDriftSignatureBits 8.
 // ---------------------------------------------------------------------------
 
 DriftSignal CalmSignal() {
@@ -97,14 +97,17 @@ TEST(DetectDriftTest, FprTriggerIsStrictlyAboveFactorTimesModeled) {
 TEST(DetectDriftTest, FprFloorShieldsTightModels) {
   DriftOptions o;
   DriftSignal s = CalmSignal();
-  s.modeled_fpr = 0.0001;  // promise far below the floor
+  s.modeled_fpr = kDriftFprFloor / 100;  // promise far below the floor
   s.checks = 100000;
-  s.false_positives = 3000;  // 0.03 observed: 300x the model...
-  s.probes = 3000;
-  // ...but only 3x the 0.01 floor, so no flag.
+  // 3x the floor observed: 300x the model...
+  s.false_positives = static_cast<uint64_t>(3 * kDriftFprFloor * s.checks);
+  s.probes = s.false_positives;
+  // ...but under factor x floor, so no flag.
   EXPECT_EQ(DetectDrift(s, o), DriftReason::kNone);
-  s.false_positives = 4100;  // 0.041 > 4 * 0.01
-  s.probes = 4100;
+  // 0.041 > 4 * 0.01
+  s.false_positives =
+      static_cast<uint64_t>(o.fpr_factor * kDriftFprFloor * s.checks) + 100;
+  s.probes = s.false_positives;
   EXPECT_EQ(DetectDrift(s, o), DriftReason::kFprExceeded);
 }
 
@@ -119,13 +122,13 @@ TEST(DetectDriftTest, NoModelMeansNoFprTrigger) {
 TEST(DetectDriftTest, SignatureShiftNeedsWindowSamples) {
   DriftOptions o;
   DriftSignal s = CalmSignal();
-  s.live_signature = s.design_signature + o.signature_bits;  // shifted
+  s.live_signature = s.design_signature + kDriftSignatureBits;  // shifted
   s.window_samples = o.min_window_samples - 1;
   EXPECT_EQ(DetectDrift(s, o), DriftReason::kNone);
   s.window_samples = o.min_window_samples;
   EXPECT_EQ(DetectDrift(s, o), DriftReason::kSignatureShift);
   // Strictly inside the band: no shift.
-  s.live_signature = s.design_signature + o.signature_bits - 0.5;
+  s.live_signature = s.design_signature + kDriftSignatureBits - 0.5;
   EXPECT_EQ(DetectDrift(s, o), DriftReason::kNone);
 }
 
@@ -144,7 +147,7 @@ TEST(DetectDriftTest, SignatureCheckedBeforeFpr) {
   DriftSignal s = CalmSignal();
   s.false_positives = s.probes;
   s.checks = s.probes;  // FPR blowout...
-  s.live_signature = s.design_signature + 2.0 * o.signature_bits;
+  s.live_signature = s.design_signature + 2.0 * kDriftSignatureBits;
   // ...but a shifted window wins the reason.
   EXPECT_EQ(DetectDrift(s, o), DriftReason::kSignatureShift);
 }

@@ -1,12 +1,15 @@
 // The unified filter API: spec-string parsing (including malformed-spec
-// error paths), registry lookup and creation for every family, and the
+// error paths), the family table and creation for every family, and the
 // FilterBuilder Sample() -> Design() -> Build() flow.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/filter_builder.h"
@@ -31,7 +34,6 @@ TEST(FilterSpec, ParsesFamilyOnly) {
   ASSERT_TRUE(FilterSpec::Parse("proteus", &spec));
   EXPECT_EQ(spec.family(), "proteus");
   EXPECT_TRUE(spec.params().empty());
-  EXPECT_EQ(spec.ToString(), "proteus");
 }
 
 TEST(FilterSpec, ParsesParameters) {
@@ -42,7 +44,6 @@ TEST(FilterSpec, ParsesParameters) {
   uint32_t suffix = 0;
   EXPECT_TRUE(spec.GetUint32("suffix", 0, &suffix));
   EXPECT_EQ(suffix, 8u);
-  EXPECT_EQ(spec.ToString(), "surf:mode=real,suffix=8");
 }
 
 TEST(FilterSpec, TypedGettersReturnDefaultsWhenAbsent) {
@@ -85,37 +86,64 @@ TEST(FilterSpec, MalformedValuesFailTypedGetters) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry
+// The family table
 // ---------------------------------------------------------------------------
 
-TEST(FilterRegistry, AllBuiltinFamiliesAreRegistered) {
-  auto names = FilterRegistry::Global().FamilyNames();
-  for (const char* expected :
-       {"proteus", "onepbf", "twopbf", "rosetta", "surf", "surf-str",
-        "proteus-str", "bloom", "bloom-str"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
+// The wire ids persisted filter blobs name their family by. Changing one
+// orphans every filter block written before the change.
+TEST(FilterFamilies, NineRowsWithPinnedWireIds) {
+  const std::pair<std::string_view, uint32_t> expected[] = {
+      {"proteus", 1}, {"onepbf", 2},   {"twopbf", 3},
+      {"rosetta", 4}, {"surf", 5},     {"surf-str", 6},
+      {"proteus-str", 7}, {"bloom", 8}, {"bloom-str", 9},
+  };
+  ASSERT_EQ(FilterFamilies().size(), std::size(expected));
+  for (const auto& [name, id] : expected) {
+    const FilterFamily* family = FindFilterFamily(name);
+    ASSERT_NE(family, nullptr) << name;
+    EXPECT_EQ(family->id, id) << name;
   }
 }
 
-TEST(FilterRegistry, AliasesResolve) {
-  const auto& registry = FilterRegistry::Global();
-  EXPECT_EQ(registry.Find("1pbf"), registry.Find("onepbf"));
-  EXPECT_EQ(registry.Find("2pbf"), registry.Find("twopbf"));
-  EXPECT_EQ(registry.Find("nonexistent"), nullptr);
+TEST(FilterFamilies, NamesAliasesAndIdsAreUnique) {
+  std::set<std::string_view> names;
+  std::set<uint32_t> ids;
+  for (const FilterFamily& f : FilterFamilies()) {
+    EXPECT_FALSE(f.name.empty());
+    EXPECT_TRUE(names.insert(f.name).second) << f.name;
+    if (!f.alias.empty()) {
+      EXPECT_TRUE(names.insert(f.alias).second) << f.alias;
+    }
+    EXPECT_TRUE(ids.insert(f.id).second) << f.name;
+  }
 }
 
-TEST(FilterRegistry, DuplicateRegistrationIsRejected) {
-  FilterFamily dup;
-  dup.name = "proteus";
-  EXPECT_FALSE(FilterRegistry::Global().Register(std::move(dup)));
-  FilterFamily dup_id;
-  dup_id.name = "proteus-duplicate-id";
-  dup_id.family_id = ProteusFilter::kFamilyId;
-  EXPECT_FALSE(FilterRegistry::Global().Register(std::move(dup_id)));
+TEST(FilterFamilies, FindResolvesNamesAliasesAndIds) {
+  for (const FilterFamily& f : FilterFamilies()) {
+    EXPECT_EQ(FindFilterFamily(f.name), &f) << f.name;
+    EXPECT_EQ(FindFilterFamily(f.id), &f) << f.name;
+    if (!f.alias.empty()) {
+      EXPECT_EQ(FindFilterFamily(f.alias), &f) << f.name;
+    }
+  }
+  EXPECT_EQ(FindFilterFamily("1pbf"), FindFilterFamily("onepbf"));
+  EXPECT_EQ(FindFilterFamily("2pbf"), FindFilterFamily("twopbf"));
+  EXPECT_EQ(FindFilterFamily("nonexistent"), nullptr);
+  EXPECT_EQ(FindFilterFamily(""), nullptr);
+  EXPECT_EQ(FindFilterFamily(uint32_t{0}), nullptr);
+  EXPECT_EQ(FindFilterFamily(uint32_t{10}), nullptr);
 }
 
-TEST(FilterRegistry, EveryIntFamilyIsConstructibleFromSpecStrings) {
+TEST(FilterFamilies, KindMatchesTheOneBuildHook) {
+  for (const FilterFamily& f : FilterFamilies()) {
+    const bool is_int = f.kind == Filter::KeyKind::kInt;
+    EXPECT_EQ(f.build_int != nullptr, is_int) << f.name;
+    EXPECT_EQ(f.build_str != nullptr, !is_int) << f.name;
+    EXPECT_NE(f.deserialize, nullptr) << f.name;
+  }
+}
+
+TEST(FilterFamilies, EveryIntFamilyIsConstructibleFromSpecStrings) {
   auto keys = GenerateKeys(Dataset::kUniform, 4000, 51);
   QuerySpec qspec;
   qspec.range_max = uint64_t{1} << 8;
@@ -133,7 +161,7 @@ TEST(FilterRegistry, EveryIntFamilyIsConstructibleFromSpecStrings) {
   }
 }
 
-TEST(FilterRegistry, EveryStrFamilyIsConstructibleFromSpecStrings) {
+TEST(FilterFamilies, EveryStrFamilyIsConstructibleFromSpecStrings) {
   auto keys = GenerateStrKeys(StrDataset::kDomains, 2000, 0, 53);
   for (const char* spec :
        {"proteus-str:bpk=14", "surf-str:mode=real,suffix=8",
@@ -145,7 +173,7 @@ TEST(FilterRegistry, EveryStrFamilyIsConstructibleFromSpecStrings) {
   }
 }
 
-TEST(FilterRegistry, ProteusStrTrieGridIsExposedInSpecStrings) {
+TEST(FilterFamilies, ProteusStrTrieGridIsExposedInSpecStrings) {
   auto keys = GenerateStrKeys(StrDataset::kDomains, 2000, 0, 57);
   StrQuerySpec qspec;
   auto samples = GenerateStrQueries(keys, qspec, 500, 58);
@@ -170,7 +198,7 @@ TEST(FilterRegistry, ProteusStrTrieGridIsExposedInSpecStrings) {
       << error;
 }
 
-TEST(FilterRegistry, BadSpecsFailWithErrors) {
+TEST(FilterFamilies, BadSpecsFailWithErrors) {
   auto keys = GenerateKeys(Dataset::kUniform, 500, 54);
   struct Case {
     const char* spec;
@@ -205,7 +233,7 @@ TEST(FilterRegistry, BadSpecsFailWithErrors) {
   EXPECT_NE(error.find("no string-key builder"), std::string::npos);
 }
 
-TEST(FilterRegistry, ForcedConfigurationsAreHonored) {
+TEST(FilterFamilies, ForcedConfigurationsAreHonored) {
   auto keys = GenerateKeys(Dataset::kNormal, 3000, 56);
   auto filter = FilterBuilder(keys).Build("proteus:trie=16,bloom=48");
   ASSERT_NE(filter, nullptr);
@@ -272,13 +300,19 @@ TEST(FilterBuilder, NoSamplesFallsBackToPointFilteringDesigns) {
 
 TEST(MakeFilterPolicy, SpecStringsSelectEveryFamily) {
   for (const char* spec :
-       {"none", "bloom-str:bpk=12", "proteus:bpk=14",
+       {"bloom-str:bpk=12", "proteus:bpk=14",
         "surf:mode=real,suffix=4", "rosetta:bpk=12",
         "proteus-str:bpk=14,max_key_bits=256,stride=4"}) {
     Status status;
     auto policy = MakeFilterPolicy(spec, &status);
     ASSERT_NE(policy, nullptr) << spec << ": " << status.ToString();
   }
+}
+
+TEST(MakeFilterPolicy, NoneIsNullWithOkStatus) {
+  Status status = Status::InvalidArgument("stale");
+  EXPECT_EQ(MakeFilterPolicy("none", &status), nullptr);
+  EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
 TEST(MakeFilterPolicy, BadSpecsFailAtCreationTime) {

@@ -123,7 +123,7 @@ std::string WriteSstWithFilter(const std::string& path,
   auto filter = BuildTestFilter(*keys);
   EXPECT_NE(filter, nullptr);
   std::string blob;
-  EXPECT_TRUE(filter->Serialize(&blob));
+  filter->Serialize(&blob);
   writer.SetFilterBlock(std::move(blob), filter_format);
   EXPECT_TRUE(writer.Finish().ok());
   return path;
@@ -279,6 +279,38 @@ void FillDb(Db* db, Rng* rng) {
   db->CompactAll();
 }
 
+// What FillDb writes, as a std::map.
+std::map<std::string, std::string> FillDbReference() {
+  std::map<std::string, std::string> reference;
+  for (uint64_t i = 0; i < 2500; ++i) {
+    reference[EncodeKeyBE(i * 10)] =
+        "v" + std::to_string(i) + std::string(40, 'x');
+  }
+  return reference;
+}
+
+// Every key is found with its value, and RunProbes' seeded ranges answer
+// like `reference`.
+void ExpectAnswersLikeMap(Db* db,
+                          const std::map<std::string, std::string>& reference) {
+  for (const auto& [key, value] : reference) {
+    SeekResult r = db->Seek(key, key);
+    ASSERT_TRUE(r.found) << "false negative";
+    EXPECT_EQ(r.value, value);
+  }
+  for (uint64_t i = 0; i < 400; ++i) {
+    const uint64_t lo = (i * 37) % 30000;
+    const uint64_t hi = lo + i % 60;
+    SeekResult r = db->Seek(EncodeKeyBE(lo), EncodeKeyBE(hi));
+    auto it = reference.lower_bound(EncodeKeyBE(lo));
+    const bool want = it != reference.end() && it->first <= EncodeKeyBE(hi);
+    ASSERT_EQ(r.found, want) << "range " << lo << ".." << hi;
+    if (want) {
+      EXPECT_EQ(r.key, it->first);
+    }
+  }
+}
+
 TEST(DbReopen, AllNineFamiliesServeIdenticalAnswersWithoutRebuilding) {
   for (const char* spec : kFamilySpecs) {
     SCOPED_TRACE(spec);
@@ -393,16 +425,11 @@ TEST(DbReopen, RetiredBlockedBloomLayoutIsRebuiltNotMisread) {
     auto options = PersistDbOptions("retired_bloom_layout_" +
                                     std::to_string(retired_tag));
     options.filter_policy = MakeFilterPolicy("bloom:bpk=12");
-    std::map<std::string, std::string> reference;
     {
       auto [db, st] = Db::Create(options);
       ASSERT_TRUE(st.ok());
       Rng rng(11);
       FillDb(db.get(), &rng);
-    }
-    for (uint64_t i = 0; i < 2500; ++i) {
-      reference[EncodeKeyBE(i * 10)] =
-          "v" + std::to_string(i) + std::string(40, 'x');
     }
 
     // The "bloom" family's payload is the bare BloomFilter blob, right
@@ -436,23 +463,7 @@ TEST(DbReopen, RetiredBlockedBloomLayoutIsRebuiltNotMisread) {
     EXPECT_EQ(db->stats().filter_loads, 0u);
     EXPECT_EQ(db->stats().filter_rebuilds, retagged);
     EXPECT_GT(db->TotalFilterBits(), 0u);
-
-    for (const auto& [key, value] : reference) {
-      SeekResult r = db->Seek(key, key);
-      ASSERT_TRUE(r.found) << "false negative";
-      EXPECT_EQ(r.value, value);
-    }
-    for (uint64_t i = 0; i < 400; ++i) {
-      const uint64_t lo = (i * 37) % 30000;
-      const uint64_t hi = lo + i % 60;
-      SeekResult r = db->Seek(EncodeKeyBE(lo), EncodeKeyBE(hi));
-      auto it = reference.lower_bound(EncodeKeyBE(lo));
-      const bool want = it != reference.end() && it->first <= EncodeKeyBE(hi);
-      ASSERT_EQ(r.found, want) << "range " << lo << ".." << hi;
-      if (want) {
-        EXPECT_EQ(r.key, it->first);
-      }
-    }
+    ExpectAnswersLikeMap(db.get(), FillDbReference());
   }
 }
 
@@ -477,6 +488,46 @@ TEST(DbReopen, FilterBytesAreChargedToTheBlockCache) {
   ASSERT_NE(db, nullptr) << status.ToString();
   EXPECT_GT(db->cache().pinned_bytes(), 0u);
   EXPECT_LE(db->cache().pinned_bytes(), db->TotalFilterBits() / 8);
+}
+
+TEST(DbReopen, FilteredDbReopenedWithNoFiltersUsesNone) {
+  auto options = PersistDbOptions("reopen_none");
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=14");
+  size_t n_files = 0;
+  {
+    auto [db, st] = Db::Create(options);
+    ASSERT_TRUE(st.ok());
+    Rng rng(5);
+    FillDb(db.get(), &rng);
+    for (size_t n : db->LevelFileCounts()) n_files += n;
+    ASSERT_GT(db->TotalFilterBits(), 0u);
+  }
+  ASSERT_GT(n_files, 1u);
+
+  // "none": the persisted filter blocks are neither loaded nor rebuilt.
+  Status status;
+  options.filter_policy = MakeFilterPolicy("none", &status);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  {
+    auto [db, open_status] = Db::Open(options);
+    ASSERT_NE(db, nullptr) << open_status.ToString();
+    EXPECT_EQ(db->stats().filter_loads, 0u);
+    EXPECT_EQ(db->stats().filter_rebuilds, 0u);
+    EXPECT_EQ(db->TotalFilterBits(), 0u);
+    const auto infos = db->DesignInfo();
+    EXPECT_EQ(infos.size(), n_files);
+    for (const auto& info : infos) EXPECT_EQ(info.filter_bits, 0u);
+    ExpectAnswersLikeMap(db.get(), FillDbReference());
+  }
+
+  // The blocks are still on disk: filters come back without a rebuild.
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=14");
+  auto [db, open_status] = Db::Open(options);
+  ASSERT_NE(db, nullptr) << open_status.ToString();
+  EXPECT_EQ(db->stats().filter_loads, n_files);
+  EXPECT_EQ(db->stats().filter_rebuilds, 0u);
+  EXPECT_GT(db->TotalFilterBits(), 0u);
+  ExpectAnswersLikeMap(db.get(), FillDbReference());
 }
 
 TEST(DbReopen, MissingManifestOpensEmpty) {
